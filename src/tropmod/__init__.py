@@ -10,6 +10,7 @@ floating point.
 from .errors import (
     DimensionMismatch,
     IncompatibleSplit,
+    MalformedInput,
     NotCodimensionOne,
     NotInImage,
     NotPure,
@@ -51,14 +52,7 @@ from .trees import (
     to_tree,
     valence_profile,
 )
-from .lattice import (
-    hermite_normal_form,
-    in_integer_span,
-    in_rational_span,
-    is_saturated,
-    primitive,
-    smith_normal_form,
-)
+from .lattice import primitive
 from .moduli import (
     EmbeddingVector,
     LinkGraph,
@@ -81,6 +75,8 @@ from .divisors import (
     check_smooth_local,
     moduli_fan,
     psi_divisor,
+    span_witness,
+    verify_witness,
 )
 from .maps import (
     BoundaryDecomposition,

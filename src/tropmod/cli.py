@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a requested
 certificate fails.  Output ordering is canonical, so runs are byte-for-byte
 reproducible.  The TROPMOD_THREADS environment variable caps the number of
-worker threads used for per-face certificate checks.
+worker threads for certificate checks and must be a positive integer; the
+checks run serially, which meets any cap.
 """
 
 from __future__ import annotations

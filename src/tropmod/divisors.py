@@ -5,17 +5,28 @@ primitive directions of the adjacent facets lies in the rational span of the
 face.  Local smoothness strengthens this to the integer span together with
 saturation of the local lattice, which is exactly the tripod-times-R^{n-4}
 product structure of the moduli fan near such a face.
+
+Both are decided by closed-form witnesses.  Every split of a face has a
+quartet coordinate on which its direction is +-1 and every other face
+direction is 0, so the coefficients of any combination are forced and are
+integers: a vector is in the span (rational or integer alike) iff it equals
+the recombination with those coefficients.  Saturation is witnessed by a
+square minor of determinant +-1.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from math import comb
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import NotCodimensionOne, NotPure
-from .lattice import in_integer_span, in_rational_span, is_saturated
-from .moduli import direction_vector
+from .errors import DimensionMismatch, NotCodimensionOne, NotPure
+from .moduli import (
+    _quartet_coordinate,
+    _quartet_offsets,
+    _split_direction,
+    _split_support,
+)
 from .trees import (
     CombinatorialType,
     Split,
@@ -63,7 +74,7 @@ class WeightedFan:
         return tuple(c for c, _ in self.cones)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdjacentFacet:
     """One facet adjacent to a face, with the primitive direction it adds."""
 
@@ -73,7 +84,7 @@ class AdjacentFacet:
     direction: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BalancingReport:
     """Verdict of the balancing (and optionally smoothness) check at one face."""
 
@@ -82,6 +93,12 @@ class BalancingReport:
     weighted_sum: Tuple[int, ...]
     balanced: bool
     smooth: Optional[bool] = None
+    # coefficients of the face directions (face-split order) that recombine
+    # into weighted_sum; None when the face is unbalanced
+    witness: Optional[Tuple[int, ...]] = None
+    # smoothness only: columns on which the face directions and the first two
+    # adjacent directions form a minor of determinant +-1
+    minor: Optional[Tuple[int, ...]] = None
 
 
 def moduli_fan(n: int) -> WeightedFan:
@@ -91,34 +108,123 @@ def moduli_fan(n: int) -> WeightedFan:
     return WeightedFan.of(n, tuple((t, 1) for t in enumerate_types(n, n - 3)))
 
 
-def _face_directions(face: CombinatorialType) -> List[Tuple[int, ...]]:
-    return [direction_vector(face, s) for s in sorted(face.splits, key=lambda s: s.key)]
+def _face_splits(face: CombinatorialType) -> List[Split]:
+    return sorted(face.splits, key=lambda s: s.key)
+
+
+def _isolating_coordinates(
+    face: CombinatorialType, splits: List[Split]
+) -> List[Tuple[int, int]]:
+    """(index, sign) per split: its direction is sign there, other face splits 0.
+
+    Two leaves from different branches at each end of the edge of a split
+    form a quartet whose inner path is that edge alone.  At the end inside
+    the side: its smallest leaf a, and a leaf b outside the largest smaller
+    side holding a.  At the other end: the anchor c (smallest label, never in
+    a side), and a leaf d of the smallest larger side (or of all labels)
+    that is neither in the side nor c.
+    """
+    labels = face.labels
+    n = len(labels)
+    c = min(labels)
+    sides = [u.side for u in face.splits]
+    out = []
+    for s in splits:
+        side = s.side
+        a = min(side)
+        branch = {a}
+        cluster = labels
+        for other in sides:
+            if other < side:
+                if a in other and len(other) > len(branch):
+                    branch = other
+            elif side < other and len(other) < len(cluster):
+                cluster = other
+        out.append(_quartet_coordinate(n, a, min(side - branch), c, min(cluster - side - {c})))
+    return out
+
+
+def _solve(
+    face: CombinatorialType, splits: List[Split], vector: Sequence[int]
+) -> Tuple[Tuple[int, ...], List[int]]:
+    residual = list(vector)
+    coefficients = []
+    for s, (index, sign) in zip(splits, _isolating_coordinates(face, splits)):
+        coef = vector[index] * sign
+        coefficients.append(coef)
+        if coef:
+            for i, x in _split_support(s):
+                residual[i] -= coef * x
+    return tuple(coefficients), residual
+
+
+def span_witness(
+    face: CombinatorialType, vector: Sequence[int]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Forced coefficients and residual of an integer vector against a face.
+
+    The coefficients (face-split order) are the vector's entries at the
+    isolating coordinates; the residual is the vector minus their
+    recombination of the face directions.  The vector lies in the rational
+    span of the face directions iff the residual is zero, and then it lies in
+    the integer span too.
+    """
+    size = 3 * comb(face.n, 4)
+    if len(vector) != size:
+        raise DimensionMismatch(f"expected {size} coordinates for n = {face.n}")
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in vector):
+        raise TypeError("integer vector expected")
+    coefficients, residual = _solve(face, _face_splits(face), vector)
+    return coefficients, tuple(residual)
+
+
+def _determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by Bareiss elimination."""
+    m = [list(r) for r in rows]
+    size = len(m)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        pivot = next((i for i in range(k, size) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if size else 1
 
 
 def _balance_at(
     face: CombinatorialType,
     adjacent: List[Tuple[CombinatorialType, int, Split]],
 ) -> BalancingReport:
+    # every adjacent cone is the face plus its extra split, so this is also
+    # the order of (cone.key, extra_split.key)
+    adjacent = sorted(adjacent, key=lambda cw: cw[2].key)
+    total = [0] * (3 * comb(face.n, 4))
     records = []
-    for cone, weight, extra in sorted(adjacent, key=lambda cw: (cw[0].key, cw[2].key)):
+    for cone, weight, extra in adjacent:
         records.append(
             AdjacentFacet(
                 cone=cone,
                 extra_split=extra,
                 weight=weight,
-                direction=direction_vector(cone, extra),
+                direction=_split_direction(extra),
             )
         )
-    total = [0] * len(records[0].direction)
-    for rec in records:
-        for i, x in enumerate(rec.direction):
-            total[i] += rec.weight * x
-    balanced = in_rational_span(total, _face_directions(face))
+        for i, x in _split_support(extra):
+            total[i] += weight * x
+    coefficients, residual = _solve(face, _face_splits(face), total)
+    balanced = not any(residual)
     return BalancingReport(
         face=face,
         adjacent=tuple(records),
         weighted_sum=tuple(total),
         balanced=balanced,
+        witness=coefficients if balanced else None,
     )
 
 
@@ -127,20 +233,19 @@ def check_balanced(fan: WeightedFan, max_workers: int = 1) -> List[BalancingRepo
 
     Faces are the types obtained by removing one split from a cone; every
     such face is checked, whether shared by several cones or exposed on the
-    boundary of a single one.
+    boundary of a single one.  ``max_workers`` caps the worker threads; the
+    faces are checked serially, which meets any cap.
     """
+    if isinstance(max_workers, bool) or not isinstance(max_workers, int) or max_workers < 1:
+        raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
     dims = {c.dim for c, _ in fan.cones}
     if len(dims) > 1:
         raise NotPure(f"fan has mixed cone dimensions {sorted(dims)}")
     faces: Dict[CombinatorialType, List[Tuple[CombinatorialType, int, Split]]] = {}
     for cone, weight in fan.cones:
-        for s in sorted(cone.splits, key=lambda s: s.key):
+        for s in cone.splits:
             faces.setdefault(contract(cone, s), []).append((cone, weight, s))
-    ordered = sorted(faces, key=lambda f: f.key)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda f: _balance_at(f, faces[f]), ordered))
-    return [_balance_at(face, faces[face]) for face in ordered]
+    return [_balance_at(face, faces[face]) for face in sorted(faces, key=lambda f: f.key)]
 
 
 def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
@@ -150,6 +255,11 @@ def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
     face's directions, and the face directions together with two of them
     must generate a saturated sublattice of Z^N.  Together these certify the
     local product structure (tripod times R^{n-4}) with multiplicity one.
+
+    Saturation is witnessed by a minor of determinant +-1: the isolating
+    coordinate of each face split, plus two coordinates of the quartet of
+    smallest leaves of the four branches at the 4-valent vertex.  The face
+    directions vanish on that quartet, so the minor is block-triangular.
     """
     if tau.n != n:
         raise ValueError(f"type is for n = {tau.n}, not {n}")
@@ -161,17 +271,50 @@ def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
         extra = next(iter(rho.splits - tau.splits))
         adjacent.append((rho, 1, extra))
     report = _balance_at(tau, adjacent)
-    face_dirs = _face_directions(tau)
-    in_lattice = in_integer_span(report.weighted_sum, face_dirs)
-    first_two = [rec.direction for rec in report.adjacent[:2]]
-    saturated = is_saturated(face_dirs + first_two)
+    splits = _face_splits(tau)
+    tree = to_tree(tau)
+    quartet = tuple(min(b) for b in tree.branches(tree.valences().index(4)))
+    base = _quartet_offsets(n)[quartet]
+    columns = tuple(i for i, _ in _isolating_coordinates(tau, splits)) + (base, base + 1)
+    rows = [_split_direction(s) for s in splits]
+    rows += [rec.direction for rec in report.adjacent[:2]]
+    unimodular = abs(_determinant([[row[c] for c in columns] for row in rows])) == 1
     return BalancingReport(
         face=report.face,
         adjacent=report.adjacent,
         weighted_sum=report.weighted_sum,
         balanced=report.balanced,
-        smooth=in_lattice and saturated,
+        smooth=report.balanced and unimodular,
+        witness=report.witness,
+        minor=columns if unimodular else None,
     )
+
+
+def verify_witness(report: BalancingReport) -> bool:
+    """Check a report's witness exactly, independently of how it was found.
+
+    The weighted sum must be the weighted sum of the adjacent directions, and
+    the coefficients must recombine the face directions (face-split order)
+    into it.  A minor, when present, must pick columns on which the face
+    directions and the first two adjacent directions have determinant +-1.
+    A report without a witness (an unbalanced face) verifies as False.
+    """
+    if report.witness is None:
+        return False
+    directions = [_split_direction(s) for s in _face_splits(report.face)]
+    if len(report.witness) != len(directions):
+        return False
+    size = len(report.weighted_sum)
+    total = [sum(rec.weight * rec.direction[i] for rec in report.adjacent) for i in range(size)]
+    combo = [sum(c * d[i] for c, d in zip(report.witness, directions)) for i in range(size)]
+    if not list(report.weighted_sum) == total == combo:
+        return False
+    if report.minor is None:
+        return True
+    rows = directions + [rec.direction for rec in report.adjacent[:2]]
+    if len(report.minor) != len(rows) or not all(0 <= c < size for c in report.minor):
+        return False
+    return abs(_determinant([[row[c] for c in report.minor] for row in rows])) == 1
 
 
 def psi_divisor(n: int, k: int) -> WeightedFan:

@@ -39,3 +39,7 @@ class NotPure(TropmodError):
 
 class TooFewLeaves(TropmodError):
     """The operation would leave fewer than three marked leaves."""
+
+
+class MalformedInput(TropmodError, ValueError):
+    """A JSON input does not have the documented shape or types."""

@@ -1,8 +1,8 @@
-"""Exact integer linear algebra: primitive vectors, span membership, normal forms.
+"""Primitive integer vectors.
 
-Matrices are sequences of equal-length integer rows.  Everything runs over
-Python's arbitrary-precision integers; pivoting always picks a smallest
-nonzero entry to keep intermediate growth down.
+Span membership and saturation are decided by closed-form witnesses in
+``tropmod.divisors``; the general Hermite/Smith algorithms they replace are
+kept as test oracles.
 """
 
 from __future__ import annotations
@@ -10,10 +10,9 @@ from __future__ import annotations
 from math import gcd
 from typing import List, Sequence, Tuple
 
-from .errors import DimensionMismatch, RankDeficient, ZeroVector
+from .errors import ZeroVector
 
 IntVector = Tuple[int, ...]
-IntMatrix = Tuple[IntVector, ...]
 
 
 def _as_vector(v: Sequence[int]) -> List[int]:
@@ -25,13 +24,6 @@ def _as_vector(v: Sequence[int]) -> List[int]:
     return out
 
 
-def _as_rows(rows: Sequence[Sequence[int]]) -> List[List[int]]:
-    mat = [_as_vector(r) for r in rows]
-    if mat and len({len(r) for r in mat}) != 1:
-        raise DimensionMismatch("matrix rows have unequal lengths")
-    return mat
-
-
 def primitive(v: Sequence[int]) -> IntVector:
     """v divided by the gcd of its entries, preserving signs."""
     vec = _as_vector(v)
@@ -41,179 +33,3 @@ def primitive(v: Sequence[int]) -> IntVector:
     if g == 0:
         raise ZeroVector("the zero vector has no primitive representative")
     return tuple(x // g for x in vec)
-
-
-def hermite_normal_form(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Row-style Hermite normal form (nonzero rows only).
-
-    Pivots are positive, each pivot sits strictly to the right of the one
-    above, and the entries above a pivot are reduced into [0, pivot).
-    """
-    mat = _as_rows(rows)
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        if r == len(mat):
-            break
-        while True:
-            nz = [i for i in range(r, len(mat)) if mat[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(mat[i][c]))
-            mat[r], mat[i0] = mat[i0], mat[r]
-            if mat[r][c] < 0:
-                mat[r] = [-x for x in mat[r]]
-            p = mat[r][c]
-            clean = True
-            for i in range(r + 1, len(mat)):
-                if mat[i][c] != 0:
-                    q = mat[i][c] // p
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-                    clean = clean and mat[i][c] == 0
-            if clean:
-                # reduce the entries above the pivot into [0, p)
-                for i in range(r):
-                    q = mat[i][c] // p
-                    if q:
-                        mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-                r += 1
-                break
-    return tuple(tuple(row) for row in mat[:r])
-
-
-def in_integer_span(v: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
-    """True iff v is an integer combination of the rows."""
-    vec = _as_vector(v)
-    mat = _as_rows(rows)
-    if mat and len(mat[0]) != len(vec):
-        raise DimensionMismatch("vector length does not match matrix width")
-    hnf = hermite_normal_form(mat)
-    residue = list(vec)
-    for row in hnf:
-        c = next(j for j, x in enumerate(row) if x != 0)
-        if residue[c] % row[c] != 0:
-            return False
-        q = residue[c] // row[c]
-        if q:
-            residue = [a - q * b for a, b in zip(residue, row)]
-    return not any(residue)
-
-
-def in_rational_span(v: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
-    """True iff v is a rational combination of the rows.
-
-    Fraction-free: clears v against an integer echelon form of the rows by
-    cross-multiplication, which preserves vanishing of the residue.
-    """
-    vec = _as_vector(v)
-    mat = _as_rows(rows)
-    if mat and len(mat[0]) != len(vec):
-        raise DimensionMismatch("vector length does not match matrix width")
-    residue = list(vec)
-    r = 0
-    ncols = len(vec)
-    for c in range(ncols):
-        if r == len(mat):
-            break
-        pivots = [i for i in range(r, len(mat)) if mat[i][c] != 0]
-        if not pivots:
-            continue
-        i0 = min(pivots, key=lambda i: abs(mat[i][c]))
-        mat[r], mat[i0] = mat[i0], mat[r]
-        p = mat[r][c]
-        for i in range(r + 1, len(mat)):
-            if mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a * p - f * b for a, b in zip(mat[i], mat[r])]
-        if residue[c] != 0:
-            f = residue[c]
-            residue = [a * p - f * b for a, b in zip(residue, mat[r])]
-        r += 1
-    return not any(residue)
-
-
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """The elementary divisors of the row matrix: positive, d1 | d2 | ... .
-
-    Only the nonzero divisors are returned, so their count is the rank.
-    """
-    mat = _as_rows(rows)
-    if not mat:
-        return ()
-    nrows, ncols = len(mat), len(mat[0])
-    divisors: List[int] = []
-    k = 0
-    while k < nrows and k < ncols:
-        pos = None
-        best = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                x = abs(mat[i][j])
-                if x and (best is None or x < best):
-                    best, pos = x, (i, j)
-        if pos is None:
-            break
-        i0, j0 = pos
-        mat[k], mat[i0] = mat[i0], mat[k]
-        for row in mat:
-            row[k], row[j0] = row[j0], row[k]
-        while True:
-            p = mat[k][k]
-            dirty = False
-            for i in range(k + 1, nrows):
-                if mat[i][k] != 0:
-                    q = mat[i][k] // p
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[k])]
-                    dirty = dirty or mat[i][k] != 0
-            for j in range(k + 1, ncols):
-                if mat[k][j] != 0:
-                    q = mat[k][j] // p
-                    for row in mat:
-                        row[j] -= q * row[k]
-                    dirty = dirty or mat[k][j] != 0
-            if dirty:
-                # a remainder became the new smallest entry; re-pivot on it
-                pos = None
-                best = None
-                for i in range(k, nrows):
-                    for j in range(k, ncols):
-                        x = abs(mat[i][j])
-                        if x and (best is None or x < best):
-                            best, pos = x, (i, j)
-                i0, j0 = pos
-                mat[k], mat[i0] = mat[i0], mat[k]
-                for row in mat:
-                    row[k], row[j0] = row[j0], row[k]
-                continue
-            # pivot alone in its row and column; enforce divisibility
-            offender = None
-            for i in range(k + 1, nrows):
-                for j in range(k + 1, ncols):
-                    if mat[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            mat[k] = [a + b for a, b in zip(mat[k], mat[offender])]
-        divisors.append(abs(mat[k][k]))
-        k += 1
-    return tuple(divisors)
-
-
-def is_saturated(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff the row lattice equals its saturation in Z^N.
-
-    Requires the rows to be linearly independent over the rationals; the
-    criterion is that every elementary divisor equals 1.
-    """
-    mat = _as_rows(rows)
-    divisors = smith_normal_form(mat)
-    if len(divisors) < len(mat):
-        raise RankDeficient(
-            f"rows are dependent: rank {len(divisors)} < {len(mat)} rows"
-        )
-    return all(d == 1 for d in divisors)

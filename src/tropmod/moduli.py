@@ -238,6 +238,63 @@ def _split_direction(split: Split) -> Tuple[int, ...]:
     return tuple(_sigma(split, r) for r in canonical_coordinates(n))
 
 
+@lru_cache(maxsize=None)
+def _quartet_offsets(n: int) -> Dict[Tuple[int, int, int, int], int]:
+    """Position of the first of each sorted quartet's three coordinates."""
+    return {
+        quad: 3 * q for q, quad in enumerate(itertools.combinations(range(1, n + 1), 4))
+    }
+
+
+# Nonzero (offset, sign) entries of a quartet's three coordinates under a split
+# that pairs its smallest label with the label at position 1, 2 or 3; these are
+# the rays (0,1,1), (1,0,-1), (-1,-1,0) of M_{0,4}.  The first entry is the
+# coordinate that isolates the split (see ``_quartet_coordinate``).
+_QUARTET_ENTRIES = {
+    1: ((1, 1), (2, 1)),
+    2: ((0, 1), (2, -1)),
+    3: ((0, -1), (1, -1)),
+}
+
+
+def _quartet_entries(n: int, a: int, b: int, c: int, d: int) -> Tuple[Tuple[int, int], ...]:
+    """Nonzero (index, sign) entries of a split with ab|cd on the quartet {a,b,c,d}."""
+    quad = tuple(sorted((a, b, c, d)))
+    low = quad[0]
+    partner = {a: b, b: a, c: d, d: c}[low]
+    base = _quartet_offsets(n)[quad]
+    return tuple((base + off, sign) for off, sign in _QUARTET_ENTRIES[quad.index(partner)])
+
+
+@lru_cache(maxsize=None)
+def _quartet_coordinate(n: int, a: int, b: int, c: int, d: int) -> Tuple[int, int]:
+    """A coordinate that sees exactly the inner path of the quartet ab|cd.
+
+    Returns (index, sign): every split that separates {a, b} from {c, d} has
+    entry ``sign`` there, and every split that does not cut the quartet two
+    and two has entry 0 (a split cutting it otherwise is incompatible with
+    ab|cd).  When a single edge of a tree is the inner path of ab|cd, this
+    coordinate isolates it among the tree's splits.
+    """
+    return _quartet_entries(n, a, b, c, d)[0]
+
+
+@lru_cache(maxsize=None)
+def _split_support(split: Split) -> Tuple[Tuple[int, int], ...]:
+    """The nonzero entries of the direction of a split, as sorted (index, sign).
+
+    Only quartets with two leaves on each side contribute, two entries each:
+    2 * C(a,2) * C(b,2) entries for sides of sizes a and b.
+    """
+    n = _require_standard_labels(split.labels)
+    out = []
+    for a, b in itertools.combinations(sorted(split.side), 2):
+        for c, d in itertools.combinations(sorted(split.complement), 2):
+            out.extend(_quartet_entries(n, a, b, c, d))
+    out.sort()
+    return tuple(out)
+
+
 def direction_vector(t: CombinatorialType, s: Split) -> Tuple[int, ...]:
     """Gradient of the embedding with respect to the length of s.
 

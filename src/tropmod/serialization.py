@@ -10,9 +10,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .divisors import BalancingReport, WeightedFan
+from .errors import MalformedInput
 from .maps import BoundaryDecomposition
 from .moduli import EmbeddingVector, ModuliPoint
-from .rationals import format_extended, parse_extended
+from .rationals import ExtendedRational, format_extended, parse_extended
 from .semiring import TropicalPolynomial
 from .trees import CombinatorialType, Split, _as_labels
 
@@ -36,19 +37,46 @@ def point_to_json(x: ModuliPoint) -> dict:
     return out
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(value, what: str) -> List[int]:
+    if not isinstance(value, list):
+        raise MalformedInput(f"{what} must be a list of integers, got {value!r}")
+    return [_integer(x, what) for x in value]
+
+
+def _extended(value, what: str) -> ExtendedRational:
+    """A "p/q" | "inf" | "-inf" string (or a JSON integer), nothing else."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise MalformedInput(f'{what} must be a "p/q" string, got {value!r}')
+    try:
+        return parse_extended(value)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedInput(f'{what} must be a "p/q" string, got {value!r}') from None
+
+
 def point_from_json(obj: dict) -> ModuliPoint:
     if not isinstance(obj, dict) or "n" not in obj or "splits" not in obj:
-        raise ValueError('a point object needs keys "n" and "splits"')
-    labels = _as_labels(obj.get("labels", range(1, int(obj["n"]) + 1)))
+        raise MalformedInput('a point object needs keys "n" and "splits"')
+    n = _integer(obj["n"], '"n"')
+    labels = _as_labels(_integers(obj["labels"], '"labels"') if "labels" in obj else n)
+    if not isinstance(obj["splits"], list):
+        raise MalformedInput('"splits" must be a list')
     lengths = {}
     for entry in obj["splits"]:
-        split = Split.of(labels, entry["side"])
+        if not isinstance(entry, dict) or not {"side", "length"} <= set(entry):
+            raise MalformedInput(f'each split needs keys "side" and "length", got {entry!r}')
+        split = Split.of(labels, _integers(entry["side"], '"side"'))
         if split in lengths:
-            raise ValueError(f"duplicate split {split.text} in point")
-        lengths[split] = parse_extended(entry["length"])
+            raise MalformedInput(f"duplicate split {split.text} in point")
+        lengths[split] = _extended(entry["length"], '"length"')
     point = ModuliPoint.of(labels, lengths)
-    if point.n != int(obj["n"]):
-        raise ValueError('"n" does not match the number of labels')
+    if point.n != n:
+        raise MalformedInput('"n" does not match the number of labels')
     return point
 
 
@@ -107,7 +135,18 @@ def report_to_json(report: BalancingReport) -> dict:
         "sum": list(report.weighted_sum),
         "balanced": report.balanced,
         "smooth": report.smooth,
+        "witness": _witness_to_json(report),
     }
+
+
+def _witness_to_json(report: BalancingReport) -> Optional[dict]:
+    """{"coefficients": [...]} (plus "minor" for smoothness), or null."""
+    if report.witness is None:
+        return None
+    out: dict = {"coefficients": list(report.witness)}
+    if report.minor is not None:
+        out["minor"] = list(report.minor)
+    return out
 
 
 def decomposition_to_json(d: BoundaryDecomposition) -> dict:

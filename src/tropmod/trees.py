@@ -136,6 +136,14 @@ class CombinatorialType:
         lab = _as_labels(labels)
         return cls(lab, frozenset(Split.of(lab, side) for side in sides))
 
+    @classmethod
+    def _trusted(cls, labels: Labels, splits: FrozenSet[Split]) -> "CombinatorialType":
+        """Build without the pairwise checks, for subsets of a valid type's splits."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "labels", labels)
+        object.__setattr__(t, "splits", splits)
+        return t
+
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -262,10 +270,13 @@ def valence_profile(t: CombinatorialType) -> Tuple[int, ...]:
 
 
 def contract(t: CombinatorialType, s: Split) -> CombinatorialType:
-    """Contract the bounded edge of s to a point: drop the split."""
+    """Contract the bounded edge of s to a point: drop the split.
+
+    A subset of a compatible system is compatible, so nothing is re-checked.
+    """
     if s not in t.splits:
         raise SplitAbsent(f"{s!r} is not a split of {t!r}")
-    return CombinatorialType(t.labels, t.splits - {s})
+    return CombinatorialType._trusted(t.labels, t.splits - {s})
 
 
 def resolutions(t: CombinatorialType) -> Tuple[CombinatorialType, ...]:

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from tropmod.cli import EXIT_CERTIFICATE, EXIT_OK, EXIT_USAGE, main
 from tropmod.moduli import ModuliPoint, embed
 from tropmod.serialization import point_to_json, vector_to_json
@@ -210,3 +212,43 @@ def test_thread_env_cap(monkeypatch):
 def test_missing_file_is_usage_error(tmp_path):
     code, _ = run(["embed", "--point", str(tmp_path / "absent.json")])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "splits",
+    [
+        [{"side": [4, 5], "length": 1.5}],  # float length
+        [{"side": [4, 5]}],  # no length
+        [{"side": [4, 5], "length": True}],  # boolean length
+        [{"side": "45", "length": "1"}],  # side as a string of digits
+    ],
+    ids=["float-length", "missing-length", "bool-length", "digit-string-side"],
+)
+def test_malformed_point_is_one_error_line(tmp_path, capsys, splits):
+    path = tmp_path / "bad_point.json"
+    path.write_text(json.dumps({"n": 5, "splits": splits}))
+    for argv in (["embed", "--point", str(path)], ["section", "--point", str(path), "--k", "1"]):
+        code, out = run(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_json_carries_witnesses(tmp_path):
+    code, out = run(["check", "smooth", "--n", "5", "--format", "json"])
+    assert code == EXIT_OK
+    for rep in json.loads(out)["reports"]:
+        assert len(rep["witness"]["coefficients"]) == 1
+        assert len(rep["witness"]["minor"]) == 3
+
+    code, out = run(["check", "balancing", "--n", "5", "--format", "json"])
+    for rep in json.loads(out)["reports"]:
+        assert set(rep["witness"]) == {"coefficients"}
+
+    bad = {"n": 4, "dim": 1, "cones": [{"splits": [[3, 4]]}, {"splits": [[2, 4]]}]}
+    path = tmp_path / "bad_fan.json"
+    path.write_text(json.dumps(bad))
+    code, out = run(["check", "balancing", "--fan", str(path), "--format", "json"])
+    assert code == EXIT_CERTIFICATE
+    assert [rep["witness"] for rep in json.loads(out)["reports"]] == [None]
+

@@ -3,16 +3,16 @@ import random
 import pytest
 
 from tropmod.errors import DimensionMismatch, RankDeficient, ZeroVector
-from tropmod.lattice import (
+from tropmod.lattice import primitive
+
+import oracles
+from oracles import (
     hermite_normal_form,
     in_integer_span,
     in_rational_span,
     is_saturated,
-    primitive,
     smith_normal_form,
 )
-
-import oracles
 
 
 def test_primitive():

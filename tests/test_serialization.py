@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from tropmod import serialization
-from tropmod.divisors import moduli_fan
+from tropmod.divisors import check_balanced, check_smooth_local, moduli_fan
+from tropmod.errors import MalformedInput, TropmodError
 from tropmod.maps import decompose_boundary, forget
 from tropmod.moduli import ModuliPoint, embed
 from tropmod.rationals import (
@@ -14,6 +15,7 @@ from tropmod.rationals import (
     parse_extended,
 )
 from tropmod.semiring import TropicalPolynomial
+from tropmod.trees import enumerate_types
 
 from conftest import random_point
 
@@ -95,3 +97,41 @@ def test_bad_inputs_rejected():
             {"n": 4, "splits": [{"side": [3, 4], "length": "1"},
                                 {"side": [1, 2], "length": "2"}]}
         )
+
+
+def test_malformed_points_raise_the_library_error():
+    good = {"side": [4, 5], "length": "1"}
+    for splits in (
+        [{"side": [4, 5], "length": 1.5}],
+        [{"side": [4, 5]}],
+        [{"side": [4, 5], "length": True}],
+        [{"side": [4, 5], "length": None}],
+        [{"side": [4, 5], "length": "1/0"}],
+        [{"side": "45", "length": "1"}],
+        [{"side": [4, True], "length": "1"}],
+        ["45"],
+        {"45": "1"},
+    ):
+        with pytest.raises(MalformedInput):
+            serialization.point_from_json({"n": 5, "splits": splits})
+    for obj in (
+        {"n": 5.0, "splits": [good]},
+        {"n": "5", "splits": [good]},
+        {"n": 5, "labels": "12345", "splits": [good]},
+        [],
+    ):
+        with pytest.raises(MalformedInput):
+            serialization.point_from_json(obj)
+    assert issubclass(MalformedInput, TropmodError) and issubclass(MalformedInput, ValueError)
+    point = serialization.point_from_json({"n": 5, "splits": [{"side": [4, 5], "length": 3}]})
+    assert point.lengths[0][1] == 3
+
+
+def test_report_json_witness():
+    (rep,) = check_balanced(moduli_fan(4))
+    assert serialization.report_to_json(rep)["witness"] == {"coefficients": []}
+    tau = enumerate_types(5, 1)[0]
+    obj = serialization.report_to_json(check_smooth_local(5, tau))
+    rep = check_smooth_local(5, tau)
+    assert obj["witness"] == {"coefficients": list(rep.witness), "minor": list(rep.minor)}
+

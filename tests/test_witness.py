@@ -1,0 +1,181 @@
+"""Closed-form witnesses against the general Hermite/Smith oracles."""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from tropmod.divisors import (
+    WeightedFan,
+    _determinant,
+    _face_splits,
+    _isolating_coordinates,
+    check_balanced,
+    check_smooth_local,
+    moduli_fan,
+    span_witness,
+    verify_witness,
+)
+from tropmod.errors import DimensionMismatch
+from tropmod.moduli import _split_direction, _split_support
+from tropmod.trees import contract, enumerate_types
+
+import oracles
+
+
+def face_directions(face):
+    return [_split_direction(s) for s in _face_splits(face)]
+
+
+def oracle_verdicts(vector, rows):
+    return oracles.in_rational_span(vector, rows), oracles.in_integer_span(vector, rows)
+
+
+def span_verdict(face, vector):
+    _, residual = span_witness(face, vector)
+    return not any(residual)
+
+
+def test_split_support_is_the_dense_direction():
+    for n in range(4, 8):
+        for ray in enumerate_types(n, 1):
+            (s,) = ray.splits
+            dense = _split_direction(s)
+            assert _split_support(s) == tuple((i, x) for i, x in enumerate(dense) if x)
+
+
+def test_isolating_coordinates_on_every_type():
+    for n in range(4, 8):
+        for dim in range(n - 2):
+            for t in enumerate_types(n, dim):
+                splits = _face_splits(t)
+                for s, (index, sign) in zip(splits, _isolating_coordinates(t, splits)):
+                    assert sign in (1, -1)
+                    for u in splits:
+                        assert _split_direction(u)[index] == (sign if u == s else 0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_balancing_witness_matches_oracles(n):
+    rng = random.Random(n)
+    for rep in check_balanced(moduli_fan(n)):
+        rows = face_directions(rep.face)
+        assert oracle_verdicts(rep.weighted_sum, rows) == (rep.balanced, rep.balanced)
+        assert rep.balanced and verify_witness(rep)
+        # vectors off the span: each adjacent direction, alone and shifted
+        # by an integer combination of the face directions
+        for rec in rep.adjacent:
+            combo = [rng.randint(-3, 3) for _ in rows]
+            shifted = tuple(
+                x + sum(c * row[i] for c, row in zip(combo, rows))
+                for i, x in enumerate(rec.direction)
+            )
+            for vector in (rec.direction, shifted):
+                verdict = span_verdict(rep.face, vector)
+                assert oracle_verdicts(vector, rows) == (verdict, verdict) == (False, False)
+            on_span = tuple(s - d for s, d in zip(shifted, rec.direction))
+            coefficients, residual = span_witness(rep.face, on_span)
+            assert coefficients == tuple(combo) and not any(residual)
+            assert oracle_verdicts(on_span, rows) == (True, True)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_smoothness_witness_matches_oracles(n):
+    for tau in enumerate_types(n, n - 4):
+        rep = check_smooth_local(n, tau)
+        rows = face_directions(tau)
+        first_two = [rec.direction for rec in rep.adjacent[:2]]
+        in_lattice = oracles.in_integer_span(rep.weighted_sum, rows)
+        saturated = oracles.is_saturated(rows + first_two)
+        assert rep.smooth == (in_lattice and saturated) is True
+        assert rep.minor is not None and len(rep.minor) == n - 2
+        assert verify_witness(rep)
+        # a doubled resolution direction is not saturated, and the same
+        # minor then has determinant +-2
+        doubled = rows + [tuple(2 * x for x in first_two[0]), first_two[1]]
+        assert oracles.is_saturated(doubled) is False
+        det = _determinant([[row[c] for c in rep.minor] for row in doubled])
+        assert abs(det) == 2
+
+
+def test_verifier_rejects_tampering():
+    tau = enumerate_types(6, 2)[7]
+    rep = check_smooth_local(6, tau)
+    assert verify_witness(rep)
+    coefficients = list(rep.witness)
+    coefficients[0] += 1
+    assert not verify_witness(replace(rep, witness=tuple(coefficients)))
+    assert not verify_witness(replace(rep, witness=rep.witness[:-1]))
+    minor = list(rep.minor)
+    minor[-1] = minor[0]  # a repeated column: determinant 0
+    assert not verify_witness(replace(rep, minor=tuple(minor)))
+    rows = face_directions(tau) + [rec.direction for rec in rep.adjacent[:2]]
+    blind = next(i for i in range(len(rows[0])) if not any(row[i] for row in rows))
+    minor = list(rep.minor)
+    minor[0] = blind  # a column every row vanishes on
+    assert not verify_witness(replace(rep, minor=tuple(minor)))
+    assert not verify_witness(replace(rep, minor=rep.minor[:-1]))
+    assert not verify_witness(replace(rep, minor=rep.minor[:-1] + (10**6,)))
+    wrong_sum = (rep.weighted_sum[0] + 1,) + rep.weighted_sum[1:]
+    assert not verify_witness(replace(rep, weighted_sum=wrong_sum))
+
+
+def test_weight_two_cone_fails_exactly_at_its_faces():
+    cones = list(moduli_fan(6).cones)
+    heavy, _ = cones[40]
+    cones[40] = (heavy, 2)
+    reports = check_balanced(WeightedFan.of(6, cones))
+    failing = {rep.face for rep in reports if not rep.balanced}
+    assert failing == {contract(heavy, s) for s in heavy.splits}
+    assert len(failing) == 6 - 3
+    for rep in reports:
+        rows = face_directions(rep.face)
+        assert oracle_verdicts(rep.weighted_sum, rows) == (rep.balanced, rep.balanced)
+        _, residual = span_witness(rep.face, rep.weighted_sum)
+        if rep.balanced:
+            assert verify_witness(rep) and not any(residual)
+        else:
+            assert rep.witness is None and any(residual)
+            assert not verify_witness(rep)
+
+
+def test_adjacent_order_by_extra_split_is_cone_order():
+    for n in range(4, 8):
+        faces = {}
+        for cone, weight in moduli_fan(n).cones:
+            for s in cone.splits:
+                faces.setdefault(contract(cone, s), []).append((cone, weight, s))
+        for adjacent in faces.values():
+            by_extra = sorted(adjacent, key=lambda cw: cw[2].key)
+            assert by_extra == sorted(adjacent, key=lambda cw: (cw[0].key, cw[2].key))
+        for rep in check_balanced(moduli_fan(n)):
+            keys = [(rec.cone.key, rec.extra_split.key) for rec in rep.adjacent]
+            assert keys == sorted(keys)
+
+
+def test_bareiss_determinant_matches_oracle():
+    rng = random.Random(16)
+    assert _determinant([]) == 1
+    for _ in range(300):
+        size = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+        if rng.random() < 0.2:
+            rows[-1] = [2 * x for x in rows[0]]
+        assert _determinant(rows) == oracles.determinant(rows)
+
+
+def test_span_witness_input_checks():
+    face = enumerate_types(5, 1)[0]
+    with pytest.raises(DimensionMismatch):
+        span_witness(face, (0,) * 14)
+    with pytest.raises(TypeError):
+        span_witness(face, (True,) + (0,) * 14)
+    assert span_witness(face, (0,) * 15) == ((0,), (0,) * 15)
+
+
+def test_max_workers_is_a_validated_cap():
+    fan = moduli_fan(5)
+    for bad in (0, -1, True, 1.5):
+        with pytest.raises(ValueError):
+            check_balanced(fan, max_workers=bad)
+    assert check_balanced(fan, max_workers=8) == check_balanced(fan)

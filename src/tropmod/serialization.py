@@ -88,8 +88,8 @@ def vector_to_json(v: EmbeddingVector) -> List[str]:
 
 def vector_from_json(obj: Sequence, n: int) -> EmbeddingVector:
     if not isinstance(obj, (list, tuple)):
-        raise ValueError("a vector is a flat JSON array of rational strings")
-    return EmbeddingVector(n, tuple(parse_extended(e) for e in obj))
+        raise MalformedInput("a vector is a flat JSON array of rational strings")
+    return EmbeddingVector(n, tuple(_extended(e, "vector entry") for e in obj))
 
 
 def fan_to_json(fan: WeightedFan) -> dict:
@@ -106,14 +106,21 @@ def fan_to_json(fan: WeightedFan) -> dict:
 
 def fan_from_json(obj: dict) -> WeightedFan:
     if not isinstance(obj, dict) or not {"n", "dim", "cones"} <= set(obj):
-        raise ValueError('a fan object needs keys "n", "dim" and "cones"')
-    n = int(obj["n"])
+        raise MalformedInput('a fan object needs keys "n", "dim" and "cones"')
+    n = _integer(obj["n"], '"n"')
+    dim = _integer(obj["dim"], '"dim"')
+    if not isinstance(obj["cones"], list):
+        raise MalformedInput('"cones" must be a list')
     cones = []
     for entry in obj["cones"]:
-        ctype = CombinatorialType.of(n, entry["splits"])
-        cones.append((ctype, int(entry.get("weight", 1))))
-    fan = WeightedFan(n=n, dim=int(obj["dim"]), cones=tuple(cones))
-    return fan
+        if not isinstance(entry, dict) or "splits" not in entry:
+            raise MalformedInput(f'each cone needs a key "splits", got {entry!r}')
+        if not isinstance(entry["splits"], list):
+            raise MalformedInput(f'"splits" must be a list of sides, got {entry["splits"]!r}')
+        sides = [_integers(side, '"side"') for side in entry["splits"]]
+        weight = _integer(entry.get("weight", 1), '"weight"')
+        cones.append((CombinatorialType.of(n, sides), weight))
+    return WeightedFan(n=n, dim=dim, cones=tuple(cones))
 
 
 def type_to_json(t: CombinatorialType) -> List[List[int]]:

@@ -10,7 +10,7 @@ smallest label.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
@@ -33,7 +33,7 @@ def _as_labels(labels: Union[int, Iterable[int]]) -> Labels:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Split:
     """A bipartition of the leaf set with both sides of size >= 2.
 
@@ -43,6 +43,11 @@ class Split:
 
     labels: Labels
     side: Labels
+    # key and text, made on first use: types sort by the one and print the other
+    _key: Optional[Tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = frozenset(self.labels)
@@ -72,15 +77,17 @@ class Split:
     @property
     def key(self) -> Tuple[int, ...]:
         """Canonical sort key: the sorted side."""
-        return tuple(sorted(self.side))
+        if self._key is None:
+            object.__setattr__(self, "_key", tuple(sorted(self.side)))
+        return self._key
 
     @property
     def text(self) -> str:
         """Canonical textual form: the sorted side, e.g. "45" for 45|123."""
-        side = sorted(self.side)
-        if max(self.labels) <= 9:
-            return "".join(str(x) for x in side)
-        return ",".join(str(x) for x in side)
+        if self._text is None:
+            sep = "" if max(self.labels) <= 9 else ","
+            object.__setattr__(self, "_text", sep.join(map(str, self.key)))
+        return self._text
 
     def side_of(self, label: int) -> Labels:
         if label in self.side:
@@ -98,7 +105,7 @@ class Split:
         With both sides anchored away from the smallest label this is:
         disjoint or nested.
         """
-        if self.labels != other.labels:
+        if self.labels is not other.labels and self.labels != other.labels:
             raise ValueError("splits live on different leaf sets")
         a, b = self.side, other.side
         return a.isdisjoint(b) or a <= b or b <= a
@@ -107,7 +114,7 @@ class Split:
         return f"Split({self.text})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CombinatorialType:
     """A pairwise-compatible set of splits; indexes one cone of the moduli fan."""
 
@@ -122,9 +129,15 @@ class CombinatorialType:
         for s in splits:
             if s.labels != labels:
                 raise ValueError(f"{s!r} does not live on the type's leaf set")
-        ordered = sorted(splits, key=lambda s: s.key)
-        for s, t in itertools.combinations(ordered, 2):
+        for s, t in itertools.combinations(splits, 2):
             if not s.compatible_with(t):
+                # name the first clashing pair in canonical order
+                ordered = sorted(splits, key=lambda s: s.key)
+                s, t = next(
+                    (s, t)
+                    for s, t in itertools.combinations(ordered, 2)
+                    if not s.compatible_with(t)
+                )
                 raise IncompatibleSplit(f"{s!r} and {t!r} cannot coexist in one tree")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "splits", splits)
@@ -304,54 +317,74 @@ def count_rays(n: int) -> int:
     return sum(comb(n - 1, k) for k in range(2, n - 1))
 
 
-@lru_cache(maxsize=None)
-def _types_table(n: int) -> Tuple[Tuple[CombinatorialType, ...], ...]:
-    """All combinatorial types on {1..n}, grouped by split count.
+# Type tables per (n, dim), and per n one pool of the splits they share.
+_tables: Dict[Tuple[int, int], Tuple[CombinatorialType, ...]] = {}
+_split_pools: Dict[int, Dict[Labels, Split]] = {}
 
-    Types on n leaves are built from types on n-1 leaves by attaching leaf n
-    at an internal vertex (same dimension), in the middle of a bounded edge,
-    or in the middle of a leaf edge (dimension + 1).  Stripping leaf n
-    inverts each attachment, so every type arises exactly once.
+
+def _types(n: int, dim: int) -> Tuple[CombinatorialType, ...]:
+    """The types on {1..n} with ``dim`` splits, sorted by key; built on first use."""
+    table = _tables.get((n, dim))
+    if table is None:
+        table = _tables[(n, dim)] = _build_types(n, dim)
+    return table
+
+
+def _build_types(n: int, dim: int) -> Tuple[CombinatorialType, ...]:
+    """Grow the types of dimension ``dim`` on {1..n} from those on {1..n-1}.
+
+    Leaf n attaches to a type on n-1 leaves at an internal vertex (same
+    dimension, so from ``_types(n-1, dim)``), or in the middle of a bounded
+    edge or of a leaf edge (one split more, so from ``_types(n-1, dim-1)``).
+    Stripping leaf n inverts each attachment, so every type arises exactly
+    once and a list collects them without a dedup set.  Facets thus need
+    only the facet chain, and low dimensions only low-dimension tables.
+
+    All types at n draw their splits from one pool, so equal splits are the
+    same object and set operations on them take the identity fast path.
     """
     if n == 3:
-        return ((CombinatorialType.of(3),),)
+        return (CombinatorialType.of(3),)
     labels = frozenset(range(1, n + 1))
     anchor = 1
-    buckets = [set() for _ in range(n - 2)]  # dims 0 .. n-3
+    leaf_n = frozenset({n})
+    pool = _split_pools.setdefault(n, {})
+    found = []
 
-    def grow(sides: Iterable[FrozenSet[int]], dim: int):
-        splits = frozenset(Split(labels, side) for side in sides)
-        buckets[dim].add(CombinatorialType(labels, splits))
+    def grow(sides: Iterable[Labels]):
+        # a set frozen whole gets a smaller table than a frozenset grown one by one
+        splits = set()
+        for side in sides:
+            split = pool.get(side)
+            if split is None:
+                split = pool[side] = Split(labels, side)
+            splits.add(split)
+        found.append(CombinatorialType(labels, splits))
 
-    for dim, group in enumerate(_types_table(n - 1)):
-        for t in group:
-            tree = to_tree(t)
+    if dim <= n - 4:
+        for t in _types(n - 1, dim):
             old_sides = [s.side for s in t.splits]
-            # at an internal vertex: n joins the sides whose component holds it
-            for v in tree.vertices:
-                cluster = v.cluster
-                grow(
-                    [
-                        side | {n} if cluster is not None and cluster <= side else side
-                        for side in old_sides
-                    ],
-                    dim,
-                )
+            # at an internal vertex: the root (n joins no side), or the vertex
+            # below the edge of a split (n joins every side containing it)
+            grow(old_sides)
+            for cluster in old_sides:
+                grow([side | leaf_n if cluster <= side else side for side in old_sides])
+    if dim >= 1:
+        for t in _types(n - 1, dim - 1):
+            old_sides = [s.side for s in t.splits]
             # in the middle of the bounded edge of s: s doubles into s, s+{n}
-            for s in t.splits:
+            for s in old_sides:
                 new_sides = [
-                    side | {n} if s.side < side else side
-                    for side in old_sides
-                    if side != s.side
+                    side | leaf_n if s < side else side for side in old_sides if side != s
                 ]
-                grow(new_sides + [s.side, s.side | {n}], dim + 1)
+                grow(new_sides + [s, s | leaf_n])
             # in the middle of the leaf edge of j: new split {j, n} | rest
             for j in sorted(t.labels):
-                new_sides = [side | {n} if j in side else side for side in old_sides]
+                new_sides = [side | leaf_n if j in side else side for side in old_sides]
                 extra = labels - {j, n} if j == anchor else frozenset({j, n})
-                grow(new_sides + [extra], dim + 1)
+                grow(new_sides + [extra])
 
-    return tuple(tuple(sorted(b, key=lambda t: t.key)) for b in buckets)
+    return tuple(sorted(found, key=lambda t: t.key))
 
 
 def enumerate_types(n: int, dim: int) -> Tuple[CombinatorialType, ...]:
@@ -360,4 +393,4 @@ def enumerate_types(n: int, dim: int) -> Tuple[CombinatorialType, ...]:
         raise ValueError("n must be an integer >= 3")
     if not 0 <= dim <= n - 3:
         raise ValueError(f"dim must lie in [0, {n - 3}] for n = {n}")
-    return _types_table(n)[dim]
+    return _types(n, dim)

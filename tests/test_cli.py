@@ -234,6 +234,41 @@ def test_malformed_point_is_one_error_line(tmp_path, capsys, splits):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+
+_FAN_CONE = {"splits": [[4, 5], [3, 4, 5]], "weight": 1}
+
+
+@pytest.mark.parametrize(
+    "fan",
+    [
+        {"n": 5, "dim": 2, "cones": [{"weight": 1}]},  # cone without splits
+        {"n": 5, "dim": 2, "cones": [dict(_FAN_CONE, weight=2.5)]},  # float weight
+        {"n": 5, "dim": 2, "cones": [dict(_FAN_CONE, weight=True)]},  # boolean weight
+        {"n": "5", "dim": 2, "cones": [_FAN_CONE]},  # n as a string
+        {"n": 5, "dim": 2, "cones": [{"splits": ["45", [3, 4, 5]]}]},  # side as a string
+    ],
+    ids=["missing-splits", "float-weight", "bool-weight", "string-n", "digit-string-side"],
+)
+def test_malformed_fan_is_one_error_line(tmp_path, capsys, fan):
+    path = tmp_path / "bad_fan.json"
+    path.write_text(json.dumps(fan))
+    code, out = run(["check", "balancing", "--fan", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", [1.5, True, None], ids=["float", "bool", "null"])
+def test_malformed_vector_is_one_error_line(tmp_path, capsys, entry):
+    vector = vector_to_json(embed(ModuliPoint.of(5, {(4, 5): "3/2"})))
+    vector[0] = entry
+    path = tmp_path / "bad_vector.json"
+    path.write_text(json.dumps(vector))
+    code, out = run(["reconstruct", "--vector", str(path), "--n", "5"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 def test_check_json_carries_witnesses(tmp_path):
     code, out = run(["check", "smooth", "--n", "5", "--format", "json"])
     assert code == EXIT_OK

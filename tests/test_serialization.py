@@ -127,6 +127,35 @@ def test_malformed_points_raise_the_library_error():
     assert point.lengths[0][1] == 3
 
 
+
+def test_malformed_vectors_and_fans_raise_the_library_error():
+    good = serialization.vector_to_json(embed(ModuliPoint.of(5, {(4, 5): "1"})))
+    for bad in (good[:-1] + [1.5], good[:-1] + [True], good[:-1] + [None], "1,2", {"0": "1"}):
+        with pytest.raises(MalformedInput):
+            serialization.vector_from_json(bad, 5)
+    assert serialization.vector_from_json(good[:-1] + [0], 5).entries[-1] == 0
+
+    cone = {"splits": [[4, 5], [3, 4, 5]], "weight": 1}
+    for fan in (
+        {"n": "5", "dim": 2, "cones": [cone]},
+        {"n": 5.0, "dim": 2, "cones": [cone]},
+        {"n": 5, "dim": True, "cones": [cone]},
+        {"n": 5, "dim": 2, "cones": {"0": cone}},
+        {"n": 5, "dim": 2, "cones": [{"weight": 1}]},
+        {"n": 5, "dim": 2, "cones": [[[4, 5], [3, 4, 5]]]},
+        {"n": 5, "dim": 2, "cones": [{"splits": "45,345"}]},
+        {"n": 5, "dim": 2, "cones": [{"splits": ["45", [3, 4, 5]]}]},
+        {"n": 5, "dim": 2, "cones": [{"splits": [[4, 5.0], [3, 4, 5]]}]},
+        {"n": 5, "dim": 2, "cones": [dict(cone, weight=2.5)]},
+        {"n": 5, "dim": 2, "cones": [dict(cone, weight="2")]},
+        {"n": 5, "dim": 2, "cones": [dict(cone, weight=True)]},
+        {"n": 5, "dim": 2},
+    ):
+        with pytest.raises(MalformedInput):
+            serialization.fan_from_json(fan)
+    fan = serialization.fan_from_json({"n": 5, "dim": 2, "cones": [dict(cone, weight=2)]})
+    assert fan.cones[0][1] == 2
+
 def test_report_json_witness():
     (rep,) = check_balanced(moduli_fan(4))
     assert serialization.report_to_json(rep)["witness"] == {"coefficients": []}

@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
+from tropmod import trees
 from tropmod.errors import IncompatibleSplit, NotCodimensionOne, SplitAbsent
 from tropmod.trees import (
     CombinatorialType,
@@ -45,22 +48,52 @@ def test_enumerate_small_counts():
         enumerate_types(5, -1)
 
 
+@lru_cache(maxsize=None)
+def _prufer(n, dim):
+    """Split systems with ``dim`` splits on n leaves from the Prüfer oracle."""
+    if dim == n - 3:  # trivalent: the faster oracle
+        return frozenset(oracles.prufer_trivalent_types(n))
+    return frozenset(oracles.prufer_types(n, internal=dim + 1))
+
+
+def _double_factorial(m):
+    out = 1
+    for odd in range(m, 0, -2):
+        out *= odd
+    return out
+
+
 def test_trivalent_counts_match_double_factorial_and_prufer():
     for n in range(4, 9):
-        expected = 1
-        for odd in range(1, 2 * n - 4, 2):
-            expected *= odd
         facets = enumerate_types(n, n - 3)
-        assert len(facets) == expected
+        assert len(facets) == _double_factorial(2 * n - 5)
+        assert len(enumerate_types(n, n - 4)) == len(facets) * (n - 3) // 3
         if n <= 7:
-            assert {oracles.type_to_sides(t) for t in facets} == oracles.prufer_trivalent_types(n)
+            assert {oracles.type_to_sides(t) for t in facets} == _prufer(n, n - 3)
 
 
 def test_all_dimensions_match_prufer_oracle():
-    for n in (5, 6):
+    # no dedup set collects the types, so a duplicate shows only in the length
+    for n in range(4, 8):
         for dim in range(n - 2):
-            ours = {oracles.type_to_sides(t) for t in enumerate_types(n, dim)}
-            assert ours == oracles.prufer_types(n, internal=dim + 1)
+            types = enumerate_types(n, dim)
+            keys = [t.key for t in types]
+            assert len(set(keys)) == len(keys) == len(_prufer(n, dim))
+            assert keys == sorted(keys)
+            assert {oracles.type_to_sides(t) for t in types} == _prufer(n, dim)
+
+
+def test_tables_are_built_lazily_from_shared_splits():
+    trees._tables.clear()
+    trees._split_pools.clear()
+    enumerate_types(8, 1)
+    # rays at n need rays and the origin at n-1, nothing of dimension >= 2
+    built = {(3, 0), (8, 1)} | {(m, d) for m in range(4, 8) for d in (0, 1)}
+    assert set(trees._tables) == built
+
+    # every dimension at n = 7 draws on one object per split
+    ids = {id(s) for dim in range(5) for t in enumerate_types(7, dim) for s in t.splits}
+    assert len(ids) == count_rays(7)
 
 
 def test_count_rays():
@@ -68,7 +101,7 @@ def test_count_rays():
     assert count_rays(5) == 10
     assert count_rays(6) == 25
     for n in range(4, 9):
-        assert count_rays(n) == len(enumerate_types(n, 1))
+        assert count_rays(n) == len(enumerate_types(n, 1)) == 2 ** (n - 1) - n - 1
 
 
 def test_contract_is_face():

@@ -13,11 +13,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from math import comb, lcm
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import IncompatibleSplit, NotInImage
 from .rationals import (
+    NEG_INF,
+    POS_INF,
     ExtendedRational,
     Infinity,
     is_finite,
@@ -178,6 +180,12 @@ class ModuliPoint:
         return f"ModuliPoint(n={self.n}, {{{inner}}})"
 
 
+def _check_coordinates(n: int, entries: Sequence) -> None:
+    expected = 3 * comb(n, 4)
+    if len(entries) != expected:
+        raise ValueError(f"expected {expected} coordinates for n = {n}")
+
+
 @dataclass(frozen=True)
 class EmbeddingVector:
     """The image of a point: extended rationals in canonical coordinate order."""
@@ -186,10 +194,16 @@ class EmbeddingVector:
     entries: Tuple[ExtendedRational, ...]
 
     def __post_init__(self):
-        expected = 3 * comb(self.n, 4)
-        if len(self.entries) != expected:
-            raise ValueError(f"expected {expected} coordinates for n = {self.n}")
+        _check_coordinates(self.n, self.entries)
         object.__setattr__(self, "entries", tuple(parse_extended(e) for e in self.entries))
+
+    @classmethod
+    def _trusted(cls, n: int, entries: Tuple[ExtendedRational, ...]) -> "EmbeddingVector":
+        """Build without checks, from parsed entries of the right length."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "entries", entries)
+        return v
 
     @property
     def coordinates(self) -> Tuple[RatioIndex, ...]:
@@ -246,15 +260,11 @@ def _quartet_offsets(n: int) -> Dict[Tuple[int, int, int, int], int]:
     }
 
 
-# Nonzero (offset, sign) entries of a quartet's three coordinates under a split
-# that pairs its smallest label with the label at position 1, 2 or 3; these are
-# the rays (0,1,1), (1,0,-1), (-1,-1,0) of M_{0,4}.  The first entry is the
-# coordinate that isolates the split (see ``_quartet_coordinate``).
-_QUARTET_ENTRIES = {
-    1: ((1, 1), (2, 1)),
-    2: ((0, 1), (2, -1)),
-    3: ((0, -1), (1, -1)),
-}
+# A quartet's three coordinates under a split that pairs its smallest label
+# with the label at position 1, 2 or 3, indexed by that position less one
+# (the coordinate that vanishes): the rays of M_{0,4}.  The first nonzero
+# entry is the coordinate that isolates the split (see ``_quartet_coordinate``).
+_RAYS = ((0, 1, 1), (1, 0, -1), (-1, -1, 0))
 
 
 def _quartet_entries(n: int, a: int, b: int, c: int, d: int) -> Tuple[Tuple[int, int], ...]:
@@ -263,7 +273,8 @@ def _quartet_entries(n: int, a: int, b: int, c: int, d: int) -> Tuple[Tuple[int,
     low = quad[0]
     partner = {a: b, b: a, c: d, d: c}[low]
     base = _quartet_offsets(n)[quad]
-    return tuple((base + off, sign) for off, sign in _QUARTET_ENTRIES[quad.index(partner)])
+    ray = _RAYS[quad.index(partner) - 1]
+    return tuple((base + off, sign) for off, sign in enumerate(ray) if sign)
 
 
 @lru_cache(maxsize=None)
@@ -309,27 +320,187 @@ def direction_vector(t: CombinatorialType, s: Split) -> Tuple[int, ...]:
     return _split_direction(s)
 
 
+@lru_cache(maxsize=None)
+def _quartets(n: int) -> Tuple[Tuple[Tuple[int, int, int, int], int], ...]:
+    """Each sorted quartet with its label bitmask (sum of 1 << label), in
+    coordinate order."""
+    return tuple(
+        (quad, sum(1 << x for x in quad))
+        for quad in itertools.combinations(range(1, n + 1), 4)
+    )
+
+
+@lru_cache(maxsize=None)
+def _quartet_bases(n: int) -> Dict[int, int]:
+    """Position of the first of each quartet's three coordinates, by bitmask."""
+    return {mask: 3 * q for q, (_, mask) in enumerate(_quartets(n))}
+
+
+def _quartet_totals(n: int, weighted: Iterable[Tuple[Split, int]]) -> Dict[int, int]:
+    """Inner-path totals of the quartets cut two and two by weighted splits.
+
+    Walks the C(a,2) * C(b,2) quartets ab|cd that straddle each split and
+    adds its weight to the quartet's total, keyed by the coordinate that
+    vanishes on ab|cd (base + 0, 1 or 2 for the smallest label paired with
+    the label at position 1, 2 or 3).  In a tree every split that cuts a
+    quartet cuts it the same way, so each quartet has at most one key.
+    """
+    bases = _quartet_bases(n)
+    totals: Dict[int, int] = {}
+    get = totals.get
+    for split, weight in weighted:
+        far = [(c, d, (1 << c) | (1 << d))
+               for c, d in itertools.combinations(sorted(split.complement), 2)]
+        for a, b in itertools.combinations(sorted(split.side), 2):
+            near = (1 << a) | (1 << b)
+            for c, d, mask in far:
+                base = bases[near | mask]
+                # position of the smallest label's partner, less one
+                key = base + (c < b) + (d < b) if a < c else base + (a < d) + (b < d)
+                totals[key] = get(key, 0) + weight
+    return totals
+
+
+def _spread(entries: list, totals: Mapping[int, int], value) -> None:
+    """Write each quartet's ray at the coordinates of the pairing its key
+    names, scaled by ``value(total)`` = (zero, +t, -t); ``value`` is called
+    once per distinct total."""
+    rays: Dict[int, tuple] = {}
+    for key, total in totals.items():
+        if total not in rays:
+            scale = value(total).__getitem__  # by the ray's entry: 0, 1 or -1
+            rays[total] = tuple(tuple(map(scale, ray)) for ray in _RAYS)
+        shift = key % 3
+        entries[key - shift : key - shift + 3] = rays[total][shift]
+
+
+_ZERO = Fraction(0)
+
+
 def embed(x: ModuliPoint) -> EmbeddingVector:
-    """The double-ratio embedding of a moduli point into R^N."""
+    """The double-ratio embedding of a moduli point into R^N.
+
+    Accumulated quartet-wise: each split adds its length to the quartets it
+    cuts two and two (``_quartet_totals``), in integers over the common
+    denominator of the finite lengths, and each distinct total becomes one
+    Fraction and its negation.  A quartet cut by an infinite edge gets
+    +-inf; all splits cutting a quartet give it the same signs, so
+    infinities never cancel.
+    """
     n = _require_standard_labels(x.labels)
-    entries: list = [Fraction(0)] * (3 * comb(n, 4))
-    for split, length in x.lengths:
-        direction = _split_direction(split)
-        for idx, s in enumerate(direction):
-            if s != 0:
-                entries[idx] = entries[idx] + (length if s > 0 else -length)
-    return EmbeddingVector(n, tuple(entries))
+    finite = [(s, v) for s, v in x.lengths if is_finite(v)]
+    denominator = lcm(*(v.denominator for _, v in finite))
+    totals = _quartet_totals(
+        n, [(s, v.numerator * (denominator // v.denominator)) for s, v in finite]
+    )
+
+    def value(total: int) -> Tuple[Fraction, Fraction, Fraction]:
+        v = Fraction(total, denominator)
+        return _ZERO, v, -v
+
+    entries: list = [_ZERO] * (3 * comb(n, 4))
+    _spread(entries, totals, value)
+    if len(finite) < len(x.lengths):
+        infinite = _quartet_totals(n, [(s, 1) for s, v in x.lengths if not is_finite(v)])
+        _spread(entries, infinite, lambda _: (_ZERO, POS_INF, NEG_INF))
+    return EmbeddingVector._trusted(n, tuple(entries))
+
+
+_FINITE_ONLY = "reconstruction is defined for finite vectors only"
+
+
+def _over_common_denominator(entries: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """The common denominator D of finite entries and the entries times D.
+
+    Each distinct entry object is converted once: parsed vectors share one
+    object per distinct value.
+    """
+    distinct = {id(e): e for e in entries}
+    if any(isinstance(e, Infinity) for e in distinct.values()):
+        raise ValueError(_FINITE_ONLY)
+    denominator = lcm(*{e.denominator for e in distinct.values()})
+    scale = {k: e.numerator * (denominator // e.denominator) for k, e in distinct.items()}
+    return denominator, [scale[id(e)] for e in entries]
+
+
+def _recover_splits(scaled: Sequence[int], denominator: int, n: int) -> Dict[Tuple[int, ...], int]:
+    """Every bipartition that all its straddling quartets agree with, as its
+    sorted side (the one without leaf 1) -> the least straddling |entry|.
+
+    ``scaled`` is a vector times ``denominator``.  Raises NotInImage when a
+    quartet's coordinates are not of the form (0, m, +-m).
+    """
+    # Per quartet with a nonzero coordinate: the pair holding its smallest
+    # label in the quartet's topology, and the common absolute value of its
+    # two nonzero coordinates, which bounds the length of any separating edge.
+    topology: Dict[int, Tuple[int, int]] = {}
+    for q, (quad, mask) in enumerate(_quartets(n)):
+        triple = scaled[3 * q : 3 * q + 3]
+        zeros = triple.count(0)
+        if zeros == 3:
+            continue
+        zero = triple.index(0) if zeros == 1 else 0
+        size = abs(triple[zero - 1])
+        if zeros != 1 or abs(triple[zero - 2]) != size:
+            shown = tuple(Fraction(t, denominator) for t in triple)
+            raise NotInImage(f"quartet {quad}: coordinates {shown} are not of the form (0, m, +-m)")
+        topology[mask] = ((1 << quad[0]) | (1 << quad[zero + 1]), size)
+
+    def least_straddling(nears: List[int], fars: List[int]) -> Optional[int]:
+        """The least size over the quartets near|far, or None when one of
+        them has another topology."""
+        least = None
+        for near in nears:
+            for far in fars:
+                seen = topology.get(near | far)
+                if seen is None or (seen[0] != near and seen[0] != far):
+                    return None
+                if least is None or seen[1] < least:
+                    least = seen[1]
+        return least
+
+    def pairs(labels: Sequence[int]) -> List[int]:
+        return [(1 << a) | (1 << b) for a, b in itertools.combinations(labels, 2)]
+
+    # Grown leaf by leaf: restricted to 1..m-1, a good bipartition of 1..m is
+    # good or trivial, so the candidates at m are each good side S of 1..m-1
+    # and S + {m}, the pairs {x, m} and {2..m-1}; the quartets without m were
+    # checked at an earlier step, so only those with m are checked here.
+    good: Dict[Tuple[int, ...], int] = {}
+    for m in range(4, n + 1):
+        bit = 1 << m
+        candidates: List[Tuple[Tuple[int, ...], Optional[int]]] = []
+        for side, least in good.items():
+            candidates += [(side, least), (side + (m,), least)]
+        candidates += [((x, m), None) for x in range(2, m)]
+        candidates.append((tuple(range(2, m)), None))
+        good = {}
+        for side, least in candidates:
+            rest = [x for x in range(1, m) if x not in side]
+            if side[-1] == m:  # quartets {m, b} | {c, d}
+                found = least_straddling([bit | (1 << b) for b in side[:-1]], pairs(rest))
+            else:  # quartets {a, b} | {m, d}
+                found = least_straddling(pairs(side), [bit | (1 << d) for d in rest])
+            if found is not None:
+                good[side] = found if least is None else min(least, found)
+    return good
 
 
 def reconstruct(v: Union[EmbeddingVector, Sequence], n: int) -> ModuliPoint:
     """Invert the embedding on its image.
 
-    The quartet topologies are read off the vanishing pattern, a bipartition
-    is a split iff all its straddling quartets agree with it, lengths are the
-    minimal straddling absolute values, and the candidate is validated by
-    re-embedding.  Raises NotInImage when any step fails.
+    The quartet topologies are read off the vanishing pattern.  A
+    bipartition is a split iff all its straddling quartets agree with it
+    (the four-point condition), and its length is the least straddling
+    absolute value.  The splits are grown leaf by leaf, checking at leaf m
+    only the quartets that contain m, which finds exactly the bipartitions
+    an exhaustive scan finds, for any vector.  The candidate point is
+    certified by re-embedding it and comparing with the vector, in integers
+    over the vector's common denominator.  NotInImage is raised when any
+    step fails.
     """
-    if isinstance(v, EmbeddingVector):
+    parsed = isinstance(v, EmbeddingVector)
+    if parsed:
         if v.n != n:
             raise ValueError(f"vector is for n = {v.n}, not {n}")
         raw: Sequence = v.entries
@@ -337,63 +508,32 @@ def reconstruct(v: Union[EmbeddingVector, Sequence], n: int) -> ModuliPoint:
         raw = tuple(v)
     if n < 4:
         raise ValueError("reconstruction needs n >= 4")
-    if len(raw) != 3 * comb(n, 4):
-        raise ValueError(f"expected {3 * comb(n, 4)} coordinates for n = {n}")
-    entries = []
-    for value in raw:
-        value = parse_extended(value)
-        if isinstance(value, Infinity):
-            raise ValueError("reconstruction is defined for finite vectors only")
-        entries.append(value)
+    _check_coordinates(n, raw)
+    entries = raw
+    if not parsed:
+        entries = []
+        for value in raw:
+            value = parse_extended(value)
+            if isinstance(value, Infinity):
+                raise ValueError(_FINITE_ONLY)
+            entries.append(value)
 
-    # Quartet topology: partner of the quartet's smallest label, or None when
-    # all three coordinates vanish.  Also record the minimal nonzero absolute
-    # value per quartet, which bounds the length of any separating edge.
-    quartets = list(itertools.combinations(range(1, n + 1), 4))
-    partner: Dict[Tuple[int, ...], int] = {}
-    min_abs: Dict[Tuple[int, ...], Fraction] = {}
-    for q, quad in enumerate(quartets):
-        e = entries[3 * q : 3 * q + 3]
-        nonzero = [t for t in range(3) if e[t] != 0]
-        if not nonzero:
-            continue
-        if len(nonzero) != 2 or abs(e[nonzero[0]]) != abs(e[nonzero[1]]):
-            raise NotInImage(
-                f"quartet {quad}: coordinates {tuple(e)} are not of the form (0, m, +-m)"
-            )
-        zero = ({0, 1, 2} - set(nonzero)).pop()
-        partner[quad] = quad[zero + 1]
-        min_abs[quad] = min(abs(e[nonzero[0]]), abs(e[nonzero[1]]))
-
+    denominator, scaled = _over_common_denominator(entries)
     labels = frozenset(range(1, n + 1))
-    found: Dict[Split, Fraction] = {}
-    for size in range(2, n - 1):
-        for side in itertools.combinations(range(2, n + 1), size):
-            side_set = set(side)
-            rest = sorted(labels - side_set)
-            length = None
-            good = True
-            for a, b in itertools.combinations(side, 2):
-                for c, d in itertools.combinations(rest, 2):
-                    quad = tuple(sorted((a, b, c, d)))
-                    expected = (a + b if quad[0] in side_set else c + d) - quad[0]
-                    if partner.get(quad) != expected:
-                        good = False
-                        break
-                    m = min_abs[quad]
-                    if length is None or m < length:
-                        length = m
-                if not good:
-                    break
-            if good:
-                found[Split(labels, frozenset(side_set))] = length
-
+    splits = {
+        Split(labels, frozenset(side)): least
+        for side, least in _recover_splits(scaled, denominator, n).items()
+    }
     try:
-        ctype = CombinatorialType(labels, frozenset(found))
+        ctype = CombinatorialType(labels, frozenset(splits))
     except IncompatibleSplit as exc:
         raise NotInImage(f"recovered splits are incompatible: {exc}") from exc
-    point = ModuliPoint(ctype, tuple(found.items()))
-    if list(embed(point).entries) != entries:
+    point = ModuliPoint(
+        ctype, tuple((s, Fraction(least, denominator)) for s, least in splits.items())
+    )
+    image = [0] * len(scaled)
+    _spread(image, _quartet_totals(n, splits.items()), lambda t: (0, t, -t))
+    if image != scaled:
         raise NotInImage("re-embedding the candidate point does not reproduce the vector")
     return point
 

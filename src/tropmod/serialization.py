@@ -7,12 +7,12 @@ orderings so output is byte-for-byte reproducible.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .divisors import BalancingReport, WeightedFan
 from .errors import MalformedInput
 from .maps import BoundaryDecomposition
-from .moduli import EmbeddingVector, ModuliPoint
+from .moduli import EmbeddingVector, ModuliPoint, _check_coordinates
 from .rationals import ExtendedRational, format_extended, parse_extended
 from .semiring import TropicalPolynomial
 from .trees import CombinatorialType, Split, _as_labels
@@ -82,14 +82,32 @@ def point_from_json(obj: dict) -> ModuliPoint:
 
 def vector_to_json(v: EmbeddingVector) -> List[str]:
     """Vector format: a flat array of "p/q" | "inf" | "-inf" strings in
-    canonical coordinate order."""
-    return [format_extended(e) for e in v.entries]
+    canonical coordinate order.
+
+    Each distinct entry object is formatted once; ``embed`` shares one object
+    per distinct value.
+    """
+    distinct = {id(e): e for e in v.entries}
+    text = {key: format_extended(e) for key, e in distinct.items()}
+    return [text[id(e)] for e in v.entries]
 
 
 def vector_from_json(obj: Sequence, n: int) -> EmbeddingVector:
+    """Parse a vector; each distinct string entry is checked and parsed once."""
     if not isinstance(obj, (list, tuple)):
         raise MalformedInput("a vector is a flat JSON array of rational strings")
-    return EmbeddingVector(n, tuple(_extended(e, "vector entry") for e in obj))
+    parsed: Dict[str, ExtendedRational] = {}
+    entries = []
+    for e in obj:
+        if type(e) is str:
+            value = parsed.get(e)
+            if value is None:
+                value = parsed[e] = _extended(e, "vector entry")
+        else:
+            value = _extended(e, "vector entry")
+        entries.append(value)
+    _check_coordinates(n, entries)
+    return EmbeddingVector._trusted(n, tuple(entries))
 
 
 def fan_to_json(fan: WeightedFan) -> dict:

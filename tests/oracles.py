@@ -4,7 +4,9 @@ These deliberately avoid the library's own algorithms: tree enumeration runs
 over Prüfer sequences, double ratios are computed by explicit path extraction
 on realized trees, and graph girth by breadth-first search.  Span membership
 and saturation use general Hermite/Smith normal forms, against which the
-library's closed-form witnesses are checked.
+library's closed-form witnesses are checked.  The embedding is inverted by
+scanning every bipartition, against which leaf-by-leaf split recovery is
+checked.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import heapq
 import itertools
 from collections import deque
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from math import comb
+from typing import Dict, List, Sequence, Tuple
 
-from tropmod.errors import DimensionMismatch, RankDeficient
-from tropmod.moduli import ModuliPoint, RatioIndex
+from tropmod.errors import DimensionMismatch, IncompatibleSplit, NotInImage, RankDeficient
+from tropmod.moduli import ModuliPoint, RatioIndex, _sigma, canonical_coordinates
 from tropmod.rationals import ExtendedRational
-from tropmod.trees import to_tree
+from tropmod.trees import CombinatorialType, Split, to_tree
 
 
 def prufer_types(n: int, internal: int) -> set:
@@ -156,6 +159,82 @@ def path_double_ratio(x: ModuliPoint, r: RatioIndex) -> ExtendedRational:
             length = x.length_of(tree.edges[eid][0])
             total = total + (length if sign == path_kl[eid] else -length)
     return total
+
+
+def dense_embed(x: ModuliPoint) -> Tuple[ExtendedRational, ...]:
+    """The embedding as a sum over splits of length times the dense
+    direction, one coordinate at a time."""
+    coordinates = canonical_coordinates(x.n)
+    entries: List[ExtendedRational] = [Fraction(0)] * len(coordinates)
+    for split, length in x.lengths:
+        for idx, r in enumerate(coordinates):
+            s = _sigma(split, r)
+            if s:
+                entries[idx] = entries[idx] + (length if s > 0 else -length)
+    return tuple(entries)
+
+
+def exhaustive_splits(entries: Sequence[Fraction], n: int) -> Dict[Tuple[int, ...], Fraction]:
+    """Every bipartition all of whose straddling quartets agree with the
+    vector, found by scanning all 2^(n-1) - n - 1 of them: sorted side (the
+    one without leaf 1) -> least straddling absolute value.
+
+    Raises NotInImage when a quartet's coordinates are not (0, m, +-m).
+    """
+    quartets = list(itertools.combinations(range(1, n + 1), 4))
+    partner = {}
+    min_abs = {}
+    for q, quad in enumerate(quartets):
+        e = entries[3 * q : 3 * q + 3]
+        nonzero = [t for t in range(3) if e[t] != 0]
+        if not nonzero:
+            continue
+        if len(nonzero) != 2 or abs(e[nonzero[0]]) != abs(e[nonzero[1]]):
+            raise NotInImage(
+                f"quartet {quad}: coordinates {tuple(e)} are not of the form (0, m, +-m)"
+            )
+        zero = ({0, 1, 2} - set(nonzero)).pop()
+        partner[quad] = quad[zero + 1]
+        min_abs[quad] = abs(e[nonzero[0]])
+
+    labels = set(range(1, n + 1))
+    found = {}
+    for size in range(2, n - 1):
+        for side in itertools.combinations(range(2, n + 1), size):
+            rest = sorted(labels - set(side))
+            lengths = []
+            for a, b in itertools.combinations(side, 2):
+                for c, d in itertools.combinations(rest, 2):
+                    quad = tuple(sorted((a, b, c, d)))
+                    expected = (a + b if quad[0] in side else c + d) - quad[0]
+                    if partner.get(quad) != expected:
+                        break
+                    lengths.append(min_abs[quad])
+                else:
+                    continue
+                break
+            else:
+                found[side] = min(lengths)
+    return found
+
+
+def exhaustive_reconstruct(entries: Sequence[Fraction], n: int) -> ModuliPoint:
+    """Invert the embedding by ``exhaustive_splits``, checked by ``dense_embed``."""
+    if len(entries) != 3 * comb(n, 4):
+        raise ValueError(f"expected {3 * comb(n, 4)} coordinates for n = {n}")
+    labels = frozenset(range(1, n + 1))
+    found = {
+        Split(labels, frozenset(side)): length
+        for side, length in exhaustive_splits(entries, n).items()
+    }
+    try:
+        ctype = CombinatorialType(labels, frozenset(found))
+    except IncompatibleSplit as exc:
+        raise NotInImage(f"recovered splits are incompatible: {exc}") from exc
+    point = ModuliPoint(ctype, tuple(found.items()))
+    if list(dense_embed(point)) != list(entries):
+        raise NotInImage("re-embedding the candidate point does not reproduce the vector")
+    return point
 
 
 def girth(num_vertices: int, edges) -> int:

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from tropmod import moduli
 from tropmod.errors import IncompatibleSplit, NotInImage
 from tropmod.moduli import (
     EmbeddingVector,
@@ -20,7 +21,7 @@ from tropmod.rationals import NEG_INF, POS_INF, is_finite
 from tropmod.trees import CombinatorialType, Split, enumerate_types
 
 import oracles
-from conftest import random_point
+from conftest import random_point, random_tree_point
 
 
 def test_ratio_index_canonical_forms():
@@ -155,6 +156,20 @@ def test_double_ratio_at_boundary_points(rng):
                 assert value in (POS_INF, NEG_INF)
 
 
+def test_embed_matches_path_oracle_at_larger_n(rng):
+    for n in (7, 8, 9):
+        for trial in range(8):
+            x = random_tree_point(
+                rng, n, dim=rng.randint(0, n - 3), infinite_chance=0.3 * (trial % 2)
+            )
+            vec = embed(x)
+            assert type(vec.entries) is tuple
+            assert vec == EmbeddingVector(n, vec.entries)
+            assert vec.entries == tuple(
+                oracles.path_double_ratio(x, r) for r in vec.coordinates
+            )
+
+
 def test_reconstruct_examples():
     back = reconstruct((0, 5, 5), 4)
     assert back == ray_point(4, (3, 4), 5)
@@ -182,6 +197,59 @@ def test_embedding_injective_roundtrip(rng):
         for _ in range(80):
             x = random_point(rng, n, dim=rng.randint(0, n - 3))
             assert reconstruct(embed(x), n) == x
+    for n in range(12, 17):
+        for i in range(4):
+            x = random_tree_point(rng, n, dim=rng.randint(0, n - 3) if i % 2 else None)
+            assert reconstruct(embed(x), n) == x
+
+
+def _outcome(recover, vector, n):
+    try:
+        return recover(vector, n)
+    except NotInImage as exc:
+        return f"NotInImage: {exc}"
+
+
+def _leaf_by_leaf_splits(vector, n):
+    denominator, scaled = moduli._over_common_denominator(vector)
+    found = moduli._recover_splits(scaled, denominator, n)
+    return {side: Fraction(least, denominator) for side, least in found.items()}
+
+
+RAYS = ((0, 1, 1), (1, 0, -1), (-1, -1, 0))  # the rays of M_{0,4}
+
+
+def test_leaf_by_leaf_recovery_matches_exhaustive_scan(rng):
+    """Same splits and lengths as scanning every bipartition, or the same
+    NotInImage, on images and on vectors just outside the image: one
+    quartet's topology flipped, zeroed or its value shrunk."""
+    for n in (5, 6, 7, 8):
+        quartets = comb(n, 4)
+        for _ in range(25):
+            image = list(embed(random_tree_point(rng, n, dim=rng.randint(0, n - 3))).entries)
+            vectors = [image]
+            cut = [q for q in range(quartets) if any(image[3 * q : 3 * q + 3])]
+            if cut:
+                q = rng.choice(cut)
+                triple = image[3 * q : 3 * q + 3]
+                size = max(abs(e) for e in triple)
+                ray = rng.choice([ray for ray in RAYS if ray.index(0) != triple.index(0)])
+                flipped = list(image)
+                flipped[3 * q : 3 * q + 3] = [size * e for e in ray]
+                zeroed = list(image)
+                q = rng.choice(cut)
+                zeroed[3 * q : 3 * q + 3] = [Fraction(0)] * 3
+                shrunk = list(image)  # a smaller least straddling value
+                q = rng.choice(cut)
+                shrunk[3 * q : 3 * q + 3] = [e / rng.randint(2, 5) for e in image[3 * q : 3 * q + 3]]
+                vectors += [flipped, zeroed, shrunk]
+            for vector in vectors:
+                assert _outcome(_leaf_by_leaf_splits, vector, n) == _outcome(
+                    oracles.exhaustive_splits, vector, n
+                )
+                assert _outcome(reconstruct, vector, n) == _outcome(
+                    oracles.exhaustive_reconstruct, vector, n
+                )
 
 
 def test_link_graph_is_petersen():

@@ -29,17 +29,6 @@ from .rationals import (
     is_finite,
     parse_extended,
 )
-from .semiring import (
-    TROPICAL_ONE,
-    TROPICAL_ZERO,
-    AffineFunction,
-    TropicalNumber,
-    TropicalPolynomial,
-    eval_polynomial,
-    is_zero_point,
-    trop_add,
-    trop_mul,
-)
 from .trees import (
     CombinatorialType,
     Split,

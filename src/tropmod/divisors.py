@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import DimensionMismatch, NotCodimensionOne, NotPure
 from .moduli import (
     _quartet_coordinate,
-    _quartet_offsets,
+    _quartet_bases,
     _split_direction,
     _split_support,
 )
@@ -273,8 +273,8 @@ def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
     report = _balance_at(tau, adjacent)
     splits = _face_splits(tau)
     tree = to_tree(tau)
-    quartet = tuple(min(b) for b in tree.branches(tree.valences().index(4)))
-    base = _quartet_offsets(n)[quartet]
+    quartet = sum(1 << min(b) for b in tree.branches(tree.valences().index(4)))
+    base = _quartet_bases(n)[quartet]
     columns = tuple(i for i, _ in _isolating_coordinates(tau, splits)) + (base, base + 1)
     rows = [_split_direction(s) for s in splits]
     rows += [rec.direction for rec in report.adjacent[:2]]

@@ -252,14 +252,6 @@ def _split_direction(split: Split) -> Tuple[int, ...]:
     return tuple(_sigma(split, r) for r in canonical_coordinates(n))
 
 
-@lru_cache(maxsize=None)
-def _quartet_offsets(n: int) -> Dict[Tuple[int, int, int, int], int]:
-    """Position of the first of each sorted quartet's three coordinates."""
-    return {
-        quad: 3 * q for q, quad in enumerate(itertools.combinations(range(1, n + 1), 4))
-    }
-
-
 # A quartet's three coordinates under a split that pairs its smallest label
 # with the label at position 1, 2 or 3, indexed by that position less one
 # (the coordinate that vanishes): the rays of M_{0,4}.  The first nonzero
@@ -272,7 +264,7 @@ def _quartet_entries(n: int, a: int, b: int, c: int, d: int) -> Tuple[Tuple[int,
     quad = tuple(sorted((a, b, c, d)))
     low = quad[0]
     partner = {a: b, b: a, c: d, d: c}[low]
-    base = _quartet_offsets(n)[quad]
+    base = _quartet_bases(n)[(1 << a) | (1 << b) | (1 << c) | (1 << d)]
     ray = _RAYS[quad.index(partner) - 1]
     return tuple((base + off, sign) for off, sign in enumerate(ray) if sign)
 

@@ -2,9 +2,8 @@
 
 All certificates in this package are computed over exact rationals.  The
 infinities used for boundary edge lengths are explicit tags that cooperate
-with ``Fraction`` arithmetic; they are never IEEE floats.  Indeterminate
-combinations (``inf + (-inf)``, ``0 * inf``) raise instead of producing a
-silent sentinel.
+with ``Fraction`` addition; they are never IEEE floats.  The indeterminate
+sum ``inf + (-inf)`` raises instead of producing a silent sentinel.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ from typing import Union
 class Infinity:
     """A signed infinite quantity.
 
-    Supports addition with rationals and same-signed infinities, negation,
-    absolute value and order comparisons.  Mixed-sign sums raise
-    ``ArithmeticError``.
+    Supports equality, hashing, negation and addition with rationals and
+    same-signed infinities.  Mixed-sign sums raise ``ArithmeticError``.
     """
 
     __slots__ = ("sign",)
@@ -40,9 +38,6 @@ class Infinity:
     def __neg__(self) -> "Infinity":
         return NEG_INF if self.sign > 0 else POS_INF
 
-    def __abs__(self) -> "Infinity":
-        return POS_INF
-
     def __add__(self, other):
         if isinstance(other, Infinity):
             if other.sign != self.sign:
@@ -53,55 +48,6 @@ class Infinity:
         return NotImplemented
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Infinity):
-            if other.sign == self.sign:
-                raise ArithmeticError("indeterminate difference inf - inf")
-            return self
-        if isinstance(other, (int, Fraction)):
-            return self
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return -self
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, Infinity):
-            return POS_INF if other.sign == self.sign else NEG_INF
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ArithmeticError("indeterminate product 0 * inf")
-            return self if other > 0 else -self
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other):
-        if isinstance(other, Infinity):
-            return self.sign < other.sign
-        if isinstance(other, (int, Fraction)):
-            return self.sign < 0
-        return NotImplemented
-
-    def __le__(self, other):
-        if self == other:
-            return True
-        return self.__lt__(other)
-
-    def __gt__(self, other):
-        if isinstance(other, Infinity):
-            return self.sign > other.sign
-        if isinstance(other, (int, Fraction)):
-            return self.sign > 0
-        return NotImplemented
-
-    def __ge__(self, other):
-        if self == other:
-            return True
-        return self.__gt__(other)
 
 
 POS_INF = Infinity(1)

@@ -1,4 +1,4 @@
-"""Lossless JSON formats: points, embedding vectors, fans, reports, polynomials.
+"""Lossless JSON formats: points, embedding vectors, fans, reports.
 
 Rationals travel as "p/q" strings (denominator 1 omitted), infinities as
 "inf" / "-inf"; no floats anywhere.  All emitted structures use canonical
@@ -14,7 +14,6 @@ from .errors import MalformedInput
 from .maps import BoundaryDecomposition
 from .moduli import EmbeddingVector, ModuliPoint, _check_coordinates
 from .rationals import ExtendedRational, format_extended, parse_extended
-from .semiring import TropicalPolynomial
 from .trees import CombinatorialType, Split, _as_labels
 
 
@@ -183,25 +182,3 @@ def decomposition_to_json(d: BoundaryDecomposition) -> dict:
         ],
     }
 
-
-def polynomial_to_json(f: TropicalPolynomial) -> dict:
-    return {
-        "nvars": f.nvars,
-        "terms": [
-            {"exponents": list(e), "coeff": format_extended(c)} for e, c in f.terms
-        ],
-    }
-
-
-def polynomial_from_json(obj: dict) -> TropicalPolynomial:
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise ValueError('a polynomial object needs a "terms" key')
-    terms = [
-        (tuple(entry["exponents"]), parse_extended(entry["coeff"]))
-        for entry in obj["terms"]
-    ]
-    f = TropicalPolynomial.of(terms)
-    nvars: Optional[int] = obj.get("nvars")
-    if nvars is not None and f.nvars != int(nvars):
-        raise ValueError('"nvars" does not match the exponent vectors')
-    return f

@@ -89,16 +89,6 @@ class Split:
             object.__setattr__(self, "_text", sep.join(map(str, self.key)))
         return self._text
 
-    def side_of(self, label: int) -> Labels:
-        if label in self.side:
-            return self.side
-        if label in self.labels:
-            return self.complement
-        raise KeyError(f"label {label} is not a leaf")
-
-    def separates(self, a: int, b: int) -> bool:
-        return (a in self.side) != (b in self.side)
-
     def compatible_with(self, other: "Split") -> bool:
         """Whether the two bipartitions can coexist in one tree.
 
@@ -186,7 +176,6 @@ class CombinatorialType:
 class TreeVertex:
     """One internal vertex: its directly attached leaves and incident splits."""
 
-    cluster: Optional[Labels]  # side below this vertex; None for the root vertex
     leaves: Labels
     splits: FrozenSet[Split]
 
@@ -267,7 +256,6 @@ def to_tree(t: CombinatorialType) -> TreeRealization:
 
     vertices = [
         TreeVertex(
-            cluster=None if i == 0 else ordered[i - 1].side,
             leaves=frozenset(leaves[i]),
             splits=frozenset(adjacent[i]),
         )

@@ -15,6 +15,7 @@ import heapq
 import itertools
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,14 +25,16 @@ from tropmod.rationals import ExtendedRational
 from tropmod.trees import CombinatorialType, Split, to_tree
 
 
-def prufer_types(n: int, internal: int) -> set:
+@lru_cache(maxsize=None)
+def prufer_types(n: int, internal: int) -> frozenset:
     """Split systems of all trees with n labeled leaves and ``internal``
     unlabeled internal vertices of valence >= 3, via Prüfer sequences.
 
     Vertices 1..n are leaves (degree 1, so they never appear in the
     sequence); vertices n+1..n+internal are internal and must appear at
     least twice.  Each split system is returned once: quotienting by the
-    internal labeling happens through the set.
+    internal labeling happens through the set.  Cached, since several tests
+    compare against the same sets.
     """
     leaves = list(range(1, n + 1))
     internals = list(range(n + 1, n + internal + 1))
@@ -46,10 +49,11 @@ def prufer_types(n: int, internal: int) -> set:
             continue
         edges = _prufer_to_edges(list(seq), total)
         found.add(_edges_to_splits(edges, n))
-    return found
+    return frozenset(found)
 
 
-def prufer_trivalent_types(n: int) -> set:
+@lru_cache(maxsize=None)
+def prufer_trivalent_types(n: int) -> frozenset:
     """Trivalent split systems: every internal vertex appears exactly twice."""
     found = set()
     internal = n - 2
@@ -60,7 +64,7 @@ def prufer_trivalent_types(n: int) -> set:
     for seq in set(itertools.permutations(sorted(internals * 2), length)):
         edges = _prufer_to_edges(list(seq), total)
         found.add(_edges_to_splits(edges, n))
-    return found
+    return frozenset(found)
 
 
 def _prufer_to_edges(seq, total):

@@ -14,7 +14,6 @@ from tropmod.rationals import (
     format_extended,
     parse_extended,
 )
-from tropmod.semiring import TropicalPolynomial
 from tropmod.trees import enumerate_types
 
 from conftest import random_point
@@ -79,12 +78,6 @@ def test_decomposition_json(rng):
     x = random_point(rng, 6, infinite_chance=0.5)
     obj = serialization.decomposition_to_json(decompose_boundary(x))
     assert len(obj["components"]) == len(obj["gluings"]) + 1
-
-
-def test_polynomial_roundtrip():
-    f = TropicalPolynomial.of({(1, 0): 0, (0, 1): Fraction(-1, 3), (0, 0): 2})
-    obj = serialization.polynomial_to_json(f)
-    assert serialization.polynomial_from_json(json.loads(json.dumps(obj))) == f
 
 
 def test_bad_inputs_rejected():

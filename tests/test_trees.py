@@ -1,5 +1,3 @@
-from functools import lru_cache
-
 import pytest
 
 from tropmod import trees
@@ -48,12 +46,11 @@ def test_enumerate_small_counts():
         enumerate_types(5, -1)
 
 
-@lru_cache(maxsize=None)
 def _prufer(n, dim):
     """Split systems with ``dim`` splits on n leaves from the Prüfer oracle."""
     if dim == n - 3:  # trivalent: the faster oracle
-        return frozenset(oracles.prufer_trivalent_types(n))
-    return frozenset(oracles.prufer_types(n, internal=dim + 1))
+        return oracles.prufer_trivalent_types(n)
+    return oracles.prufer_types(n, internal=dim + 1)
 
 
 def _double_factorial(m):

@@ -16,7 +16,7 @@ square minor of determinant +-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -30,11 +30,11 @@ from .moduli import (
 from .trees import (
     CombinatorialType,
     Split,
+    _four_branches,
+    _resolution_splits,
     contract,
     enumerate_types,
-    resolutions,
     to_tree,
-    valence_profile,
 )
 
 
@@ -263,48 +263,52 @@ def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
     """
     if tau.n != n:
         raise ValueError(f"type is for n = {tau.n}, not {n}")
-    profile = valence_profile(tau)
-    if profile.count(4) != 1 or set(profile) - {3, 4}:
-        raise NotCodimensionOne(f"valence profile {profile} is not codimension one")
-    adjacent = []
-    for rho in resolutions(tau):
-        extra = next(iter(rho.splits - tau.splits))
-        adjacent.append((rho, 1, extra))
+    branches = _four_branches(tau)
+    extras = _resolution_splits(tau, branches)
+    adjacent = [(CombinatorialType._trusted(tau.labels, tau.splits | {s}), 1, s) for s in extras]
     report = _balance_at(tau, adjacent)
     splits = _face_splits(tau)
-    tree = to_tree(tau)
-    quartet = sum(1 << min(b) for b in tree.branches(tree.valences().index(4)))
-    base = _quartet_bases(n)[quartet]
+    base = _quartet_bases(n)[sum(1 << min(b) for b in branches)]
     columns = tuple(i for i, _ in _isolating_coordinates(tau, splits)) + (base, base + 1)
     rows = [_split_direction(s) for s in splits]
     rows += [rec.direction for rec in report.adjacent[:2]]
     unimodular = abs(_determinant([[row[c] for c in columns] for row in rows])) == 1
-    return BalancingReport(
-        face=report.face,
-        adjacent=report.adjacent,
-        weighted_sum=report.weighted_sum,
-        balanced=report.balanced,
-        smooth=report.balanced and unimodular,
-        witness=report.witness,
-        minor=columns if unimodular else None,
-    )
+    minor = columns if unimodular else None
+    return replace(report, smooth=report.balanced and unimodular, minor=minor)
 
 
 def verify_witness(report: BalancingReport) -> bool:
     """Check a report's witness exactly, independently of how it was found.
 
-    The weighted sum must be the weighted sum of the adjacent directions, and
-    the coefficients must recombine the face directions (face-split order)
-    into it.  A minor, when present, must pick columns on which the face
-    directions and the first two adjacent directions have determinant +-1.
-    A report without a witness (an unbalanced face) verifies as False.
+    Each adjacent cone must be the face plus an extra split, with that
+    split's direction, and a smoothness report must list the three
+    resolutions in key order.  The coefficients must recombine the face
+    directions (face-split order) into the weighted sum of the adjacent
+    directions.  A minor, required for a smooth verdict, must pick columns
+    on which the face directions and the first two adjacent directions have
+    determinant +-1.  A report without a witness verifies as False.
     """
-    if report.witness is None:
+    face = report.face
+    if report.witness is None or (report.smooth and report.minor is None):
         return False
-    directions = [_split_direction(s) for s in _face_splits(report.face)]
-    if len(report.witness) != len(directions):
+    for rec in report.adjacent:
+        extra = rec.extra_split
+        if extra.labels != face.labels or extra in face.splits:
+            return False
+        cone = CombinatorialType._trusted(face.labels, face.splits | {extra})
+        if rec.cone != cone or rec.direction != _split_direction(extra):
+            return False
+    if report.smooth is not None:
+        try:
+            expected = _resolution_splits(face, _four_branches(face))
+        except NotCodimensionOne:
+            return False
+        if [rec.extra_split for rec in report.adjacent] != expected:
+            return False
+    directions = [_split_direction(s) for s in _face_splits(face)]
+    size = 3 * comb(face.n, 4)
+    if len(report.witness) != len(directions) or len(report.weighted_sum) != size:
         return False
-    size = len(report.weighted_sum)
     total = [sum(rec.weight * rec.direction[i] for rec in report.adjacent) for i in range(size)]
     combo = [sum(c * d[i] for c, d in zip(report.witness, directions)) for i in range(size)]
     if not list(report.weighted_sum) == total == combo:
@@ -323,12 +327,7 @@ def psi_divisor(n: int, k: int) -> WeightedFan:
         raise ValueError("psi divisors need n >= 4")
     if not 1 <= k <= n:
         raise ValueError(f"leaf label k must lie in 1..{n}")
-    cones = []
-    for t in enumerate_types(n, n - 4):
-        tree = to_tree(t)
-        heavy = [v for v in tree.vertices if v.valence == 4]
-        if len(heavy) == 1 and k in heavy[0].leaves:
-            cones.append((t, 1))
+    cones = [(t, 1) for t in enumerate_types(n, n - 4) if frozenset({k}) in _four_branches(t)]
     return WeightedFan(n=n, dim=n - 4, cones=tuple(cones))
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from math import comb
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .errors import IncompatibleSplit, NotCodimensionOne, SplitAbsent
 
@@ -190,20 +189,11 @@ class TreeRealization:
 
     ``edges`` lists the bounded edges as (split, parent index, child index),
     the parent being the endpoint nearer the smallest label.  Leaf edges are
-    implicit: each label hangs off the vertex ``leaf_home[label]``.
+    implicit: each label hangs off the vertex whose ``leaves`` hold it.
     """
 
-    ctype: CombinatorialType
     vertices: Tuple[TreeVertex, ...]
     edges: Tuple[Tuple[Split, int, int], ...]
-
-    @cached_property
-    def leaf_home(self) -> Dict[int, int]:
-        home = {}
-        for idx, v in enumerate(self.vertices):
-            for leaf in v.leaves:
-                home[leaf] = idx
-        return home
 
     def valences(self) -> Tuple[int, ...]:
         return tuple(v.valence for v in self.vertices)
@@ -211,58 +201,36 @@ class TreeRealization:
     def branches(self, vertex: int) -> Tuple[Labels, ...]:
         """The leaf sets of the subtrees hanging off each edge at a vertex."""
         v = self.vertices[vertex]
-        out = [frozenset([leaf]) for leaf in sorted(v.leaves)]
-        for split, parent, child in self.edges:
-            if parent == vertex:
-                out.append(split.side)
-            elif child == vertex:
-                out.append(split.labels - split.side)
-        return tuple(sorted(out, key=lambda b: min(b)))
+        own = self.edges[vertex - 1][0] if vertex else None  # the edge up to the parent
+        out = [frozenset([leaf]) for leaf in v.leaves]
+        out += [s.complement if s is own else s.side for s in v.splits]
+        return tuple(sorted(out, key=min))
 
 
-@lru_cache(maxsize=None)
 def to_tree(t: CombinatorialType) -> TreeRealization:
-    """Realize a type as a tree, using the laminar structure of the sides."""
-    anchor = min(t.labels)
+    """Realize a type: vertex 0 is the root, vertex i the child end of split i by key.
+
+    Sides are visited largest first while ``home`` maps each label to the
+    smallest side yet that holds it: the home of a side's least label is its
+    parent, and each leaf hangs off its final home.
+    """
     ordered = sorted(t.splits, key=lambda s: s.key)
-    index = {s: i + 1 for i, s in enumerate(ordered)}  # vertex 0 is the root
-
-    def parent_split(s: Split) -> Optional[Split]:
-        supersets = [u for u in ordered if u is not s and s.side < u.side]
-        if not supersets:
-            return None
-        return min(supersets, key=lambda u: len(u.side))
-
-    leaves = [set() for _ in range(len(ordered) + 1)]
-    for lbl in t.labels:
-        if lbl == anchor:
-            leaves[0].add(lbl)
-            continue
-        containing = [s for s in ordered if lbl in s.side]
-        if containing:
-            host = min(containing, key=lambda s: len(s.side))
-            leaves[index[host]].add(lbl)
-        else:
-            leaves[0].add(lbl)
-
-    edges = []
-    adjacent = [set() for _ in range(len(ordered) + 1)]
-    for s in ordered:
-        p = parent_split(s)
-        pidx = index[p] if p is not None else 0
-        edges.append((s, pidx, index[s]))
-        adjacent[pidx].add(s)
-        adjacent[index[s]].add(s)
-
-    vertices = [
-        TreeVertex(
-            leaves=frozenset(leaves[i]),
-            splits=frozenset(adjacent[i]),
-        )
-        for i in range(len(ordered) + 1)
-    ]
+    home = dict.fromkeys(t.labels, 0)
+    parent = [0] * (len(ordered) + 1)
+    for i in sorted(range(1, len(parent)), key=lambda i: -len(ordered[i - 1].side)):
+        side = ordered[i - 1].side
+        parent[i] = home[min(side)]
+        home.update(dict.fromkeys(side, i))
+    leaves = [set() for _ in parent]
+    for label, i in home.items():
+        leaves[i].add(label)
+    incident = [set()] + [{s} for s in ordered]
+    edges = tuple((s, parent[i], i) for i, s in enumerate(ordered, 1))
+    for s, p, _ in edges:
+        incident[p].add(s)
+    vertices = tuple(TreeVertex(frozenset(l), frozenset(s)) for l, s in zip(leaves, incident))
     assert all(v.valence >= 3 for v in vertices)
-    return TreeRealization(ctype=t, vertices=tuple(vertices), edges=tuple(edges))
+    return TreeRealization(vertices=vertices, edges=edges)
 
 
 def valence_profile(t: CombinatorialType) -> Tuple[int, ...]:
@@ -280,22 +248,29 @@ def contract(t: CombinatorialType, s: Split) -> CombinatorialType:
     return CombinatorialType._trusted(t.labels, t.splits - {s})
 
 
-def resolutions(t: CombinatorialType) -> Tuple[CombinatorialType, ...]:
-    """The three trivalent perturbations of a type with a single 4-valent vertex."""
+def _four_branches(t: CombinatorialType) -> Tuple[Labels, ...]:
+    """The branches at the unique 4-valent vertex; the one codimension-1 test."""
     tree = to_tree(t)
     vals = tree.valences()
     if sorted(vals) != [3] * (len(vals) - 1) + [4]:
         raise NotCodimensionOne(
             f"valence profile {tuple(sorted(vals))} has no unique 4-valent vertex"
         )
-    vertex = vals.index(4)
-    b0, b1, b2, b3 = tree.branches(vertex)
-    others = (b1, b2, b3)
-    out = []
-    for pick in others:
-        side = b0 | pick
-        out.append(CombinatorialType(t.labels, t.splits | {Split(t.labels, side)}))
-    return tuple(sorted(out, key=lambda r: r.key))
+    return tree.branches(vals.index(4))
+
+
+def _resolution_splits(t: CombinatorialType, branches: Tuple[Labels, ...]) -> List[Split]:
+    """The first branch joined with each other one (compatible with t), by key."""
+    return sorted((Split(t.labels, branches[0] | b) for b in branches[1:]), key=lambda s: s.key)
+
+
+def resolutions(t: CombinatorialType) -> Tuple[CombinatorialType, ...]:
+    """The three trivalent perturbations of a type with a single 4-valent vertex.
+
+    Sorting by the extra split orders them as the type key would.
+    """
+    splits = _resolution_splits(t, _four_branches(t))
+    return tuple(CombinatorialType._trusted(t.labels, t.splits | {s}) for s in splits)
 
 
 def count_rays(n: int) -> int:

@@ -2,11 +2,11 @@
 
 These deliberately avoid the library's own algorithms: tree enumeration runs
 over Prüfer sequences, double ratios are computed by explicit path extraction
-on realized trees, and graph girth by breadth-first search.  Span membership
-and saturation use general Hermite/Smith normal forms, against which the
-library's closed-form witnesses are checked.  The embedding is inverted by
-scanning every bipartition, against which leaf-by-leaf split recovery is
-checked.
+on realized trees, resolutions by scanning every bipartition, and graph girth
+by breadth-first search.  Span membership and saturation use general
+Hermite/Smith normal forms, against which the library's closed-form
+witnesses are checked.  The embedding is inverted by scanning every
+bipartition, against which leaf-by-leaf split recovery is checked.
 """
 
 from __future__ import annotations
@@ -117,6 +117,22 @@ def type_to_sides(t) -> frozenset:
     return frozenset(s.side for s in t.splits)
 
 
+def brute_force_resolutions(t: CombinatorialType) -> List[CombinatorialType]:
+    """t plus one more split, for every split compatible with all of t's.
+
+    Scans every bipartition (both sides of size >= 2) and builds each result
+    with the validating constructor; sorted by type key.
+    """
+    rest = sorted(t.labels)[1:]  # sides never hold the smallest label
+    out = []
+    for size in range(2, len(rest)):
+        for side in itertools.combinations(rest, size):
+            s = Split(t.labels, frozenset(side))
+            if s not in t.splits and all(s.compatible_with(u) for u in t.splits):
+                out.append(CombinatorialType(t.labels, t.splits | {s}))
+    return sorted(out, key=lambda r: r.key)
+
+
 def path_double_ratio(x: ModuliPoint, r: RatioIndex) -> ExtendedRational:
     """Double ratio by explicit path extraction on the realized tree.
 
@@ -131,7 +147,7 @@ def path_double_ratio(x: ModuliPoint, r: RatioIndex) -> ExtendedRational:
         adjacency[p].append((c, eid, +1))
         adjacency[c].append((p, eid, -1))
 
-    home = tree.leaf_home
+    home = {leaf: i for i, v in enumerate(tree.vertices) for leaf in v.leaves}
 
     def directed_path(a: int, b: int):
         """Bounded edges from leaf a to leaf b as {edge id: traversal sign}."""

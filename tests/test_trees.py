@@ -130,6 +130,15 @@ def test_resolutions_contract_roundtrip():
                 assert contract(rho, next(iter(extra))) == tau
 
 
+def test_resolutions_match_brute_force_oracle():
+    for n in range(4, 8):
+        for tau in enumerate_types(n, n - 4):
+            res = resolutions(tau)
+            assert list(res) == oracles.brute_force_resolutions(tau)
+            for rho in res:
+                assert CombinatorialType(rho.labels, rho.splits) == rho
+
+
 def test_resolutions_rejects_other_profiles():
     with pytest.raises(NotCodimensionOne):
         resolutions(enumerate_types(5, 2)[0])  # trivalent
@@ -154,25 +163,30 @@ def test_to_tree_examples():
 
 
 def test_tree_realizes_its_splits():
-    # cutting the edge of each split separates the leaves exactly as stored
-    for n in (5, 6):
-        for t in enumerate_types(n, n - 3) + enumerate_types(n, 1):
-            tree = to_tree(t)
-            adjacency = {}
-            for split, p, c in tree.edges:
-                adjacency.setdefault(p, []).append((c, split))
-                adjacency.setdefault(c, []).append((p, split))
-            for split, p, c in tree.edges:
-                seen = {c}
-                stack = [c]
-                while stack:
-                    v = stack.pop()
-                    for w, via in adjacency.get(v, ()):  # walk away from the cut edge
-                        if via != split and w not in seen:
-                            seen.add(w)
-                            stack.append(w)
-                leaves = frozenset().union(*(tree.vertices[v].leaves for v in seen))
-                assert leaves == split.side
+    # cutting the edge of each split separates the leaves exactly as stored;
+    # vertex 0 is the root, vertex i the child end of the i-th split by key
+    for n in range(4, 8):
+        for dim in range(n - 2):
+            for t in enumerate_types(n, dim):
+                tree = to_tree(t)
+                ordered = sorted(t.splits, key=lambda s: s.key)
+                assert [(s, c) for s, _, c in tree.edges] == list(zip(ordered, range(1, dim + 1)))
+                assert min(t.labels) in tree.vertices[0].leaves
+                adjacency = {}
+                for split, p, c in tree.edges:
+                    adjacency.setdefault(p, []).append((c, split))
+                    adjacency.setdefault(c, []).append((p, split))
+                for split, p, c in tree.edges:
+                    seen = {c}
+                    stack = [c]
+                    while stack:
+                        v = stack.pop()
+                        for w, via in adjacency.get(v, ()):  # walk away from the cut edge
+                            if via != split and w not in seen:
+                                seen.add(w)
+                                stack.append(w)
+                    leaves = frozenset().union(*(tree.vertices[v].leaves for v in seen))
+                    assert leaves == split.side
 
 
 def test_vertex_and_valence_bookkeeping():

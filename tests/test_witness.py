@@ -118,6 +118,31 @@ def test_verifier_rejects_tampering():
     assert not verify_witness(replace(rep, minor=rep.minor[:-1] + (10**6,)))
     wrong_sum = (rep.weighted_sum[0] + 1,) + rep.weighted_sum[1:]
     assert not verify_witness(replace(rep, weighted_sum=wrong_sum))
+    # a smooth verdict needs its minor
+    assert not verify_witness(replace(rep, minor=None))
+    # forgeries that fit together: zero directions, sum and coefficients with
+    # no smoothness claim; a truncated sum; cones that are not face + extra
+    zero = (0,) * len(rep.weighted_sum)
+    zeroed = replace(
+        rep,
+        adjacent=tuple(replace(rec, direction=zero) for rec in rep.adjacent),
+        weighted_sum=zero,
+        witness=(0,) * len(rep.witness),
+        smooth=None,
+        minor=None,
+    )
+    assert not verify_witness(zeroed)
+    assert not verify_witness(replace(rep, weighted_sum=(), smooth=None, minor=None))
+    unrelated = enumerate_types(6, 3)[0]
+    assert all(unrelated.splits != tau.splits | {rec.extra_split} for rec in rep.adjacent)
+    wrong_cones = tuple(replace(rec, cone=unrelated) for rec in rep.adjacent)
+    assert not verify_witness(replace(rep, adjacent=wrong_cones))
+    # a smoothness report must list the three resolutions in key order
+    for face in enumerate_types(6, 2):
+        rep = check_smooth_local(6, face)
+        assert verify_witness(rep)
+        assert not verify_witness(replace(rep, adjacent=rep.adjacent[::-1]))
+        assert not verify_witness(replace(rep, adjacent=rep.adjacent[:2]))
 
 
 def test_weight_two_cone_fails_exactly_at_its_faces():

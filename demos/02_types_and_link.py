@@ -30,7 +30,7 @@ for i, v in enumerate(tree.vertices):
 print()
 
 print("== faces and resolutions ==")
-ray = contract(caterpillar, next(iter(caterpillar.splits)))
+ray = contract(caterpillar, min(caterpillar.splits, key=lambda s: s.key))
 print("contracting one edge gives the face:", ray.text, valence_profile(ray))
 print("its three resolutions:")
 for rho in resolutions(ray):

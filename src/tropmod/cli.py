@@ -13,6 +13,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _string
 from typing import Optional, Sequence
 
 from . import divisors, maps, moduli, serialization, trees
@@ -55,9 +57,64 @@ def _load_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}")
 
 
+def _render(value, pad: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)``, started on a line with
+    newline-and-indentation ``pad``.
+
+    A list of plain ints is joined in C.  A value of a kind the CLI does
+    not write (a float, a subclass, a dict with non-string keys) goes to
+    ``json.dumps`` and is re-indented.
+    """
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            items = map(str, value)
+        else:
+            items = [_render(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        inner = pad + "  "
+        items = [_string(k) + ": " + _render(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
 def _dump(obj, out) -> None:
-    json.dump(obj, out, indent=2)
-    out.write("\n")
+    """Write ``json.dumps(obj, indent=2)`` and a newline to ``out``.
+
+    A dict is written one key at a time, and a value of it that is an
+    iterator (not a list) one rendered item at a time, so a long report is
+    never held as one string.
+    """
+    if type(obj) is not dict or not obj or set(map(type, obj)) != {str}:
+        out.write(_render(obj) + "\n")
+        return
+    sep = "{\n  "
+    for key, value in obj.items():
+        out.write(sep + _string(key) + ": ")
+        sep = ",\n  "
+        if isinstance(value, Iterator):
+            opened = False
+            for item in value:
+                out.write((",\n    " if opened else "[\n    ") + _render(item, "\n    "))
+                opened = True
+            out.write("\n  ]" if opened else "[]")
+        else:
+            out.write(_render(value, "\n  "))
+    out.write("\n}\n")
 
 
 def build_parser() -> _Parser:
@@ -120,7 +177,7 @@ def _cmd_enumerate(args, out) -> int:
                 "n": args.n,
                 "dim": args.dim,
                 "count": len(types),
-                "types": [serialization.type_to_json(t) for t in types],
+                "types": map(serialization.type_to_json, types),
             },
             out,
         )
@@ -187,14 +244,12 @@ def _cmd_check(args, out) -> int:
         reports = [divisors.check_smooth_local(n, t) for t in taus]
 
     if args.format == "json":
+        ok = all(r.balanced and r.smooth is not False for r in reports)
         payload = {
             "check": args.what,
-            "reports": [serialization.report_to_json(r) for r in reports],
+            "reports": map(serialization.report_to_json, reports),
+            "all_passed": ok,
         }
-        ok = all(
-            r.balanced and (r.smooth is None or r.smooth) for r in reports
-        )
-        payload["all_passed"] = ok
         _dump(payload, out)
     else:
         label = "face" if args.what != "smooth" else "codim-1 type"
@@ -248,25 +303,20 @@ def _cmd_export(args, out) -> int:
         if fmt == "dot":
             text = _link_dot(graph)
         else:
-            text = (
-                json.dumps(
-                    {
-                        "n": n,
-                        "vertices": [serialization.type_to_json(t) for t in graph.vertices],
-                        "edges": [list(e) for e in graph.edges],
-                    },
-                    indent=2,
-                )
-                + "\n"
-            )
+            payload = {
+                "n": n,
+                "vertices": [serialization.type_to_json(t) for t in graph.vertices],
+                "edges": graph.edges,
+            }
+            text = _render(payload) + "\n"
     elif target == "fan":
         n = _require(args.n, "--n", "export fan")
-        text = json.dumps(serialization.fan_to_json(divisors.moduli_fan(n)), indent=2) + "\n"
+        text = _render(serialization.fan_to_json(divisors.moduli_fan(n))) + "\n"
     else:  # embed
         path = _require(args.point, "--point", "export embed")
         point = serialization.point_from_json(_load_json(path))
         vector = moduli.embed(point)
-        text = json.dumps(serialization.vector_to_json(vector), indent=2) + "\n"
+        text = _render(serialization.vector_to_json(vector)) + "\n"
 
     if args.output:
         try:

@@ -122,34 +122,45 @@ def _isolating_coordinates(
     the side: its smallest leaf a, and a leaf b outside the largest smaller
     side holding a.  At the other end: the anchor c (smallest label, never in
     a side), and a leaf d of the smallest larger side (or of all labels)
-    that is neither in the side nor c.
+    that is neither in the side nor c.  Sides are compared as bitmasks.
     """
     labels = face.labels
     n = len(labels)
     c = min(labels)
-    sides = [u.side for u in face.splits]
+    full = sum(1 << x for x in labels) & ~(1 << c)
+    sides = [(u.mask, len(u.side)) for u in face.splits]
     out = []
     for s in splits:
-        side = s.side
-        a = min(side)
-        branch = {a}
-        cluster = labels
-        for other in sides:
-            if other < side:
-                if a in other and len(other) > len(branch):
-                    branch = other
-            elif side < other and len(other) < len(cluster):
-                cluster = other
-        out.append(_quartet_coordinate(n, a, min(side - branch), c, min(cluster - side - {c})))
+        m = s.mask
+        low = m & -m  # the bit of a
+        branch, branch_size = low, 1
+        cluster, cluster_size = full, n
+        for other, size in sides:
+            if other & m == other:
+                if other != m and other & low and size > branch_size:
+                    branch, branch_size = other, size
+            elif other & m == m and size < cluster_size:
+                cluster, cluster_size = other, size
+        b = m & ~branch
+        d = cluster & ~m
+        out.append(
+            _quartet_coordinate(
+                n,
+                low.bit_length() - 1,
+                (b & -b).bit_length() - 1,
+                c,
+                (d & -d).bit_length() - 1,
+            )
+        )
     return out
 
 
 def _solve(
-    face: CombinatorialType, splits: List[Split], vector: Sequence[int]
+    splits: List[Split], coordinates: List[Tuple[int, int]], vector: Sequence[int]
 ) -> Tuple[Tuple[int, ...], List[int]]:
     residual = list(vector)
     coefficients = []
-    for s, (index, sign) in zip(splits, _isolating_coordinates(face, splits)):
+    for s, (index, sign) in zip(splits, coordinates):
         coef = vector[index] * sign
         coefficients.append(coef)
         if coef:
@@ -174,7 +185,8 @@ def span_witness(
         raise DimensionMismatch(f"expected {size} coordinates for n = {face.n}")
     if any(isinstance(x, bool) or not isinstance(x, int) for x in vector):
         raise TypeError("integer vector expected")
-    coefficients, residual = _solve(face, _face_splits(face), vector)
+    splits = _face_splits(face)
+    coefficients, residual = _solve(splits, _isolating_coordinates(face, splits), vector)
     return coefficients, tuple(residual)
 
 
@@ -200,7 +212,11 @@ def _determinant(rows: Sequence[Sequence[int]]) -> int:
 def _balance_at(
     face: CombinatorialType,
     adjacent: List[Tuple[CombinatorialType, int, Split]],
+    splits: List[Split],
+    coordinates: List[Tuple[int, int]],
 ) -> BalancingReport:
+    """The report at a face, given its splits in key order and their
+    isolating coordinates."""
     # every adjacent cone is the face plus its extra split, so this is also
     # the order of (cone.key, extra_split.key)
     adjacent = sorted(adjacent, key=lambda cw: cw[2].key)
@@ -217,7 +233,7 @@ def _balance_at(
         )
         for i, x in _split_support(extra):
             total[i] += weight * x
-    coefficients, residual = _solve(face, _face_splits(face), total)
+    coefficients, residual = _solve(splits, coordinates, total)
     balanced = not any(residual)
     return BalancingReport(
         face=face,
@@ -245,7 +261,12 @@ def check_balanced(fan: WeightedFan, max_workers: int = 1) -> List[BalancingRepo
     for cone, weight in fan.cones:
         for s in cone.splits:
             faces.setdefault(contract(cone, s), []).append((cone, weight, s))
-    return [_balance_at(face, faces[face]) for face in sorted(faces, key=lambda f: f.key)]
+    reports = []
+    for face in sorted(faces, key=lambda f: f.key):
+        splits = _face_splits(face)
+        coordinates = _isolating_coordinates(face, splits)
+        reports.append(_balance_at(face, faces[face], splits, coordinates))
+    return reports
 
 
 def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
@@ -266,10 +287,11 @@ def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
     branches = _four_branches(tau)
     extras = _resolution_splits(tau, branches)
     adjacent = [(CombinatorialType._trusted(tau.labels, tau.splits | {s}), 1, s) for s in extras]
-    report = _balance_at(tau, adjacent)
     splits = _face_splits(tau)
+    coordinates = _isolating_coordinates(tau, splits)
+    report = _balance_at(tau, adjacent, splits, coordinates)
     base = _quartet_bases(n)[sum(1 << min(b) for b in branches)]
-    columns = tuple(i for i, _ in _isolating_coordinates(tau, splits)) + (base, base + 1)
+    columns = tuple(i for i, _ in coordinates) + (base, base + 1)
     rows = [_split_direction(s) for s in splits]
     rows += [rec.direction for rec in report.adjacent[:2]]
     unimodular = abs(_determinant([[row[c] for c in columns] for row in rows])) == 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .errors import IncompatibleSplit, NotCodimensionOne, SplitAbsent
@@ -42,11 +43,13 @@ class Split:
 
     labels: Labels
     side: Labels
-    # key and text, made on first use: types sort by the one and print the other
+    # key, text and mask, made on first use: types sort by the key, print
+    # the text, and read their local structure off the masks
     _key: Optional[Tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
     _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _mask: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = frozenset(self.labels)
@@ -60,6 +63,10 @@ class Split:
             raise ValueError("both sides of a split need at least two leaves")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "side", side)
+
+    def __hash__(self) -> int:
+        # equal splits have equal sides, and a frozenset keeps its hash once made
+        return hash(self.side)
 
     @classmethod
     def of(cls, labels: Union[int, Iterable[int]], side: Iterable[int]) -> "Split":
@@ -87,6 +94,13 @@ class Split:
             sep = "" if max(self.labels) <= 9 else ","
             object.__setattr__(self, "_text", sep.join(map(str, self.key)))
         return self._text
+
+    @property
+    def mask(self) -> int:
+        """The side as a bitmask: bit i for label i."""
+        if self._mask is None:
+            object.__setattr__(self, "_mask", sum(1 << x for x in self.side))
+        return self._mask
 
     def compatible_with(self, other: "Split") -> bool:
         """Whether the two bipartitions can coexist in one tree.
@@ -140,7 +154,7 @@ class CombinatorialType:
 
     @classmethod
     def _trusted(cls, labels: Labels, splits: FrozenSet[Split]) -> "CombinatorialType":
-        """Build without the pairwise checks, for subsets of a valid type's splits."""
+        """Build without the pairwise checks, for splits compatible by construction."""
         t = object.__new__(cls)
         object.__setattr__(t, "labels", labels)
         object.__setattr__(t, "splits", splits)
@@ -248,15 +262,47 @@ def contract(t: CombinatorialType, s: Split) -> CombinatorialType:
     return CombinatorialType._trusted(t.labels, t.splits - {s})
 
 
+_mask = attrgetter("mask")
+
+
 def _four_branches(t: CombinatorialType) -> Tuple[Labels, ...]:
-    """The branches at the unique 4-valent vertex; the one codimension-1 test."""
-    tree = to_tree(t)
-    vals = tree.valences()
+    """The branches at the unique 4-valent vertex; the one codimension-1 test.
+
+    Read off the laminar family of sides as bitmasks, without realizing the
+    tree.  Vertex 0 is the root (all labels), vertex i the child end of the
+    i-th side by mask, largest first.  A superside has the larger mask, so
+    each side comes after its supersides, and its parent, its smallest
+    strict superside, is the latest earlier one holding it.  A vertex's
+    valence is its children plus its own leaves, plus one for the edge up
+    unless it is the root.
+    """
+    splits = sorted(t.splits, key=_mask, reverse=True)
+    masks = [sum(1 << x for x in t.labels)]
+    own = masks[:]  # a vertex's mask less its children's: its own leaves
+    vals = [0]
+    parents = []
+    for s in splits:
+        m = s.mask
+        p = len(masks) - 1
+        while masks[p] & m != m:
+            p -= 1
+        parents.append(p)
+        own[p] &= ~m
+        vals[p] += 1
+        masks.append(m)
+        own.append(m)
+        vals.append(1)
+    vals = [v + m.bit_count() for v, m in zip(vals, own)]
     if sorted(vals) != [3] * (len(vals) - 1) + [4]:
         raise NotCodimensionOne(
             f"valence profile {tuple(sorted(vals))} has no unique 4-valent vertex"
         )
-    return tree.branches(vals.index(4))
+    v = vals.index(4)
+    out = [frozenset([x]) for x in t.labels if own[v] >> x & 1]
+    out += [s.side for s, p in zip(splits, parents) if p == v]
+    if v:
+        out.append(splits[v - 1].complement)
+    return tuple(sorted(out, key=min))
 
 
 def _resolution_splits(t: CombinatorialType, branches: Tuple[Labels, ...]) -> List[Split]:
@@ -305,6 +351,8 @@ def _build_types(n: int, dim: int) -> Tuple[CombinatorialType, ...]:
 
     All types at n draw their splits from one pool, so equal splits are the
     same object and set operations on them take the identity fast path.
+    Each attachment keeps the sides pairwise disjoint or nested, so the
+    types are built without the pairwise compatibility check.
     """
     if n == 3:
         return (CombinatorialType.of(3),)
@@ -322,7 +370,7 @@ def _build_types(n: int, dim: int) -> Tuple[CombinatorialType, ...]:
             if split is None:
                 split = pool[side] = Split(labels, side)
             splits.add(split)
-        found.append(CombinatorialType(labels, splits))
+        found.append(CombinatorialType._trusted(labels, frozenset(splits)))
 
     if dim <= n - 4:
         for t in _types(n - 1, dim):

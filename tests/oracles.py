@@ -315,15 +315,18 @@ IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
 def _as_vector(v: Sequence[int]) -> List[int]:
-    out = []
-    for x in v:
+    out = list(v)
+    if set(map(type, out)) <= {int}:
+        return out
+    for x in out:
         if isinstance(x, bool) or not isinstance(x, int):
             raise TypeError(f"integer vector expected, found {x!r}")
-        out.append(x)
     return out
 
 
 def _as_rows(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Checked copies of the rows; each public entry checks its input once
+    and hands the copies to the unchecked ``_hermite`` / ``_smith``."""
     mat = [_as_vector(r) for r in rows]
     if mat and len({len(r) for r in mat}) != 1:
         raise DimensionMismatch("matrix rows have unequal lengths")
@@ -336,7 +339,11 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> IntMatrix:
     Pivots are positive, each pivot sits strictly to the right of the one
     above, and the entries above a pivot are reduced into [0, pivot).
     """
-    mat = _as_rows(rows)
+    return _hermite(_as_rows(rows))
+
+
+def _hermite(mat: List[List[int]]) -> IntMatrix:
+    """``hermite_normal_form`` of checked rows, reduced in place."""
     if not mat:
         return ()
     ncols = len(mat[0])
@@ -376,7 +383,7 @@ def in_integer_span(v: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
     mat = _as_rows(rows)
     if mat and len(mat[0]) != len(vec):
         raise DimensionMismatch("vector length does not match matrix width")
-    hnf = hermite_normal_form(mat)
+    hnf = _hermite(mat)
     residue = list(vec)
     for row in hnf:
         c = next(j for j, x in enumerate(row) if x != 0)
@@ -426,7 +433,11 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
 
     Only the nonzero divisors are returned, so their count is the rank.
     """
-    mat = _as_rows(rows)
+    return _smith(_as_rows(rows))
+
+
+def _smith(mat: List[List[int]]) -> Tuple[int, ...]:
+    """``smith_normal_form`` of checked rows, reduced in place."""
     if not mat:
         return ()
     nrows, ncols = len(mat), len(mat[0])
@@ -498,7 +509,7 @@ def is_saturated(rows: Sequence[Sequence[int]]) -> bool:
     criterion is that every elementary divisor equals 1.
     """
     mat = _as_rows(rows)
-    divisors = smith_normal_form(mat)
+    divisors = _smith(mat)
     if len(divisors) < len(mat):
         raise RankDeficient(
             f"rows are dependent: rank {len(divisors)} < {len(mat)} rows"

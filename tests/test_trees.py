@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from tropmod import trees
@@ -21,6 +23,27 @@ def test_split_canonical_side():
     assert s.side == frozenset({3, 4, 5})
     assert s.text == "345"
     assert Split.of(5, (4, 5)) == Split.of(5, (1, 2, 3))
+
+
+def test_equal_splits_hash_equal_from_either_side():
+    for n in (4, 5, 8, 11):
+        labels = range(1, n + 1)
+        for side in ((2, 3), (1, n), tuple(range(2, n))):
+            a = Split.of(n, side)
+            b = Split.of(n, set(labels) - set(side))
+            assert a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+    odd = Split.of((2, 5, 7, 9), (2, 5))
+    assert odd == Split.of((2, 5, 7, 9), (7, 9)) and hash(odd) == hash(Split.of((2, 5, 7, 9), (7, 9)))
+
+
+def test_split_mask_is_the_side_as_bits():
+    for n in range(4, 9):
+        enumerate_types(n, 1)  # every split at n is a ray and joins the pool
+        pool = trees._split_pools[n]
+        assert len(pool) == count_rays(n)
+        for s in pool.values():
+            assert s.mask == sum(1 << x for x in s.side)
 
 
 def test_split_size_bounds():
@@ -144,6 +167,51 @@ def test_resolutions_rejects_other_profiles():
         resolutions(enumerate_types(5, 2)[0])  # trivalent
     with pytest.raises(NotCodimensionOne):
         resolutions(CombinatorialType.of(5))  # 5-valent star
+
+
+def _realized_four_branches(t):
+    """The branches at the 4-valent vertex of the realized tree, or the error."""
+    tree = to_tree(t)
+    vals = tree.valences()
+    if sorted(vals) != [3] * (len(vals) - 1) + [4]:
+        return f"valence profile {tuple(sorted(vals))} has no unique 4-valent vertex"
+    return tree.branches(vals.index(4))
+
+
+def _mask_four_branches(t):
+    try:
+        return trees._four_branches(t)
+    except NotCodimensionOne as exc:
+        return str(exc)
+
+
+def test_four_branches_match_the_realized_tree():
+    for n in range(4, 9):
+        types = enumerate_types(n, n - 4)
+        for t in types:
+            branches = trees._four_branches(t)
+            assert branches == _realized_four_branches(t)
+            assert len(branches) == 4
+    # leaf labels other than 1..n
+    for sides in ([(2, 5)], [(2, 5), (11, 12)], [(9, 11, 12), (11, 12)]):
+        t = CombinatorialType.of((2, 5, 7, 9, 11, 12), sides)
+        assert _mask_four_branches(t) == _realized_four_branches(t)
+
+
+def test_four_branches_reject_every_other_type():
+    for n in range(3, 8):
+        for dim in range(n - 2):
+            if dim == n - 4:
+                continue
+            for t in enumerate_types(n, dim):
+                message = _realized_four_branches(t)
+                assert isinstance(message, str)
+                with pytest.raises(NotCodimensionOne, match=rf"^{re.escape(message)}$"):
+                    trees._four_branches(t)
+    for sides in ([], [(2, 5), (11, 12)], [(2, 5), (2, 5, 7), (11, 12), (11, 12, 14)]):
+        t = CombinatorialType.of((2, 5, 7, 9, 11, 12, 14), sides)
+        message = _realized_four_branches(t)
+        assert isinstance(message, str) and _mask_four_branches(t) == message
 
 
 def test_to_tree_examples():

@@ -240,6 +240,8 @@ def _cmd_check(args, out) -> int:
             raise UsageError(str(exc))
     else:  # smooth
         n = _require(args.n, "--n", "check smooth")
+        if n < 4:
+            raise UsageError("check smooth needs --n >= 4")
         taus = trees.enumerate_types(n, n - 4)
         reports = [divisors.check_smooth_local(n, t) for t in taus]
 

@@ -49,6 +49,8 @@ class WeightedFan:
     def __post_init__(self):
         labels = frozenset(range(1, self.n + 1))
         cones = sorted(self.cones, key=lambda cw: cw[0].key)
+        if not cones:
+            raise ValueError("a fan needs at least one cone")
         for ctype, weight in cones:
             if ctype.labels != labels:
                 raise ValueError(f"{ctype!r} does not live on leaves 1..{self.n}")
@@ -65,9 +67,7 @@ class WeightedFan:
     @classmethod
     def of(cls, n: int, cones: Iterable[Tuple[CombinatorialType, int]]) -> "WeightedFan":
         cones = tuple(cones)
-        if not cones:
-            raise ValueError("a fan needs at least one cone")
-        return cls(n=n, dim=cones[0][0].dim, cones=cones)
+        return cls(n=n, dim=cones[0][0].dim if cones else 0, cones=cones)
 
     @property
     def types(self) -> Tuple[CombinatorialType, ...]:

@@ -14,7 +14,15 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .errors import TooFewLeaves
 from .moduli import ModuliPoint
 from .rationals import POS_INF, is_finite
-from .trees import CombinatorialType, Split, to_tree
+from .trees import CombinatorialType, Split
+
+
+def _forget_split(s: Split, labels: frozenset, j: int) -> Optional[Split]:
+    """s minus j on the remaining leaves, or None when either side drops below two."""
+    side = s.side - {j}
+    if len(side) < 2 or len(labels) - len(side) < 2:
+        return None
+    return Split(labels, side)
 
 
 def forget_cone(t: CombinatorialType, j: int) -> CombinatorialType:
@@ -24,13 +32,8 @@ def forget_cone(t: CombinatorialType, j: int) -> CombinatorialType:
     if t.n <= 3:
         raise TooFewLeaves("forgetting a leaf needs at least four marked leaves")
     labels = t.labels - {j}
-    sides = set()
-    for s in t.splits:
-        side = s.side - {j}
-        if len(side) < 2 or len(labels - side) < 2:
-            continue
-        sides.add(frozenset(side))
-    return CombinatorialType(labels, frozenset(Split(labels, side) for side in sides))
+    images = (_forget_split(s, labels, j) for s in t.splits)
+    return CombinatorialType(labels, frozenset(s for s in images if s is not None))
 
 
 def forget(x: ModuliPoint, j: int) -> ModuliPoint:
@@ -42,11 +45,9 @@ def forget(x: ModuliPoint, j: int) -> ModuliPoint:
     labels = x.labels - {j}
     merged: Dict[Split, object] = {}
     for s, length in x.lengths:
-        side = s.side - {j}
-        if len(side) < 2 or len(labels - side) < 2:
-            continue
-        new = Split(labels, side)
-        merged[new] = merged[new] + length if new in merged else length
+        new = _forget_split(s, labels, j)
+        if new is not None:
+            merged[new] = merged[new] + length if new in merged else length
     ctype = CombinatorialType(labels, frozenset(merged))
     return ModuliPoint(ctype, tuple(merged.items()))
 
@@ -100,92 +101,47 @@ class BoundaryDecomposition:
 
 
 def decompose_boundary(x: ModuliPoint) -> BoundaryDecomposition:
-    """Cut every infinite edge of the realized tree into finite components."""
-    cut = [s for s, length in x.lengths if not is_finite(length)]
+    """Cut every infinite edge into finite components, read off the sides.
+
+    Component 0 is the top one, component i + 1 lies below the i-th cut by
+    key.  Cut sides are nested or disjoint, so each leaf, each finite split
+    and the upper end of each cut lies in the component of the smallest cut
+    side that strictly holds it, or in the top one when none does.  Cut i
+    gives marker ``max(labels) + 1 + 2i`` to its upper end and the next
+    label to its lower end.  Each label of a component stands for the
+    original leaves beyond it, so a finite split's side there is the labels
+    that stand for leaves of its own side.
+    """
+    cut = sorted((s for s, length in x.lengths if not is_finite(length)), key=lambda s: s.key)
     if not cut:
         return BoundaryDecomposition(components=(x,), gluings=())
-    cut.sort(key=lambda s: s.key)
-    cut_set = set(cut)
-    tree = to_tree(x.ctype)
-    nverts = len(tree.vertices)
+    base = max(x.labels) + 1
 
-    adjacency: List[List[Tuple[int, Split]]] = [[] for _ in range(nverts)]
-    for s, p, c in tree.edges:
-        if s in cut_set:
-            continue
-        adjacency[p].append((c, s))
-        adjacency[c].append((p, s))
+    def home(side: frozenset) -> int:
+        holders = [i + 1 for i, c in enumerate(cut) if side < c.side]
+        return min(holders, key=lambda k: len(cut[k - 1].side), default=0)
 
-    component_of = [-1] * nverts
-    ncomps = 0
-    for start in range(nverts):
-        if component_of[start] != -1:
-            continue
-        stack = [start]
-        component_of[start] = ncomps
-        while stack:
-            v = stack.pop()
-            for w, _ in adjacency[v]:
-                if component_of[w] == -1:
-                    component_of[w] = ncomps
-                    stack.append(w)
-        ncomps += 1
-
-    # fresh marker labels, two per cut edge, in canonical split order
-    next_label = max(x.labels) + 1
-    extra_leaves: Dict[int, List[int]] = {}
-    glue_raw = []
-    for s in cut:
-        _, p, c = next(e for e in tree.edges if e[0] == s)
-        m_parent, m_child = next_label, next_label + 1
-        next_label += 2
-        extra_leaves.setdefault(p, []).append(m_parent)
-        extra_leaves.setdefault(c, []).append(m_child)
-        glue_raw.append(((p, m_parent), (c, m_child)))
-
-    comp_vertices = [[v for v in range(nverts) if component_of[v] == i] for i in range(ncomps)]
-    comp_labels = []
-    for verts in comp_vertices:
-        lab = set()
-        for v in verts:
-            lab |= tree.vertices[v].leaves
-            lab |= set(extra_leaves.get(v, ()))
-        comp_labels.append(frozenset(lab))
-
-    def subtree_labels(root: int, banned_split: Split) -> frozenset:
-        """Leaves and markers reachable from root without crossing the edge."""
-        seen = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, s in adjacency[v]:
-                if s == banned_split or w in seen:
-                    continue
-                seen.add(w)
-                stack.append(w)
-        out = set()
-        for v in seen:
-            out |= tree.vertices[v].leaves
-            out |= set(extra_leaves.get(v, ()))
-        return frozenset(out)
-
-    points = []
-    for comp, verts in enumerate(comp_vertices):
-        vset = set(verts)
-        lengths = {}
-        for s, p, c in tree.edges:
-            if s in cut_set or p not in vset:
-                continue
-            side = subtree_labels(c, s)
-            lengths[Split(comp_labels[comp], side)] = x.length_of(s)
-        ctype = CombinatorialType(comp_labels[comp], frozenset(lengths))
-        points.append(ModuliPoint(ctype, tuple(lengths.items())))
-
-    order = sorted(range(ncomps), key=lambda i: min(comp_labels[i]))
+    beyond: List[Dict[int, frozenset]] = [{} for _ in range(len(cut) + 1)]
+    for label in x.labels:
+        beyond[home(frozenset({label}))][label] = frozenset({label})
+    upper = [home(c.side) for c in cut]
+    for i, c in enumerate(cut):
+        beyond[upper[i]][base + 2 * i] = c.side
+        beyond[i + 1][base + 2 * i + 1] = x.labels - c.side
+    labels = [frozenset(b) for b in beyond]
+    lengths: List[Dict[Split, object]] = [{} for _ in beyond]
+    for s, length in x.lengths:
+        if is_finite(length):
+            k = home(s.side)
+            side = frozenset(label for label, held in beyond[k].items() if held <= s.side)
+            lengths[k][Split(labels[k], side)] = length
+    points = [
+        ModuliPoint(CombinatorialType(lab, frozenset(own)), tuple(own.items()))
+        for lab, own in zip(labels, lengths)
+    ]
+    order = sorted(range(len(points)), key=lambda k: min(labels[k]))
     rank = {old: new for new, old in enumerate(order)}
-    components = tuple(points[i] for i in order)
     gluings = tuple(
-        ((rank[component_of[p]], mp), (rank[component_of[c]], mc))
-        for (p, mp), (c, mc) in glue_raw
+        ((rank[upper[i]], base + 2 * i), (rank[i + 1], base + 2 * i + 1)) for i in range(len(cut))
     )
-    return BoundaryDecomposition(components=components, gluings=gluings)
+    return BoundaryDecomposition(components=tuple(points[k] for k in order), gluings=gluings)

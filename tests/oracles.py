@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own algorithms: tree enumeration runs
 over Prüfer sequences, double ratios are computed by explicit path extraction
-on realized trees, resolutions by scanning every bipartition, and graph girth
-by breadth-first search.  Span membership and saturation use general
+on realized trees, resolutions by scanning every bipartition, boundary
+decompositions by a graph walk on the realized tree, and graph girth by
+breadth-first search.  Span membership and saturation use general
 Hermite/Smith normal forms, against which the library's closed-form
 witnesses are checked.  The embedding is inverted by scanning every
 bipartition, against which leaf-by-leaf split recovery is checked.
@@ -20,8 +21,9 @@ from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from tropmod.errors import DimensionMismatch, IncompatibleSplit, NotInImage, RankDeficient
+from tropmod.maps import BoundaryDecomposition
 from tropmod.moduli import ModuliPoint, RatioIndex, _sigma, canonical_coordinates
-from tropmod.rationals import ExtendedRational
+from tropmod.rationals import ExtendedRational, is_finite
 from tropmod.trees import CombinatorialType, Split, to_tree
 
 
@@ -179,6 +181,103 @@ def path_double_ratio(x: ModuliPoint, r: RatioIndex) -> ExtendedRational:
             length = x.length_of(tree.edges[eid][0])
             total = total + (length if sign == path_kl[eid] else -length)
     return total
+
+
+def graph_decompose_boundary(x: ModuliPoint) -> BoundaryDecomposition:
+    """Cut every infinite edge of the realized tree into finite components.
+
+    Flood-fills the tree minus its cut edges, hangs two fresh markers per
+    cut (in key order) on its ends, and reads each kept edge's side by a
+    search that does not cross it.
+    """
+    cut = [s for s, length in x.lengths if not is_finite(length)]
+    if not cut:
+        return BoundaryDecomposition(components=(x,), gluings=())
+    cut.sort(key=lambda s: s.key)
+    cut_set = set(cut)
+    tree = to_tree(x.ctype)
+    nverts = len(tree.vertices)
+
+    adjacency: List[List[Tuple[int, Split]]] = [[] for _ in range(nverts)]
+    for s, p, c in tree.edges:
+        if s in cut_set:
+            continue
+        adjacency[p].append((c, s))
+        adjacency[c].append((p, s))
+
+    component_of = [-1] * nverts
+    ncomps = 0
+    for start in range(nverts):
+        if component_of[start] != -1:
+            continue
+        stack = [start]
+        component_of[start] = ncomps
+        while stack:
+            v = stack.pop()
+            for w, _ in adjacency[v]:
+                if component_of[w] == -1:
+                    component_of[w] = ncomps
+                    stack.append(w)
+        ncomps += 1
+
+    # fresh marker labels, two per cut edge, in canonical split order
+    next_label = max(x.labels) + 1
+    extra_leaves: Dict[int, List[int]] = {}
+    glue_raw = []
+    for s in cut:
+        _, p, c = next(e for e in tree.edges if e[0] == s)
+        m_parent, m_child = next_label, next_label + 1
+        next_label += 2
+        extra_leaves.setdefault(p, []).append(m_parent)
+        extra_leaves.setdefault(c, []).append(m_child)
+        glue_raw.append(((p, m_parent), (c, m_child)))
+
+    comp_vertices = [[v for v in range(nverts) if component_of[v] == i] for i in range(ncomps)]
+    comp_labels = []
+    for verts in comp_vertices:
+        lab = set()
+        for v in verts:
+            lab |= tree.vertices[v].leaves
+            lab |= set(extra_leaves.get(v, ()))
+        comp_labels.append(frozenset(lab))
+
+    def subtree_labels(root: int, banned_split: Split) -> frozenset:
+        """Leaves and markers reachable from root without crossing the edge."""
+        seen = {root}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, s in adjacency[v]:
+                if s == banned_split or w in seen:
+                    continue
+                seen.add(w)
+                stack.append(w)
+        out = set()
+        for v in seen:
+            out |= tree.vertices[v].leaves
+            out |= set(extra_leaves.get(v, ()))
+        return frozenset(out)
+
+    points = []
+    for comp, verts in enumerate(comp_vertices):
+        vset = set(verts)
+        lengths = {}
+        for s, p, c in tree.edges:
+            if s in cut_set or p not in vset:
+                continue
+            side = subtree_labels(c, s)
+            lengths[Split(comp_labels[comp], side)] = x.length_of(s)
+        ctype = CombinatorialType(comp_labels[comp], frozenset(lengths))
+        points.append(ModuliPoint(ctype, tuple(lengths.items())))
+
+    order = sorted(range(ncomps), key=lambda i: min(comp_labels[i]))
+    rank = {old: new for new, old in enumerate(order)}
+    components = tuple(points[i] for i in order)
+    gluings = tuple(
+        ((rank[component_of[p]], mp), (rank[component_of[c]], mc))
+        for (p, mp), (c, mc) in glue_raw
+    )
+    return BoundaryDecomposition(components=components, gluings=gluings)
 
 
 def dense_embed(x: ModuliPoint) -> Tuple[ExtendedRational, ...]:

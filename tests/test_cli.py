@@ -71,6 +71,14 @@ def test_check_smooth_pass():
     assert "smooth" in out
 
 
+def test_check_smooth_needs_four_leaves(capsys):
+    for n in ("3", "2"):
+        code, out = run(["check", "smooth", "--n", n])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: check smooth needs --n >= 4\n"
+
+
 def test_check_psi_pass_and_usage():
     code, out = run(["check", "psi", "--n", "5", "--k", "1"])
     assert code == EXIT_OK
@@ -246,8 +254,9 @@ _FAN_CONE = {"splits": [[4, 5], [3, 4, 5]], "weight": 1}
         {"n": 5, "dim": 2, "cones": [dict(_FAN_CONE, weight=True)]},  # boolean weight
         {"n": "5", "dim": 2, "cones": [_FAN_CONE]},  # n as a string
         {"n": 5, "dim": 2, "cones": [{"splits": ["45", [3, 4, 5]]}]},  # side as a string
+        {"n": 5, "dim": 1, "cones": []},  # no cones
     ],
-    ids=["missing-splits", "float-weight", "bool-weight", "string-n", "digit-string-side"],
+    ids=["missing-splits", "float-weight", "bool-weight", "string-n", "digit-string-side", "no-cones"],
 )
 def test_malformed_fan_is_one_error_line(tmp_path, capsys, fan):
     path = tmp_path / "bad_fan.json"

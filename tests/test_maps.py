@@ -14,7 +14,8 @@ from tropmod.moduli import ModuliPoint, RatioIndex, double_ratio
 from tropmod.rationals import POS_INF, is_finite
 from tropmod.trees import contract, enumerate_types
 
-from conftest import random_point
+from conftest import random_point, random_tree_point
+from oracles import graph_decompose_boundary
 
 
 def test_forget_drops_degenerate_split():
@@ -207,3 +208,23 @@ def test_decompose_all_components_finite(rng):
         for comp in d.components:
             union |= comp.labels
         assert set(x.labels) <= union
+
+
+def test_decompose_matches_graph_oracle(rng):
+    # every dimension and cut density; forget leaves labels non-dense, and
+    # section images cut off a tripod
+    for n in range(4, 12):
+        for dim in range(n - 2):
+            for chance in (0.2, 0.5, 0.9):
+                x = random_tree_point(rng, n, dim=dim, infinite_chance=chance)
+                wider = random_tree_point(rng, n + 1, dim=min(dim + 1, n - 2), infinite_chance=chance)
+                for point in (x, forget(wider, rng.randint(1, n + 1)), section(x, rng.randint(1, n))):
+                    assert decompose_boundary(point) == graph_decompose_boundary(point)
+
+
+def test_decompose_component_of_markers_only():
+    x = ModuliPoint.of(6, {(3, 4, 5, 6): POS_INF, (3, 4): POS_INF, (5, 6): POS_INF})
+    d = decompose_boundary(x)
+    assert [sorted(c.labels) for c in d.components] == [[1, 2, 9], [3, 4, 8], [5, 6, 12], [7, 10, 11]]
+    assert all(c.ctype.dim == 0 for c in d.components)
+    assert d.gluings == (((3, 7), (1, 8)), ((0, 9), (3, 10)), ((3, 11), (2, 12)))

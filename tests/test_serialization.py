@@ -86,6 +86,8 @@ def test_bad_inputs_rejected():
     with pytest.raises(ValueError):
         serialization.fan_from_json({"n": 4, "cones": []})
     with pytest.raises(ValueError):
+        serialization.fan_from_json({"n": 5, "dim": 1, "cones": []})
+    with pytest.raises(ValueError):
         serialization.point_from_json(
             {"n": 4, "splits": [{"side": [3, 4], "length": "1"},
                                 {"side": [1, 2], "length": "2"}]}

@@ -1,5 +1,12 @@
 """Command-line front end: enumeration, embedding, certification, export.
 
+Each kind of check and each export target takes only the flags it reads,
+written after it: check balancing (--n N | --fan FILE), check smooth --n N
+and check psi --n N --k K, each with [--format text|json]; export link --n N
+[--format dot|json], export fan --n N and export embed --point FILE, each
+with [--output FILE].  A missing flag, or one the kind does not read, is a
+usage error.
+
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a requested
 certificate fails.  Output ordering is canonical, so runs are byte-for-byte
 reproducible.  The TROPMOD_THREADS environment variable caps the number of
@@ -135,11 +142,18 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("check", help="run a certificate; exit 2 on failure")
-    p.add_argument("what", choices=("balancing", "smooth", "psi"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--fan", metavar="FILE")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    kinds = p.add_subparsers(dest="what", required=True)
+    q = kinds.add_parser("balancing", help="balancing of the moduli fan or of a fan file")
+    source = q.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=int)
+    source.add_argument("--fan", metavar="FILE")
+    q = kinds.add_parser("smooth", help="local smoothness at every codimension-1 type")
+    q.add_argument("--n", type=int, required=True)
+    q = kinds.add_parser("psi", help="balancing of the psi divisor of leaf k")
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--k", type=int, required=True)
+    for q in kinds.choices.values():
+        q.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("forget", help="apply a forgetful map to a point")
     p.add_argument("--point", metavar="FILE", required=True)
@@ -154,19 +168,18 @@ def build_parser() -> _Parser:
     p.add_argument("--point", metavar="FILE", required=True)
 
     p = sub.add_parser("export", help="export the link graph, a fan, or an embedding")
-    p.add_argument("target", choices=("link", "fan", "embed"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--point", metavar="FILE")
-    p.add_argument("--format", choices=("dot", "json"), default=None)
-    p.add_argument("--output", metavar="FILE")
+    targets = p.add_subparsers(dest="target", required=True)
+    q = targets.add_parser("link", help="the link of the origin")
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--format", choices=("dot", "json"), default="dot")
+    q = targets.add_parser("fan", help="the moduli fan as JSON")
+    q.add_argument("--n", type=int, required=True)
+    q = targets.add_parser("embed", help="the embedding vector of a point")
+    q.add_argument("--point", metavar="FILE", required=True)
+    for q in targets.choices.values():
+        q.add_argument("--output", metavar="FILE")
 
     return parser
-
-
-def _require(value, flag: str, command: str):
-    if value is None:
-        raise UsageError(f"{command} requires {flag}")
-    return value
 
 
 def _cmd_enumerate(args, out) -> int:
@@ -206,47 +219,24 @@ def _cmd_reconstruct(args, out) -> int:
     return EXIT_OK
 
 
-def _report_lines(reports, out, kind: str) -> bool:
-    all_ok = True
-    for rep in reports:
-        ok = rep.balanced if rep.smooth is None else (rep.balanced and rep.smooth)
-        all_ok = all_ok and ok
-        verdict = []
-        verdict.append("balanced" if rep.balanced else "UNBALANCED")
-        if rep.smooth is not None:
-            verdict.append("smooth" if rep.smooth else "NOT SMOOTH")
-        out.write(
-            f"{kind} {rep.face.text}: {len(rep.adjacent)} adjacent, "
-            + ", ".join(verdict)
-            + "\n"
-        )
-    return all_ok
-
-
 def _cmd_check(args, out) -> int:
     workers = _thread_cap()
     if args.what == "balancing":
         if args.fan is not None:
             fan = serialization.fan_from_json(_load_json(args.fan))
         else:
-            fan = divisors.moduli_fan(_require(args.n, "--n", "check balancing"))
+            fan = divisors.moduli_fan(args.n)
         reports = divisors.check_balanced(fan, max_workers=workers)
     elif args.what == "psi":
-        n = _require(args.n, "--n", "check psi")
-        k = _require(args.k, "--k", "check psi")
-        try:
-            reports = divisors.check_psi_balanced(n, k, max_workers=workers)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        reports = divisors.check_psi_balanced(args.n, args.k, max_workers=workers)
     else:  # smooth
-        n = _require(args.n, "--n", "check smooth")
-        if n < 4:
+        if args.n < 4:
             raise UsageError("check smooth needs --n >= 4")
-        taus = trees.enumerate_types(n, n - 4)
-        reports = [divisors.check_smooth_local(n, t) for t in taus]
+        taus = trees.enumerate_types(args.n, args.n - 4)
+        reports = [divisors.check_smooth_local(args.n, t) for t in taus]
 
+    ok = all(r.balanced and r.smooth is not False for r in reports)
     if args.format == "json":
-        ok = all(r.balanced and r.smooth is not False for r in reports)
         payload = {
             "check": args.what,
             "reports": map(serialization.report_to_json, reports),
@@ -255,7 +245,11 @@ def _cmd_check(args, out) -> int:
         _dump(payload, out)
     else:
         label = "face" if args.what != "smooth" else "codim-1 type"
-        ok = _report_lines(reports, out, label)
+        for rep in reports:
+            verdict = "balanced" if rep.balanced else "UNBALANCED"
+            if rep.smooth is not None:
+                verdict += ", smooth" if rep.smooth else ", NOT SMOOTH"
+            out.write(f"{label} {rep.face.text}: {len(rep.adjacent)} adjacent, {verdict}\n")
         out.write(("all checks passed" if ok else "CERTIFICATE FAILED") + "\n")
     return EXIT_OK if ok else EXIT_CERTIFICATE
 
@@ -295,30 +289,24 @@ def _link_dot(graph: moduli.LinkGraph) -> str:
 
 
 def _cmd_export(args, out) -> int:
-    target = args.target
-    if target == "link":
-        n = _require(args.n, "--n", "export link")
-        if n < 5:
+    if args.target == "link":
+        if args.n < 5:
             raise UsageError("export link needs --n >= 5")
-        graph = moduli.link_graph(n)
-        fmt = args.format or "dot"
-        if fmt == "dot":
+        graph = moduli.link_graph(args.n)
+        if args.format == "dot":
             text = _link_dot(graph)
         else:
             payload = {
-                "n": n,
+                "n": args.n,
                 "vertices": [serialization.type_to_json(t) for t in graph.vertices],
                 "edges": graph.edges,
             }
             text = _render(payload) + "\n"
-    elif target == "fan":
-        n = _require(args.n, "--n", "export fan")
-        text = _render(serialization.fan_to_json(divisors.moduli_fan(n))) + "\n"
+    elif args.target == "fan":
+        text = _render(serialization.fan_to_json(divisors.moduli_fan(args.n))) + "\n"
     else:  # embed
-        path = _require(args.point, "--point", "export embed")
-        point = serialization.point_from_json(_load_json(path))
-        vector = moduli.embed(point)
-        text = _render(serialization.vector_to_json(vector)) + "\n"
+        point = serialization.point_from_json(_load_json(args.point))
+        text = _render(serialization.vector_to_json(moduli.embed(point))) + "\n"
 
     if args.output:
         try:
@@ -349,10 +337,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
         return _COMMANDS[args.command](args, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (TropmodError, ValueError) as exc:
+    except (UsageError, TropmodError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -69,10 +69,6 @@ class WeightedFan:
         cones = tuple(cones)
         return cls(n=n, dim=cones[0][0].dim if cones else 0, cones=cones)
 
-    @property
-    def types(self) -> Tuple[CombinatorialType, ...]:
-        return tuple(c for c, _ in self.cones)
-
 
 @dataclass(frozen=True, slots=True)
 class AdjacentFacet:
@@ -254,9 +250,6 @@ def check_balanced(fan: WeightedFan, max_workers: int = 1) -> List[BalancingRepo
     """
     if isinstance(max_workers, bool) or not isinstance(max_workers, int) or max_workers < 1:
         raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
-    dims = {c.dim for c, _ in fan.cones}
-    if len(dims) > 1:
-        raise NotPure(f"fan has mixed cone dimensions {sorted(dims)}")
     faces: Dict[CombinatorialType, List[Tuple[CombinatorialType, int, Split]]] = {}
     for cone, weight in fan.cones:
         for s in cone.splits:

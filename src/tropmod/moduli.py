@@ -80,11 +80,8 @@ def canonical_coordinates(n: int) -> Tuple[RatioIndex, ...]:
     if not isinstance(n, int) or n < 4:
         raise ValueError("canonical coordinates need n >= 4")
     out = []
-    for a, b, c, d in itertools.combinations(range(1, n + 1), 4):
-        out.append(RatioIndex((a, b), (c, d)))
-        out.append(RatioIndex((a, c), (b, d)))
-        out.append(RatioIndex((a, d), (b, c)))
-    assert len(out) == 3 * comb(n, 4)
+    for (a, b, c, d), _ in _quartets(n):
+        out += (RatioIndex((a, b), (c, d)), RatioIndex((a, c), (b, d)), RatioIndex((a, d), (b, c)))
     return tuple(out)
 
 
@@ -254,19 +251,20 @@ def _split_direction(split: Split) -> Tuple[int, ...]:
 
 # A quartet's three coordinates under a split that pairs its smallest label
 # with the label at position 1, 2 or 3, indexed by that position less one
-# (the coordinate that vanishes): the rays of M_{0,4}.  The first nonzero
-# entry is the coordinate that isolates the split (see ``_quartet_coordinate``).
+# (the coordinate that vanishes, as keyed by ``_quartet_totals``): the rays of
+# M_{0,4}.  The first nonzero entry is the coordinate that isolates the split
+# (see ``_quartet_coordinate``).
 _RAYS = ((0, 1, 1), (1, 0, -1), (-1, -1, 0))
 
 
-def _quartet_entries(n: int, a: int, b: int, c: int, d: int) -> Tuple[Tuple[int, int], ...]:
-    """Nonzero (index, sign) entries of a split with ab|cd on the quartet {a,b,c,d}."""
-    quad = tuple(sorted((a, b, c, d)))
-    low = quad[0]
-    partner = {a: b, b: a, c: d, d: c}[low]
-    base = _quartet_bases(n)[(1 << a) | (1 << b) | (1 << c) | (1 << d)]
-    ray = _RAYS[quad.index(partner) - 1]
-    return tuple((base + off, sign) for off, sign in enumerate(ray) if sign)
+def _ray_entries(totals: Mapping[int, int]) -> List[Tuple[int, int]]:
+    """The nonzero (index, sign) entries of the rays that quartet keys name."""
+    return [
+        (key - key % 3 + off, sign)
+        for key in totals
+        for off, sign in enumerate(_RAYS[key % 3])
+        if sign
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -279,7 +277,8 @@ def _quartet_coordinate(n: int, a: int, b: int, c: int, d: int) -> Tuple[int, in
     ab|cd).  When a single edge of a tree is the inner path of ab|cd, this
     coordinate isolates it among the tree's splits.
     """
-    return _quartet_entries(n, a, b, c, d)[0]
+    quartet = Split(frozenset((a, b, c, d)), frozenset((a, b)))
+    return _ray_entries(_quartet_totals(n, [(quartet, 1)]))[0]
 
 
 @lru_cache(maxsize=None)
@@ -290,12 +289,7 @@ def _split_support(split: Split) -> Tuple[Tuple[int, int], ...]:
     2 * C(a,2) * C(b,2) entries for sides of sizes a and b.
     """
     n = _require_standard_labels(split.labels)
-    out = []
-    for a, b in itertools.combinations(sorted(split.side), 2):
-        for c, d in itertools.combinations(sorted(split.complement), 2):
-            out.extend(_quartet_entries(n, a, b, c, d))
-    out.sort()
-    return tuple(out)
+    return tuple(sorted(_ray_entries(_quartet_totals(n, [(split, 1)]))))
 
 
 def direction_vector(t: CombinatorialType, s: Split) -> Tuple[int, ...]:
@@ -398,9 +392,6 @@ def embed(x: ModuliPoint) -> EmbeddingVector:
     return EmbeddingVector._trusted(n, tuple(entries))
 
 
-_FINITE_ONLY = "reconstruction is defined for finite vectors only"
-
-
 def _over_common_denominator(entries: Sequence[Fraction]) -> Tuple[int, List[int]]:
     """The common denominator D of finite entries and the entries times D.
 
@@ -409,7 +400,7 @@ def _over_common_denominator(entries: Sequence[Fraction]) -> Tuple[int, List[int
     """
     distinct = {id(e): e for e in entries}
     if any(isinstance(e, Infinity) for e in distinct.values()):
-        raise ValueError(_FINITE_ONLY)
+        raise ValueError("reconstruction is defined for finite vectors only")
     denominator = lcm(*{e.denominator for e in distinct.values()})
     scale = {k: e.numerator * (denominator // e.denominator) for k, e in distinct.items()}
     return denominator, [scale[id(e)] for e in entries]
@@ -491,26 +482,14 @@ def reconstruct(v: Union[EmbeddingVector, Sequence], n: int) -> ModuliPoint:
     over the vector's common denominator.  NotInImage is raised when any
     step fails.
     """
-    parsed = isinstance(v, EmbeddingVector)
-    if parsed:
-        if v.n != n:
-            raise ValueError(f"vector is for n = {v.n}, not {n}")
-        raw: Sequence = v.entries
-    else:
-        raw = tuple(v)
+    if isinstance(v, EmbeddingVector) and v.n != n:
+        raise ValueError(f"vector is for n = {v.n}, not {n}")
     if n < 4:
         raise ValueError("reconstruction needs n >= 4")
-    _check_coordinates(n, raw)
-    entries = raw
-    if not parsed:
-        entries = []
-        for value in raw:
-            value = parse_extended(value)
-            if isinstance(value, Infinity):
-                raise ValueError(_FINITE_ONLY)
-            entries.append(value)
+    if not isinstance(v, EmbeddingVector):
+        v = EmbeddingVector(n, tuple(v))
 
-    denominator, scaled = _over_common_denominator(entries)
+    denominator, scaled = _over_common_denominator(v.entries)
     labels = frozenset(range(1, n + 1))
     splits = {
         Split(labels, frozenset(side)): least

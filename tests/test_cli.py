@@ -158,6 +158,33 @@ def test_export_to_file(tmp_path):
     assert target.read_text().startswith("graph link_n5 {")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("check smooth --n 5 --fan FAN", "--fan"),
+        ("check psi --n 6 --k 1 --fan FAN", "--fan"),
+        ("check balancing --n 5 --k 2", "--k"),
+        ("check balancing --n 5 --fan FAN", "--fan"),
+        ("export fan --n 4 --format dot", "--format"),
+        ("export embed --point POINT --n 5", "--n"),
+        ("export link --n 5 --point POINT", "--point"),
+        ("check balancing", "--n --fan"),
+        ("check psi --n 6", "--k"),
+    ],
+)
+def test_unread_or_missing_flag_is_one_error_line(tmp_path, capsys, argv, flag):
+    # valid files, so that a command that ignored the flag would succeed
+    fan = tmp_path / "fan.json"
+    fan.write_text(run(["export", "fan", "--n", "5"])[1])
+    point = write_point(tmp_path, ModuliPoint.of(5, {(4, 5): 1}))
+    capsys.readouterr()
+    argv = [{"FAN": str(fan), "POINT": point}.get(a, a) for a in argv.split()]
+    code, out = run(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
 def test_forget_section_decompose(tmp_path):
     point = ModuliPoint.of(5, {(4, 5): "3/2", (3, 4, 5): 7})
     path = write_point(tmp_path, point)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -190,6 +191,20 @@ def test_reconstruct_requires_finite_entries():
     x = ModuliPoint.of(4, {(3, 4): POS_INF})
     with pytest.raises(ValueError):
         reconstruct(embed(x), 4)
+
+
+@pytest.mark.parametrize(
+    "entries, error, message",
+    [
+        (["inf", "1", "1"], ValueError, "reconstruction is defined for finite vectors only"),
+        (["0", "1"], ValueError, "expected 3 coordinates for n = 4"),
+        ([0, 1.5, 1.5], TypeError, "floats are not exact"),
+    ],
+    ids=["infinite-entry", "wrong-length", "float-entry"],
+)
+def test_reconstruct_rejects_raw_inputs(entries, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        reconstruct(entries, 4)
 
 
 def test_embedding_injective_roundtrip(rng):

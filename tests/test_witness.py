@@ -1,5 +1,6 @@
 """Closed-form witnesses against the general Hermite/Smith oracles."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from tropmod.divisors import (
 )
 from tropmod.errors import DimensionMismatch
 from tropmod.moduli import _split_direction, _split_support
-from tropmod.trees import contract, enumerate_types
+from tropmod.trees import Split, contract, enumerate_types
 
 import oracles
 
@@ -37,11 +38,13 @@ def span_verdict(face, vector):
 
 
 def test_split_support_is_the_dense_direction():
-    for n in range(4, 8):
-        for ray in enumerate_types(n, 1):
-            (s,) = ray.splits
-            dense = _split_direction(s)
-            assert _split_support(s) == tuple((i, x) for i, x in enumerate(dense) if x)
+    for n in range(4, 10):
+        labels = frozenset(range(1, n + 1))
+        for size in range(2, n - 1):  # every side without leaf 1
+            for side in itertools.combinations(range(2, n + 1), size):
+                s = Split(labels, frozenset(side))
+                dense = _split_direction(s)
+                assert _split_support(s) == tuple((i, x) for i, x in enumerate(dense) if x)
 
 
 def test_isolating_coordinates_on_every_type():

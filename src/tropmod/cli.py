@@ -179,6 +179,9 @@ def build_parser() -> _Parser:
     for q in targets.choices.values():
         q.add_argument("--output", metavar="FILE")
 
+    # usage errors name the choices, not the dest
+    for action in (sub, kinds, targets):
+        action.metavar = "{" + ",".join(action.choices) + "}"
     return parser
 
 
@@ -219,24 +222,30 @@ def _cmd_reconstruct(args, out) -> int:
     return EXIT_OK
 
 
+def _passed(report: divisors.BalancingReport) -> bool:
+    return report.balanced and report.smooth is not False
+
+
 def _cmd_check(args, out) -> int:
-    workers = _thread_cap()
+    _thread_cap()  # validated; the faces are solved serially, which meets any cap
     if args.what == "balancing":
         if args.fan is not None:
             fan = serialization.fan_from_json(_load_json(args.fan))
         else:
             fan = divisors.moduli_fan(args.n)
-        reports = divisors.check_balanced(fan, max_workers=workers)
+        reports = divisors._face_reports(fan)
     elif args.what == "psi":
-        reports = divisors.check_psi_balanced(args.n, args.k, max_workers=workers)
+        reports = divisors._psi_reports(args.n, args.k)
     else:  # smooth
         if args.n < 4:
             raise UsageError("check smooth needs --n >= 4")
         taus = trees.enumerate_types(args.n, args.n - 4)
-        reports = [divisors.check_smooth_local(args.n, t) for t in taus]
+        reports = (divisors.check_smooth_local(args.n, t) for t in taus)
 
-    ok = all(r.balanced and r.smooth is not False for r in reports)
     if args.format == "json":
+        # all_passed follows the reports, so they are listed first
+        reports = list(reports)
+        ok = all(map(_passed, reports))
         payload = {
             "check": args.what,
             "reports": map(serialization.report_to_json, reports),
@@ -244,11 +253,13 @@ def _cmd_check(args, out) -> int:
         }
         _dump(payload, out)
     else:
+        ok = True
         label = "face" if args.what != "smooth" else "codim-1 type"
         for rep in reports:
             verdict = "balanced" if rep.balanced else "UNBALANCED"
             if rep.smooth is not None:
                 verdict += ", smooth" if rep.smooth else ", NOT SMOOTH"
+            ok = ok and _passed(rep)
             out.write(f"{label} {rep.face.text}: {len(rep.adjacent)} adjacent, {verdict}\n")
         out.write(("all checks passed" if ok else "CERTIFICATE FAILED") + "\n")
     return EXIT_OK if ok else EXIT_CERTIFICATE

@@ -12,13 +12,23 @@ direction is 0, so the coefficients of any combination are forced and are
 integers: a vector is in the span (rational or integer alike) iff it equals
 the recombination with those coefficients.  Saturation is witnessed by a
 square minor of determinant +-1.
+
+A face is solved on packed vectors: each direction is one int with a signed
+field per coordinate, so the weighted sum, the recombination and their
+comparison are a few big-integer operations.  With W the sum of the adjacent
+weights and d the number of face splits, every entry of either vector is at
+most W * (d + 1) in size, and the fields are chosen wide enough to hold that
+(see ``_balance_at``).  Reports are produced one face at a time, so the
+command line writes each as it is solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotCodimensionOne, NotPure
 from .moduli import (
@@ -205,18 +215,84 @@ def _determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1] if size else 1
 
 
+# memoryview formats of the field widths that a C integer type holds
+_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _field_width(bound: int) -> int:
+    """The narrowest field whose signed range holds -bound..bound: 8, 16, 32
+    or 64 bits, or beyond that a whole number of bytes."""
+    bits = bound.bit_length() + 1  # 2^(bits-1) > bound
+    return next((w for w in _FORMATS if w >= bits), -(-bits // 8) * 8)
+
+
+@lru_cache(maxsize=None)
+def _packed_direction(split: Split, width: int) -> int:
+    """The direction of a split as sum(entry_i << (width * i))."""
+    step = width // 8
+    plus = bytearray(3 * comb(split.n, 4) * step)
+    minus = bytearray(len(plus))
+    for i, x in _split_support(split):
+        (plus if x > 0 else minus)[i * step] = 1
+    return int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+
+
+@lru_cache(maxsize=None)
+def _field_bias(width: int, size: int) -> int:
+    """2^(width-1) in each of ``size`` fields."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * size, "little")
+
+
+def _unpack(packed: int, width: int, size: int) -> Tuple[int, ...]:
+    """The entries of a packed vector of ``size`` fields that hold them.
+
+    Adding the bias makes every field a digit in [0, 2^width), so no carry
+    crosses a field, and flipping each field's top bit back leaves the
+    entries in two's complement, read in C where a C type is that wide.
+    """
+    bias = _field_bias(width, size)
+    step = width // 8
+    order = sys.byteorder
+    raw = ((packed + bias) ^ bias).to_bytes(size * step, order)
+    code = _FORMATS.get(width)
+    if code is not None:
+        fields = tuple(memoryview(raw).cast(code))
+    else:
+        fields = tuple(
+            int.from_bytes(raw[i : i + step], order, signed=True)
+            for i in range(0, len(raw), step)
+        )
+    # big-endian bytes list the highest field first
+    return fields if order == "little" else fields[::-1]
+
+
 def _balance_at(
     face: CombinatorialType,
     adjacent: List[Tuple[CombinatorialType, int, Split]],
     splits: List[Split],
     coordinates: List[Tuple[int, int]],
+    unimodular: Optional[bool] = None,
+    minor: Optional[Tuple[int, ...]] = None,
 ) -> BalancingReport:
     """The report at a face, given its splits in key order and their
-    isolating coordinates."""
+    isolating coordinates.  A smoothness check also passes whether its
+    minor has determinant +-1, and that minor (None when it has not).
+
+    The weighted sum and the recombination of the face directions are
+    compared packed.  Let W be the sum of the adjacent weights and d the
+    number of face splits.  Directions have entries in {-1, 0, 1}, so each
+    sum entry is at most W in size, hence each coefficient (a sum entry up
+    to sign), and each recombined entry at most d * W: every entry of
+    either vector, and of their difference, is at most W * (d + 1).  The
+    fields are signed with 2^(width-1) above that bound, so a packed value
+    has one representation with every digit in the fields' range, and the
+    packed ints are equal iff the vectors are.
+    """
     # every adjacent cone is the face plus its extra split, so this is also
     # the order of (cone.key, extra_split.key)
     adjacent = sorted(adjacent, key=lambda cw: cw[2].key)
-    total = [0] * (3 * comb(face.n, 4))
+    width = _field_width(sum(weight for _, weight, _ in adjacent) * (len(splits) + 1))
+    total = 0
     records = []
     for cone, weight, extra in adjacent:
         records.append(
@@ -227,17 +303,37 @@ def _balance_at(
                 direction=_split_direction(extra),
             )
         )
-        for i, x in _split_support(extra):
-            total[i] += weight * x
-    coefficients, residual = _solve(splits, coordinates, total)
-    balanced = not any(residual)
+        total += weight * _packed_direction(extra, width)
+    weighted_sum = _unpack(total, width, 3 * comb(face.n, 4))
+    coefficients = tuple(sign * weighted_sum[i] for i, sign in coordinates)
+    combo = sum(c * _packed_direction(s, width) for s, c in zip(splits, coefficients))
+    balanced = total == combo
     return BalancingReport(
         face=face,
         adjacent=tuple(records),
-        weighted_sum=tuple(total),
+        weighted_sum=weighted_sum,
         balanced=balanced,
+        smooth=None if unimodular is None else balanced and unimodular,
         witness=coefficients if balanced else None,
+        minor=minor,
     )
+
+
+def _check_workers(max_workers: int) -> None:
+    if isinstance(max_workers, bool) or not isinstance(max_workers, int) or max_workers < 1:
+        raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
+
+
+def _face_reports(fan: WeightedFan) -> Iterator[BalancingReport]:
+    """The reports of ``check_balanced`` in key order, each face solved as
+    it is read."""
+    faces: Dict[CombinatorialType, List[Tuple[CombinatorialType, int, Split]]] = {}
+    for cone, weight in fan.cones:
+        for s in cone.splits:
+            faces.setdefault(contract(cone, s), []).append((cone, weight, s))
+    for face in sorted(faces, key=lambda f: f.key):
+        splits = _face_splits(face)
+        yield _balance_at(face, faces[face], splits, _isolating_coordinates(face, splits))
 
 
 def check_balanced(fan: WeightedFan, max_workers: int = 1) -> List[BalancingReport]:
@@ -248,18 +344,8 @@ def check_balanced(fan: WeightedFan, max_workers: int = 1) -> List[BalancingRepo
     boundary of a single one.  ``max_workers`` caps the worker threads; the
     faces are checked serially, which meets any cap.
     """
-    if isinstance(max_workers, bool) or not isinstance(max_workers, int) or max_workers < 1:
-        raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
-    faces: Dict[CombinatorialType, List[Tuple[CombinatorialType, int, Split]]] = {}
-    for cone, weight in fan.cones:
-        for s in cone.splits:
-            faces.setdefault(contract(cone, s), []).append((cone, weight, s))
-    reports = []
-    for face in sorted(faces, key=lambda f: f.key):
-        splits = _face_splits(face)
-        coordinates = _isolating_coordinates(face, splits)
-        reports.append(_balance_at(face, faces[face], splits, coordinates))
-    return reports
+    _check_workers(max_workers)
+    return list(_face_reports(fan))
 
 
 def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
@@ -279,17 +365,17 @@ def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
         raise ValueError(f"type is for n = {tau.n}, not {n}")
     branches = _four_branches(tau)
     extras = _resolution_splits(tau, branches)
-    adjacent = [(CombinatorialType._trusted(tau.labels, tau.splits | {s}), 1, s) for s in extras]
     splits = _face_splits(tau)
     coordinates = _isolating_coordinates(tau, splits)
-    report = _balance_at(tau, adjacent, splits, coordinates)
     base = _quartet_bases(n)[sum(1 << min(b) for b in branches)]
     columns = tuple(i for i, _ in coordinates) + (base, base + 1)
-    rows = [_split_direction(s) for s in splits]
-    rows += [rec.direction for rec in report.adjacent[:2]]
+    # the first two adjacent directions: the extras are in key order
+    rows = [_split_direction(s) for s in splits + extras[:2]]
     unimodular = abs(_determinant([[row[c] for c in columns] for row in rows])) == 1
-    minor = columns if unimodular else None
-    return replace(report, smooth=report.balanced and unimodular, minor=minor)
+    adjacent = [(CombinatorialType._trusted(tau.labels, tau.splits | {s}), 1, s) for s in extras]
+    return _balance_at(
+        tau, adjacent, splits, coordinates, unimodular, columns if unimodular else None
+    )
 
 
 def verify_witness(report: BalancingReport) -> bool:
@@ -346,11 +432,18 @@ def psi_divisor(n: int, k: int) -> WeightedFan:
     return WeightedFan(n=n, dim=n - 4, cones=tuple(cones))
 
 
-def check_psi_balanced(n: int, k: int, max_workers: int = 1) -> List[BalancingReport]:
-    """Balancing certificates for the psi divisor at its codimension-2 faces."""
+def _psi_reports(n: int, k: int) -> Iterator[BalancingReport]:
+    """The psi divisor's face reports, each solved as it is read."""
     if n < 5:
         raise ValueError("psi balancing is a condition on faces; needs n >= 5")
-    return check_balanced(psi_divisor(n, k), max_workers=max_workers)
+    return _face_reports(psi_divisor(n, k))
+
+
+def check_psi_balanced(n: int, k: int, max_workers: int = 1) -> List[BalancingReport]:
+    """Balancing certificates for the psi divisor at its codimension-2 faces."""
+    reports = _psi_reports(n, k)
+    _check_workers(max_workers)
+    return list(reports)
 
 
 def canonical_divisor(t: CombinatorialType) -> Dict[int, int]:

@@ -306,8 +306,23 @@ def _four_branches(t: CombinatorialType) -> Tuple[Labels, ...]:
 
 
 def _resolution_splits(t: CombinatorialType, branches: Tuple[Labels, ...]) -> List[Split]:
-    """The first branch joined with each other one (compatible with t), by key."""
-    return sorted((Split(t.labels, branches[0] | b) for b in branches[1:]), key=lambda s: s.key)
+    """The first branch joined with each other one (compatible with t), by key.
+
+    The first branch holds the smallest label, so each split's stored side
+    is the union of the other two branches.  On labels 1..n the split comes
+    from the pool the type tables share, so cache lookups on it take the
+    identity fast path.
+    """
+    labels = t.labels
+    pool = _split_pools.get(len(labels), {})
+    out = []
+    for i, j in ((2, 3), (1, 3), (1, 2)):
+        side = branches[i] | branches[j]
+        split = pool.get(side)
+        if split is None or split.labels != labels:
+            split = Split(labels, side)
+        out.append(split)
+    return sorted(out, key=lambda s: s.key)
 
 
 def resolutions(t: CombinatorialType) -> Tuple[CombinatorialType, ...]:

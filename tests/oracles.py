@@ -7,7 +7,8 @@ decompositions by a graph walk on the realized tree, and graph girth by
 breadth-first search.  Span membership and saturation use general
 Hermite/Smith normal forms, against which the library's closed-form
 witnesses are checked.  The embedding is inverted by scanning every
-bipartition, against which leaf-by-leaf split recovery is checked.
+bipartition, against which leaf-by-leaf split recovery is checked.  A face
+is solved on dense lists, against which the packed face solve is checked.
 """
 
 from __future__ import annotations
@@ -20,9 +21,17 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
+from tropmod.divisors import AdjacentFacet, BalancingReport
 from tropmod.errors import DimensionMismatch, IncompatibleSplit, NotInImage, RankDeficient
 from tropmod.maps import BoundaryDecomposition
-from tropmod.moduli import ModuliPoint, RatioIndex, _sigma, canonical_coordinates
+from tropmod.moduli import (
+    ModuliPoint,
+    RatioIndex,
+    _sigma,
+    _split_direction,
+    _split_support,
+    canonical_coordinates,
+)
 from tropmod.rationals import ExtendedRational, is_finite
 from tropmod.trees import CombinatorialType, Split, to_tree
 
@@ -402,6 +411,41 @@ def determinant(rows) -> Fraction:
                 factor = mat[i][c] * inv
                 mat[i] = [a - factor * b for a, b in zip(mat[i], mat[c])]
     return det
+
+
+def dense_balance_at(face, adjacent, splits, coordinates) -> BalancingReport:
+    """The balancing report at a face, summed and solved on dense lists.
+
+    Takes what ``divisors._balance_at`` takes: the (cone, weight, extra
+    split) triples, the face splits in key order and their isolating
+    coordinates.
+    """
+    adjacent = sorted(adjacent, key=lambda cw: cw[2].key)
+    total = [0] * (3 * comb(face.n, 4))
+    records = []
+    for cone, weight, extra in adjacent:
+        records.append(
+            AdjacentFacet(
+                cone=cone, extra_split=extra, weight=weight, direction=_split_direction(extra)
+            )
+        )
+        for i, x in _split_support(extra):
+            total[i] += weight * x
+    residual = list(total)
+    coefficients = []
+    for s, (index, sign) in zip(splits, coordinates):
+        coef = total[index] * sign
+        coefficients.append(coef)
+        for i, x in _split_support(s):
+            residual[i] -= coef * x
+    balanced = not any(residual)
+    return BalancingReport(
+        face=face,
+        adjacent=tuple(records),
+        weighted_sum=tuple(total),
+        balanced=balanced,
+        witness=tuple(coefficients) if balanced else None,
+    )
 
 
 # ---------------------------------------------------------------- lattices

@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 
 import pytest
 
+from tropmod import divisors
 from tropmod.cli import EXIT_CERTIFICATE, EXIT_OK, EXIT_USAGE, main
 from tropmod.moduli import ModuliPoint, embed
 from tropmod.serialization import point_to_json, vector_to_json
@@ -77,6 +79,38 @@ def test_check_smooth_needs_four_leaves(capsys):
         err = capsys.readouterr().err
         assert code == EXIT_USAGE and out == ""
         assert err == "error: check smooth needs --n >= 4\n"
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("balancing", "cc494c1af340b9c1c2697a29cfcf7803f6dbfd8134fc2a1bf1080816d9ceb35b"),
+        ("smooth", "53e9b1c96e3d2392979e07b92d6f8855b2204af8d14eb1adb7d79df90c25853c"),
+    ],
+    ids=["balancing", "smooth"],
+)
+def test_check_text_writes_each_face_as_solved(monkeypatch, kind, digest):
+    solved = []
+    balance_at = divisors._balance_at
+
+    def counted(*args, **kwargs):
+        solved.append(args[0])
+        return balance_at(*args, **kwargs)
+
+    class Out(io.StringIO):
+        solved_at_first_write = None
+
+        def write(self, text):
+            if self.solved_at_first_write is None:
+                self.solved_at_first_write = len(solved)
+            return super().write(text)
+
+    monkeypatch.setattr(divisors, "_balance_at", counted)
+    out = Out()
+    assert main(["check", kind, "--n", "6"], out=out) == EXIT_OK
+    assert out.solved_at_first_write == 1 and len(solved) == 105
+    # the stdout of the reports computed in full before the first was written
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_check_psi_pass_and_usage():
@@ -183,6 +217,24 @@ def test_unread_or_missing_flag_is_one_error_line(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, choices",
+    [
+        ("", "{enumerate,embed,reconstruct,check,forget,section,decompose,export}"),
+        ("check", "{balancing,smooth,psi}"),
+        ("export", "{link,fan,embed}"),
+        ("check --format json balancing --n 5", "{balancing,smooth,psi}"),
+    ],
+    ids=["bare", "check", "export", "flag-before-kind"],
+)
+def test_missing_or_unknown_kind_names_the_choices(capsys, argv, choices):
+    code, out = run(argv.split())
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and choices in err
+    assert not any(dest in err for dest in ("what", "target", "command"))
 
 
 def test_forget_section_decompose(tmp_path):

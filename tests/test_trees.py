@@ -162,6 +162,20 @@ def test_resolutions_match_brute_force_oracle():
                 assert CombinatorialType(rho.labels, rho.splits) == rho
 
 
+def test_resolution_splits_are_pooled():
+    for n in range(5, 9):
+        taus = enumerate_types(n, n - 4)
+        pool = trees._split_pools[n]
+        for tau in taus:
+            for s in trees._resolution_splits(tau, trees._four_branches(tau)):
+                assert s is pool[s.side]
+    # on labels other than 1..n an equal side in the pool is another split
+    tau = CombinatorialType.of([2, 3, 4, 5, 6], [(5, 6)])
+    splits = trees._resolution_splits(tau, trees._four_branches(tau))
+    assert [s.key for s in splits] == [(3, 4), (3, 5, 6), (4, 5, 6)]
+    assert all(s.labels == tau.labels for s in splits)
+
+
 def test_resolutions_rejects_other_profiles():
     with pytest.raises(NotCodimensionOne):
         resolutions(enumerate_types(5, 2)[0])  # trivalent

@@ -14,12 +14,20 @@ from tropmod.divisors import (
     check_balanced,
     check_smooth_local,
     moduli_fan,
+    psi_divisor,
     span_witness,
     verify_witness,
 )
 from tropmod.errors import DimensionMismatch
 from tropmod.moduli import _split_direction, _split_support
-from tropmod.trees import Split, contract, enumerate_types
+from tropmod.trees import (
+    CombinatorialType,
+    Split,
+    _four_branches,
+    _resolution_splits,
+    contract,
+    enumerate_types,
+)
 
 import oracles
 
@@ -165,6 +173,67 @@ def test_weight_two_cone_fails_exactly_at_its_faces():
         else:
             assert rep.witness is None and any(residual)
             assert not verify_witness(rep)
+
+
+def dense_reports(fan):
+    faces = {}
+    for cone, weight in fan.cones:
+        for s in cone.splits:
+            faces.setdefault(contract(cone, s), []).append((cone, weight, s))
+    out = []
+    for face in sorted(faces, key=lambda f: f.key):
+        splits = _face_splits(face)
+        coordinates = _isolating_coordinates(face, splits)
+        out.append(oracles.dense_balance_at(face, faces[face], splits, coordinates))
+    return out
+
+
+def reweighted(n, weights):
+    """The moduli fan on n leaves with its cones (in key order) weighted."""
+    cones = [t for t, _ in moduli_fan(n).cones]
+    return WeightedFan.of(n, zip(cones, weights))
+
+
+def fans_across_field_widths():
+    # one weight v against two of 1 at n = 4 gives sum entries v - 1 of
+    # either sign, so the weights bracket each width's 2^(w-1); scaled
+    # balanced fans bracket it for W * (d + 1) at n = 5
+    for base in (2**6, 2**7, 2**14, 2**15, 2**30, 2**31, 2**62, 2**63, 2**70):
+        for v in (base - 1, base, base + 1):
+            for weights in ((v, v, v), (v, 1, 1), (1, v, 1), (1, 1, v), (v, v, v + 1)):
+                yield reweighted(4, weights)
+            yield reweighted(5, [v] * 15)
+            yield reweighted(5, [v] * 14 + [1])
+
+
+def test_packed_face_solve_matches_dense_oracle():
+    fans = []
+    for n in range(4, 8):
+        fans.append(moduli_fan(n))
+        fans += [psi_divisor(n, k) for k in range(1, n + 1)]
+    cones = list(moduli_fan(7).cones)
+    heavy = random.Random(7).randrange(len(cones))
+    cones[heavy] = (cones[heavy][0], 2)
+    fans.append(WeightedFan.of(7, cones))
+    fans += fans_across_field_widths()
+    verdicts = set()
+    for fan in fans:
+        reports = check_balanced(fan)
+        assert reports == dense_reports(fan)
+        verdicts |= {rep.balanced for rep in reports}
+    assert verdicts == {True, False}
+    for n in range(4, 8):
+        for tau in enumerate_types(n, n - 4):
+            rep = check_smooth_local(n, tau)
+            splits = _face_splits(tau)
+            adjacent = [
+                (CombinatorialType._trusted(tau.labels, tau.splits | {s}), 1, s)
+                for s in _resolution_splits(tau, _four_branches(tau))
+            ]
+            dense = oracles.dense_balance_at(
+                tau, adjacent, splits, _isolating_coordinates(tau, splits)
+            )
+            assert replace(rep, smooth=None, minor=None) == dense
 
 
 def test_adjacent_order_by_extra_split_is_cone_order():

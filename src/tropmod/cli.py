@@ -104,7 +104,8 @@ def _dump(obj, out) -> None:
 
     A dict is written one key at a time, and a value of it that is an
     iterator (not a list) one rendered item at a time, so a long report is
-    never held as one string.
+    never held as one string.  A value that is callable is called when its
+    key is written, so it can follow the iterators written before it.
     """
     if type(obj) is not dict or not obj or set(map(type, obj)) != {str}:
         out.write(_render(obj) + "\n")
@@ -119,6 +120,8 @@ def _dump(obj, out) -> None:
                 out.write((",\n    " if opened else "[\n    ") + _render(item, "\n    "))
                 opened = True
             out.write("\n  ]" if opened else "[]")
+        elif callable(value):
+            out.write(_render(value(), "\n  "))
         else:
             out.write(_render(value, "\n  "))
     out.write("\n}\n")
@@ -231,35 +234,38 @@ def _cmd_check(args, out) -> int:
     if args.what == "balancing":
         if args.fan is not None:
             fan = serialization.fan_from_json(_load_json(args.fan))
+            reports = divisors._face_reports(fan)
         else:
-            fan = divisors.moduli_fan(args.n)
-        reports = divisors._face_reports(fan)
+            reports = divisors._moduli_reports(args.n)
     elif args.what == "psi":
         reports = divisors._psi_reports(args.n, args.k)
     else:  # smooth
         if args.n < 4:
             raise UsageError("check smooth needs --n >= 4")
-        taus = trees.enumerate_types(args.n, args.n - 4)
-        reports = (divisors.check_smooth_local(args.n, t) for t in taus)
+        reports = divisors._moduli_reports(args.n, smooth=True)
+
+    ok = True
+
+    def tracked():
+        nonlocal ok
+        for rep in reports:
+            ok = ok and _passed(rep)
+            yield rep
 
     if args.format == "json":
-        # all_passed follows the reports, so they are listed first
-        reports = list(reports)
-        ok = all(map(_passed, reports))
         payload = {
             "check": args.what,
-            "reports": map(serialization.report_to_json, reports),
-            "all_passed": ok,
+            "reports": map(serialization.report_to_json, tracked()),
+            # called once the reports are written
+            "all_passed": lambda: ok,
         }
         _dump(payload, out)
     else:
-        ok = True
         label = "face" if args.what != "smooth" else "codim-1 type"
-        for rep in reports:
+        for rep in tracked():
             verdict = "balanced" if rep.balanced else "UNBALANCED"
             if rep.smooth is not None:
                 verdict += ", smooth" if rep.smooth else ", NOT SMOOTH"
-            ok = ok and _passed(rep)
             out.write(f"{label} {rep.face.text}: {len(rep.adjacent)} adjacent, {verdict}\n")
         out.write(("all checks passed" if ok else "CERTIFICATE FAILED") + "\n")
     return EXIT_OK if ok else EXIT_CERTIFICATE

@@ -20,6 +20,24 @@ weights and d the number of face splits, every entry of either vector is at
 most W * (d + 1) in size, and the fields are chosen wide enough to hold that
 (see ``_balance_at``).  Reports are produced one face at a time, so the
 command line writes each as it is solved.
+
+The moduli fan itself is certified from its codimension-1 types, streamed
+from their table with no facet table and no contraction
+(``_moduli_reports``).  A face's adjacent cones are its three resolutions,
+each of weight 1, and its witness has a closed form read off the 4-valent
+vertex (``_local_witness``): 1 on each face split incident to the vertex,
+0 on every other.  Quartet by quartet, for branches A, B, C, D: one leaf in
+each branch, and the resolution rays sum to 0 (M_{0,4} is the tripod); two
+in A and one in C and D, and only AB|CD and the split of A cut it two and
+two, with the same ray; two in A and two in C, and AB|CD, AD|BC and the
+splits of A and C all cut it with the same ray; three or more in one
+branch, and none cuts it.  One packed equality checks the witness, and if
+it failed the isolating coordinates would decide, so no verdict rests on
+the identity.  The smoothness minor is block lower-triangular: each face
+row is its sign on its own isolating column and 0 on the minor's other
+columns.  ``_minor_determinant`` checks that entry by entry and then takes
+the product of the signs times a 2x2 determinant on the quartet columns;
+otherwise Bareiss decides.  ``verify_witness`` re-checks with Bareiss.
 """
 
 from __future__ import annotations
@@ -34,6 +52,7 @@ from .errors import DimensionMismatch, NotCodimensionOne, NotPure
 from .moduli import (
     _quartet_coordinate,
     _quartet_bases,
+    _require_standard_labels,
     _split_direction,
     _split_support,
 )
@@ -41,6 +60,9 @@ from .trees import (
     CombinatorialType,
     Split,
     _four_branches,
+    _branch_masks,
+    _key,
+    _pooled_resolutions,
     _resolution_splits,
     contract,
     enumerate_types,
@@ -115,7 +137,7 @@ def moduli_fan(n: int) -> WeightedFan:
 
 
 def _face_splits(face: CombinatorialType) -> List[Split]:
-    return sorted(face.splits, key=lambda s: s.key)
+    return sorted(face.splits, key=_key)
 
 
 def _isolating_coordinates(
@@ -219,6 +241,7 @@ def _determinant(rows: Sequence[Sequence[int]]) -> int:
 _FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
+@lru_cache(maxsize=None)
 def _field_width(bound: int) -> int:
     """The narrowest field whose signed range holds -bound..bound: 8, 16, 32
     or 64 bits, or beyond that a whole number of bytes."""
@@ -226,9 +249,27 @@ def _field_width(bound: int) -> int:
     return next((w for w in _FORMATS if w >= bits), -(-bits // 8) * 8)
 
 
-@lru_cache(maxsize=None)
+# packed directions by (n, field width), then by side mask
+_packed: Dict[Tuple[int, int], Dict[int, int]] = {}
+
+
 def _packed_direction(split: Split, width: int) -> int:
-    """The direction of a split as sum(entry_i << (width * i))."""
+    """The direction of a split as sum(entry_i << (width * i)).
+
+    Cached under ints, so a lookup hashes no ``Split``.
+    """
+    key = (len(split.labels), width)
+    table = _packed.get(key)
+    if table is None:
+        table = _packed[key] = {}
+    mask = split.mask
+    packed = table.get(mask)
+    if packed is None:
+        packed = table[mask] = _pack(split, width)
+    return packed
+
+
+def _pack(split: Split, width: int) -> int:
     step = width // 8
     plus = bytearray(3 * comb(split.n, 4) * step)
     minus = bytearray(len(plus))
@@ -264,6 +305,15 @@ def _unpack(packed: int, width: int, size: int) -> Tuple[int, ...]:
         )
     # big-endian bytes list the highest field first
     return fields if order == "little" else fields[::-1]
+
+
+def _recombine(splits: List[Split], coefficients: Sequence[int], width: int) -> int:
+    """The packed combination of the splits' directions with these coefficients."""
+    total = 0
+    for s, c in zip(splits, coefficients):
+        if c:
+            total += c * _packed_direction(s, width)
+    return total
 
 
 def _balance_at(
@@ -306,8 +356,7 @@ def _balance_at(
         total += weight * _packed_direction(extra, width)
     weighted_sum = _unpack(total, width, 3 * comb(face.n, 4))
     coefficients = tuple(sign * weighted_sum[i] for i, sign in coordinates)
-    combo = sum(c * _packed_direction(s, width) for s, c in zip(splits, coefficients))
-    balanced = total == combo
+    balanced = total == _recombine(splits, coefficients, width)
     return BalancingReport(
         face=face,
         adjacent=tuple(records),
@@ -359,23 +408,103 @@ def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
     Saturation is witnessed by a minor of determinant +-1: the isolating
     coordinate of each face split, plus two coordinates of the quartet of
     smallest leaves of the four branches at the 4-valent vertex.  The face
-    directions vanish on that quartet, so the minor is block-triangular.
+    directions vanish on that quartet, so the minor is block-triangular, and
+    its determinant is taken from the blocks once that is checked (see
+    ``_minor_determinant``).
     """
     if tau.n != n:
         raise ValueError(f"type is for n = {tau.n}, not {n}")
-    branches = _four_branches(tau)
-    extras = _resolution_splits(tau, branches)
+    _require_standard_labels(tau.labels)
+    return _codim_one_report(tau, smooth=True)
+
+
+def _local_witness(splits: List[Split], branches: List[int]) -> Tuple[int, ...]:
+    """The closed-form balancing coefficients at a codimension-1 type: 1 on
+    each face split incident to the 4-valent vertex, 0 on every other.
+
+    With the branches as masks, the anchor's first, a split on the vertex
+    has a branch as its side, or on the edge up the union of the other
+    three (a single leaf or all but one is no side, so cannot match).
+    """
+    _, b, c, d = branches
+    on_vertex = {b, c, d, b | c | d}
+    return tuple([int(s.mask in on_vertex) for s in splits])
+
+
+def _minor_determinant(
+    rows: Sequence[Sequence[int]], columns: Sequence[int], signs: Sequence[int]
+) -> int:
+    """The determinant of ``rows`` on ``columns``, the first ``len(signs)``
+    rows being face directions and their columns' isolating coordinates.
+
+    When, entry by entry, face row i is ``signs[i]`` on column i and 0 on
+    every other column, the minor is block lower-triangular, and its
+    determinant is the product of the signs times the 2x2 determinant of
+    the last two rows on the last two columns.  Otherwise Bareiss decides.
+    """
+    product = 1
+    for i, (row, sign) in enumerate(zip(rows, signs)):
+        if any(row[c] != (sign if i == j else 0) for j, c in enumerate(columns)):
+            return _determinant([[row[c] for c in columns] for row in rows])
+        product *= sign
+    (a, b), (c, d) = ([row[k] for k in columns[-2:]] for row in rows[-2:])
+    return product * (a * d - b * c)
+
+
+def _codim_one_report(tau: CombinatorialType, smooth: bool = False) -> BalancingReport:
+    """The report of the moduli fan at a codimension-1 type, or with
+    ``smooth`` that of ``check_smooth_local``, read off the 4-valent vertex.
+    The type is on labels 1..n.
+
+    The adjacent cones are the three resolutions, each of weight 1, and the
+    witness tried is ``_local_witness``.  It holds iff the packed sum of the
+    resolution directions equals its packed recombination: its entries are 0
+    and 1, within the bound that ``_balance_at`` sizes the fields for.  If
+    they differ, ``_balance_at`` decides at the isolating coordinates.  The
+    coefficients of a combination of the (independent) face directions are
+    unique, so either way the report is the one ``_balance_at`` gives.
+    """
+    branches = _branch_masks(tau)
+    labels, face = tau.labels, tau.splits
+    n = len(labels)
+    extras = _pooled_resolutions(n, branches)
     splits = _face_splits(tau)
-    coordinates = _isolating_coordinates(tau, splits)
-    base = _quartet_bases(n)[sum(1 << min(b) for b in branches)]
-    columns = tuple(i for i, _ in coordinates) + (base, base + 1)
-    # the first two adjacent directions: the extras are in key order
-    rows = [_split_direction(s) for s in splits + extras[:2]]
-    unimodular = abs(_determinant([[row[c] for c in columns] for row in rows])) == 1
-    adjacent = [(CombinatorialType._trusted(tau.labels, tau.splits | {s}), 1, s) for s in extras]
-    return _balance_at(
-        tau, adjacent, splits, coordinates, unimodular, columns if unimodular else None
+    coordinates = unimodular = minor = None
+    if smooth:
+        coordinates = _isolating_coordinates(tau, splits)
+        base = _quartet_bases(n)[sum(m & -m for m in branches)]
+        columns = tuple(i for i, _ in coordinates) + (base, base + 1)
+        # the first two adjacent directions: the extras are in key order
+        rows = [_split_direction(s) for s in splits + extras[:2]]
+        signs = [sign for _, sign in coordinates]
+        unimodular = abs(_minor_determinant(rows, columns, signs)) == 1
+        minor = columns if unimodular else None
+    width = _field_width(3 * (len(splits) + 1))
+    total = _recombine(extras, (1, 1, 1), width)
+    witness = _local_witness(splits, branches)
+    if total != _recombine(splits, witness, width):
+        adjacent = [(CombinatorialType._trusted(labels, face | {s}), 1, s) for s in extras]
+        if coordinates is None:
+            coordinates = _isolating_coordinates(tau, splits)
+        return _balance_at(tau, adjacent, splits, coordinates, unimodular, minor)
+    records = tuple(
+        [
+            AdjacentFacet(CombinatorialType._trusted(labels, face | {s}), s, 1, _split_direction(s))
+            for s in extras
+        ]
     )
+    weighted_sum = _unpack(total, width, 3 * comb(n, 4))
+    return BalancingReport(tau, records, weighted_sum, True, unimodular, witness, minor)
+
+
+def _moduli_reports(n: int, smooth: bool = False) -> Iterator[BalancingReport]:
+    """The reports of ``check_balanced(moduli_fan(n))``, or with ``smooth``
+    those of ``check_smooth_local`` over the codimension-1 types, in key
+    order.  The faces of the moduli fan are its codimension-1 types, so
+    they are streamed from that table, each solved as it is read."""
+    if n < 4:
+        raise ValueError("the moduli fan needs n >= 4")
+    return (_codim_one_report(tau, smooth) for tau in enumerate_types(n, n - 4))
 
 
 def verify_witness(report: BalancingReport) -> bool:

@@ -245,8 +245,11 @@ def _require_standard_labels(labels: frozenset) -> int:
 
 @lru_cache(maxsize=None)
 def _split_direction(split: Split) -> Tuple[int, ...]:
-    n = _require_standard_labels(split.labels)
-    return tuple(_sigma(split, r) for r in canonical_coordinates(n))
+    """The dense direction of a split: its support scattered into zeros."""
+    entries = [0] * (3 * comb(split.n, 4))
+    for i, x in _split_support(split):
+        entries[i] = x
+    return tuple(entries)
 
 
 # A quartet's three coordinates under a split that pairs its smallest label

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
@@ -262,47 +263,80 @@ def contract(t: CombinatorialType, s: Split) -> CombinatorialType:
     return CombinatorialType._trusted(t.labels, t.splits - {s})
 
 
-_mask = attrgetter("mask")
+_key = attrgetter("key")
 
 
-def _four_branches(t: CombinatorialType) -> Tuple[Labels, ...]:
-    """The branches at the unique 4-valent vertex; the one codimension-1 test.
+def _four_valent_vertex(
+    t: CombinatorialType,
+) -> Tuple[int, int, List[Tuple[int, Split]], Optional[Tuple[int, Split]]]:
+    """The unique 4-valent vertex; the one codimension-1 test.
 
-    Read off the laminar family of sides as bitmasks, without realizing the
-    tree.  Vertex 0 is the root (all labels), vertex i the child end of the
-    i-th side by mask, largest first.  A superside has the larger mask, so
-    each side comes after its supersides, and its parent, its smallest
-    strict superside, is the latest earlier one holding it.  A vertex's
-    valence is its children plus its own leaves, plus one for the edge up
-    unless it is the root.
+    Returns the mask of all labels, the mask of the vertex's own leaves, the
+    (mask, split) pairs of its edges down and that of its edge up (None at
+    the root).  Read off the laminar family of sides as bitmasks, without
+    realizing the tree.  Vertex 0 is the root (all labels), vertex i the
+    child end of the i-th side by mask, largest first.  A superside has the
+    larger mask, so each side comes after its supersides, and its parent,
+    its smallest strict superside, is the latest earlier one holding it.  A
+    vertex's valence is its own leaves plus its children, plus one for the
+    edge up unless it is the root: its size, less size - 1 per child, plus
+    that one.
     """
-    splits = sorted(t.splits, key=_mask, reverse=True)
-    masks = [sum(1 << x for x in t.labels)]
-    own = masks[:]  # a vertex's mask less its children's: its own leaves
-    vals = [0]
+    # (mask, split) pairs: the masks are distinct, so no splits are compared
+    pairs = sorted([(s.mask, s) for s in t.splits], reverse=True)
+    masks = [_labels_mask(t.labels)]
+    vals = [masks[0].bit_count()]
     parents = []
-    for s in splits:
-        m = s.mask
+    for m, _ in pairs:
         p = len(masks) - 1
         while masks[p] & m != m:
             p -= 1
         parents.append(p)
-        own[p] &= ~m
-        vals[p] += 1
+        size = m.bit_count()
+        vals[p] -= size - 1
         masks.append(m)
-        own.append(m)
-        vals.append(1)
-    vals = [v + m.bit_count() for v, m in zip(vals, own)]
-    if sorted(vals) != [3] * (len(vals) - 1) + [4]:
+        vals.append(size + 1)
+    if vals.count(3) != len(vals) - 1 or 4 not in vals:
         raise NotCodimensionOne(
             f"valence profile {tuple(sorted(vals))} has no unique 4-valent vertex"
         )
     v = vals.index(4)
-    out = [frozenset([x]) for x in t.labels if own[v] >> x & 1]
-    out += [s.side for s, p in zip(splits, parents) if p == v]
-    if v:
-        out.append(splits[v - 1].complement)
+    leaves = masks[v]
+    down = []
+    for pair, p in zip(pairs, parents):
+        if p == v:
+            leaves &= ~pair[0]
+            down.append(pair)
+    return masks[0], leaves, down, pairs[v - 1] if v else None
+
+
+@lru_cache(maxsize=None)
+def _labels_mask(labels: Labels) -> int:
+    return sum(1 << x for x in labels)
+
+
+def _four_branches(t: CombinatorialType) -> Tuple[Labels, ...]:
+    """The branches at the unique 4-valent vertex, ordered by least label."""
+    _, leaves, down, up = _four_valent_vertex(t)
+    out = [frozenset([x]) for x in t.labels if leaves >> x & 1]
+    out += [s.side for _, s in down]
+    if up is not None:
+        out.append(up[1].complement)
     return tuple(sorted(out, key=min))
+
+
+def _branch_masks(t: CombinatorialType) -> List[int]:
+    """The branches at the 4-valent vertex as masks, ordered by least label."""
+    full, leaves, down, up = _four_valent_vertex(t)
+    branches = [m for m, _ in down]
+    if up is not None:
+        branches.append(full & ~up[0])
+    while leaves:
+        low = leaves & -leaves
+        branches.append(low)
+        leaves ^= low
+    branches.sort(key=lambda m: m & -m)
+    return branches
 
 
 def _resolution_splits(t: CombinatorialType, branches: Tuple[Labels, ...]) -> List[Split]:
@@ -322,7 +356,30 @@ def _resolution_splits(t: CombinatorialType, branches: Tuple[Labels, ...]) -> Li
         if split is None or split.labels != labels:
             split = Split(labels, side)
         out.append(split)
-    return sorted(out, key=lambda s: s.key)
+    return sorted(out, key=_key)
+
+
+def _pooled_resolutions(n: int, branches: List[int]) -> List[Split]:
+    """``_resolution_splits`` for a type on 1..n, with branches as masks.
+
+    The splits come from the pool, looked up through an index by mask, so
+    each lookup hashes an int.  A split the pool lacks joins it.
+    """
+    pool = _split_pools.setdefault(n, {})
+    index = _mask_indexes.get(n)
+    if index is None or index[0] is not pool:
+        index = _mask_indexes[n] = (pool, {s.mask: s for s in pool.values()})
+    by_mask = index[1]
+    _, b, c, d = branches
+    out = []
+    for mask in (c | d, b | d, b | c):
+        split = by_mask.get(mask)
+        if split is None:
+            side = frozenset(x for x in range(2, n + 1) if mask >> x & 1)
+            split = pool.get(side) or Split(frozenset(range(1, n + 1)), side)
+            pool[side] = by_mask[mask] = split
+        out.append(split)
+    return sorted(out, key=_key)
 
 
 def resolutions(t: CombinatorialType) -> Tuple[CombinatorialType, ...]:
@@ -344,6 +401,8 @@ def count_rays(n: int) -> int:
 # Type tables per (n, dim), and per n one pool of the splits they share.
 _tables: Dict[Tuple[int, int], Tuple[CombinatorialType, ...]] = {}
 _split_pools: Dict[int, Dict[Labels, Split]] = {}
+# per n, the pool it indexes and that pool's splits by mask
+_mask_indexes: Dict[int, Tuple[Dict[Labels, Split], Dict[int, Split]]] = {}
 
 
 def _types(n: int, dim: int) -> Tuple[CombinatorialType, ...]:

@@ -8,7 +8,11 @@ breadth-first search.  Span membership and saturation use general
 Hermite/Smith normal forms, against which the library's closed-form
 witnesses are checked.  The embedding is inverted by scanning every
 bipartition, against which leaf-by-leaf split recovery is checked.  A face
-is solved on dense lists, against which the packed face solve is checked.
+is solved on dense lists, against which the packed face solve is checked,
+and a smoothness minor by Bareiss elimination on branches read off the
+realized tree, against which the closed-form minor is checked.  A split
+direction is walked coordinate by coordinate, against which the scattered
+direction is checked.
 """
 
 from __future__ import annotations
@@ -17,16 +21,23 @@ import heapq
 import itertools
 from collections import deque
 from fractions import Fraction
+from dataclasses import replace
 from functools import lru_cache
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from tropmod.divisors import AdjacentFacet, BalancingReport
+from tropmod.divisors import (
+    AdjacentFacet,
+    BalancingReport,
+    _determinant,
+    _isolating_coordinates,
+)
 from tropmod.errors import DimensionMismatch, IncompatibleSplit, NotInImage, RankDeficient
 from tropmod.maps import BoundaryDecomposition
 from tropmod.moduli import (
     ModuliPoint,
     RatioIndex,
+    _quartet_bases,
     _sigma,
     _split_direction,
     _split_support,
@@ -289,6 +300,11 @@ def graph_decompose_boundary(x: ModuliPoint) -> BoundaryDecomposition:
     return BoundaryDecomposition(components=components, gluings=gluings)
 
 
+def walked_split_direction(split: Split) -> Tuple[int, ...]:
+    """The direction of a split, one canonical coordinate at a time."""
+    return tuple(_sigma(split, r) for r in canonical_coordinates(split.n))
+
+
 def dense_embed(x: ModuliPoint) -> Tuple[ExtendedRational, ...]:
     """The embedding as a sum over splits of length times the dense
     direction, one coordinate at a time."""
@@ -445,6 +461,34 @@ def dense_balance_at(face, adjacent, splits, coordinates) -> BalancingReport:
         weighted_sum=tuple(total),
         balanced=balanced,
         witness=tuple(coefficients) if balanced else None,
+    )
+
+
+def bareiss_smooth_report(n: int, tau: CombinatorialType) -> BalancingReport:
+    """The smoothness report at a codimension-1 type, the minor's
+    determinant taken by Bareiss elimination in full.
+
+    The branches at the 4-valent vertex come from the realized tree, the
+    adjacent cones are the face plus the union of two non-anchor branches,
+    and the balancing fields from ``dense_balance_at``.
+    """
+    tree = to_tree(tau)
+    branches = tree.branches(tree.valences().index(4))
+    _, b, c, d = branches  # ordered by least label: the anchor's comes first
+    sides = (c | d, b | d, b | c)
+    extras = sorted((Split(tau.labels, side) for side in sides), key=lambda s: s.key)
+    splits = sorted(tau.splits, key=lambda s: s.key)
+    coordinates = _isolating_coordinates(tau, splits)
+    base = _quartet_bases(n)[sum(1 << min(branch) for branch in branches)]
+    columns = tuple(i for i, _ in coordinates) + (base, base + 1)
+    rows = [_split_direction(s) for s in splits + extras[:2]]
+    unimodular = abs(_determinant([[row[k] for k in columns] for row in rows])) == 1
+    adjacent = [(CombinatorialType._trusted(tau.labels, tau.splits | {s}), 1, s) for s in extras]
+    report = dense_balance_at(tau, adjacent, splits, coordinates)
+    return replace(
+        report,
+        smooth=report.balanced and unimodular,
+        minor=columns if unimodular else None,
     )
 
 

@@ -81,6 +81,19 @@ def test_check_smooth_needs_four_leaves(capsys):
         assert err == "error: check smooth needs --n >= 4\n"
 
 
+def count_solved(monkeypatch):
+    """Count, through the per-face function, the faces solved so far."""
+    solved = []
+    report = divisors._codim_one_report
+
+    def counted(*args, **kwargs):
+        solved.append(args[0])
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(divisors, "_codim_one_report", counted)
+    return solved
+
+
 @pytest.mark.parametrize(
     "kind, digest",
     [
@@ -90,12 +103,7 @@ def test_check_smooth_needs_four_leaves(capsys):
     ids=["balancing", "smooth"],
 )
 def test_check_text_writes_each_face_as_solved(monkeypatch, kind, digest):
-    solved = []
-    balance_at = divisors._balance_at
-
-    def counted(*args, **kwargs):
-        solved.append(args[0])
-        return balance_at(*args, **kwargs)
+    solved = count_solved(monkeypatch)
 
     class Out(io.StringIO):
         solved_at_first_write = None
@@ -105,12 +113,50 @@ def test_check_text_writes_each_face_as_solved(monkeypatch, kind, digest):
                 self.solved_at_first_write = len(solved)
             return super().write(text)
 
-    monkeypatch.setattr(divisors, "_balance_at", counted)
     out = Out()
     assert main(["check", kind, "--n", "6"], out=out) == EXIT_OK
     assert out.solved_at_first_write == 1 and len(solved) == 105
     # the stdout of the reports computed in full before the first was written
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("balancing", "16401588a0691893ea59b110c6196f2a0c626b66514db9c357c9c06e340dcb1e"),
+        ("smooth", "e70b0bdf30fdc5e7e7e806dd724d7e146ad99375a01b8c7419588b982ad24201"),
+    ],
+    ids=["balancing", "smooth"],
+)
+def test_check_json_writes_each_face_as_solved(monkeypatch, kind, digest):
+    solved = count_solved(monkeypatch)
+
+    class Out(io.StringIO):
+        solved_at_writes = []
+
+        def write(self, text):
+            self.solved_at_writes.append((len(solved), text))
+            return super().write(text)
+
+    out = Out()
+    assert main(["check", kind, "--n", "6", "--format", "json"], out=out) == EXIT_OK
+    writes = out.solved_at_writes
+    first_report = next(i for i, (_, text) in enumerate(writes) if text.startswith("[\n    {"))
+    assert writes[0][0] == 0 and writes[first_report][0] == 1 and len(solved) == 105
+    assert writes[-2:] == [(105, "true"), (105, "\n}\n")]
+    # the stdout of the reports listed in full before the first was written
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_check_moduli_fan_builds_no_facets_or_contractions(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the moduli fan is certified from its codimension-1 types")
+
+    monkeypatch.setattr(divisors, "moduli_fan", refused)
+    monkeypatch.setattr(divisors, "contract", refused)
+    for kind in ("balancing", "smooth"):
+        code, out = run(["check", kind, "--n", "7"])
+        assert code == EXIT_OK and out.endswith("all checks passed\n")
 
 
 def test_check_psi_pass_and_usage():

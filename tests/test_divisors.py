@@ -72,6 +72,8 @@ def test_smooth_local_examples():
         check_smooth_local(5, CombinatorialType.of(5))  # 5-valent star
     with pytest.raises(NotCodimensionOne):
         check_smooth_local(5, enumerate_types(5, 2)[0])  # trivalent
+    with pytest.raises(ValueError, match="leaf labels 1..n"):
+        check_smooth_local(5, CombinatorialType.of([2, 3, 4, 5, 6], [(5, 6)]))
 
 
 def test_smooth_local_all_codim_one_n6():

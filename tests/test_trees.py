@@ -176,6 +176,35 @@ def test_resolution_splits_are_pooled():
     assert all(s.labels == tau.labels for s in splits)
 
 
+def test_branch_masks_are_the_four_branches():
+    for n in range(4, 9):
+        for t in enumerate_types(n, n - 4):
+            branches = trees._branch_masks(t)
+            expected = trees._four_branches(t)
+            assert branches == [sum(1 << x for x in b) for b in expected]
+            splits = trees._pooled_resolutions(n, branches)
+            assert splits == trees._resolution_splits(t, expected)
+            assert all(s is trees._split_pools[n][s.side] for s in splits)
+    with pytest.raises(NotCodimensionOne):
+        trees._branch_masks(enumerate_types(6, 3)[0])
+
+
+def test_pooled_resolutions_follow_a_rebuilt_pool():
+    trees._tables.clear()
+    trees._split_pools.clear()
+    # the origin at n = 4 has no splits, so its resolutions join the pool
+    origin = enumerate_types(4, 0)[0]
+    splits = trees._pooled_resolutions(4, trees._branch_masks(origin))
+    assert [s.key for s in splits] == [(2, 3), (2, 4), (3, 4)]
+    assert all(s is trees._split_pools[4][s.side] for s in splits)
+    # the rays built after them share them
+    rays = [next(iter(t.splits)) for t in enumerate_types(4, 1)]
+    assert all(r is s for r, s in zip(rays, splits)) and len(rays) == 3
+    for t in enumerate_types(6, 2):
+        for s in trees._pooled_resolutions(6, trees._branch_masks(t)):
+            assert s is trees._split_pools[6][s.side]
+
+
 def test_resolutions_rejects_other_profiles():
     with pytest.raises(NotCodimensionOne):
         resolutions(enumerate_types(5, 2)[0])  # trivalent

@@ -6,11 +6,15 @@ from dataclasses import replace
 
 import pytest
 
+from tropmod import divisors
 from tropmod.divisors import (
     WeightedFan,
     _determinant,
+    _face_reports,
     _face_splits,
     _isolating_coordinates,
+    _minor_determinant,
+    _moduli_reports,
     check_balanced,
     check_smooth_local,
     moduli_fan,
@@ -52,6 +56,7 @@ def test_split_support_is_the_dense_direction():
             for side in itertools.combinations(range(2, n + 1), size):
                 s = Split(labels, frozenset(side))
                 dense = _split_direction(s)
+                assert dense == oracles.walked_split_direction(s)
                 assert _split_support(s) == tuple((i, x) for i, x in enumerate(dense) if x)
 
 
@@ -234,6 +239,87 @@ def test_packed_face_solve_matches_dense_oracle():
                 tau, adjacent, splits, _isolating_coordinates(tau, splits)
             )
             assert replace(rep, smooth=None, minor=None) == dense
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_codim_one_stream_matches_contract_listing(n, monkeypatch):
+    listing = list(_face_reports(moduli_fan(n)))
+
+    def refused(*args):
+        raise AssertionError("the closed-form witness holds at every face")
+
+    # so no report of the stream comes from the fallback
+    monkeypatch.setattr(divisors, "_balance_at", refused)
+    assert list(_moduli_reports(n)) == listing
+
+
+def test_local_witness_marks_the_splits_on_the_vertex():
+    for n in range(4, 9):
+        for tau in enumerate_types(n, n - 4):
+            branches = _four_branches(tau)
+            splits = _face_splits(tau)
+            on_vertex = [int(s.side in branches or s.complement in branches) for s in splits]
+            masks = [sum(1 << x for x in b) for b in branches]
+            assert divisors._local_witness(splits, masks) == tuple(on_vertex)
+            assert sum(on_vertex) == sum(len(b) > 1 for b in branches)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_smooth_reports_match_bareiss_oracle(n):
+    taus = enumerate_types(n, n - 4)
+    reports = list(_moduli_reports(n, smooth=True))
+    assert len(reports) == len(taus)
+    for tau, rep in zip(taus, reports):
+        assert rep.smooth and rep == oracles.bareiss_smooth_report(n, tau)
+    if n < 8:
+        assert reports == [check_smooth_local(n, tau) for tau in taus]
+
+
+def test_wrong_local_witness_falls_back_to_the_isolating_solve(monkeypatch):
+    local_witness = divisors._local_witness
+    balance_at = divisors._balance_at
+    solved = []
+
+    def wrong(splits, branches):
+        witness = local_witness(splits, branches)
+        return witness and (1 - witness[0],) + witness[1:]
+
+    def counted(*args):
+        solved.append(args[0])
+        return balance_at(*args)
+
+    monkeypatch.setattr(divisors, "_local_witness", wrong)
+    monkeypatch.setattr(divisors, "_balance_at", counted)
+    for n in range(4, 8):
+        taus = enumerate_types(n, n - 4)
+        solved.clear()
+        assert list(_moduli_reports(n)) == dense_reports(moduli_fan(n))
+        # every face with a split fell back; at n = 4 the witness is empty
+        assert solved == (list(taus) if n > 4 else [])
+        smooth = list(_moduli_reports(n, smooth=True))
+        assert smooth == [oracles.bareiss_smooth_report(n, tau) for tau in taus]
+
+
+def test_forged_minor_row_is_not_unimodular():
+    rng = random.Random(12)
+    for n in (6, 7):
+        for tau in enumerate_types(n, n - 4):
+            rep = check_smooth_local(n, tau)
+            splits = _face_splits(tau)
+            signs = [sign for _, sign in _isolating_coordinates(tau, splits)]
+            rows = face_directions(tau) + [rec.direction for rec in rep.adjacent[:2]]
+            assert abs(_minor_determinant(rows, rep.minor, signs)) == 1
+            # face row 0 copies face row 1: nonzero on column 1, off the
+            # block diagonal, and the minor is singular, not the product of
+            # the signs times the 2x2 block
+            forged = [rows[1]] + rows[1:]
+            assert _minor_determinant(forged, rep.minor, signs) == 0
+            # one face entry changed on a column of the minor: Bareiss decides
+            forged = [list(row) for row in rows]
+            i = rng.randrange(len(splits))
+            forged[i][rng.choice(rep.minor)] += rng.choice((-2, -1, 1, 2))
+            minor = [[row[c] for c in rep.minor] for row in forged]
+            assert _minor_determinant(forged, rep.minor, signs) == _determinant(minor)
 
 
 def test_adjacent_order_by_extra_split_is_cone_order():

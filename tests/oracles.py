@@ -20,8 +20,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from fractions import Fraction
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Dict, List, Sequence, Tuple

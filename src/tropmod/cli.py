@@ -7,11 +7,12 @@ and check psi --n N --k K, each with [--format text|json]; export link --n N
 with [--output FILE].  A missing flag, or one the kind does not read, is a
 usage error.
 
-Exit codes: 0 on success, 1 on usage or input errors, 2 when a requested
-certificate fails.  Output ordering is canonical, so runs are byte-for-byte
-reproducible.  The TROPMOD_THREADS environment variable caps the number of
-worker threads for certificate checks and must be a positive integer; the
-checks run serially, which meets any cap.
+Exit codes: 0 on success, 1 on usage or input errors (a request for more
+than ``MAX_TYPES`` types among them), 2 when a requested certificate fails.
+Output ordering is canonical, so runs are byte-for-byte reproducible.  The
+TROPMOD_THREADS environment variable caps the number of worker threads for
+certificate checks and must be a positive integer; the checks run serially,
+which meets any cap.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from .errors import TropmodError
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CERTIFICATE = 2
+
+# The most types a command may make, counted before any is made: at n = 10
+# the 4,729,725 codim-1 types pass, at n = 11 the 34,459,425 facets do not.
+MAX_TYPES = 5_000_000
 
 
 class UsageError(Exception):
@@ -188,20 +193,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _count_within_limit(n: int, *dims: int) -> int:
+    """The number of types on {1..n} of these dimensions, refused past ``MAX_TYPES``."""
+    count = sum(trees._count_types(n, dim) for dim in dims)
+    if count > MAX_TYPES:
+        raise UsageError(f"{count} combinatorial types at n = {n} exceed the limit of {MAX_TYPES}")
+    return count
+
+
 def _cmd_enumerate(args, out) -> int:
-    types = trees.enumerate_types(args.n, args.dim)
+    count = _count_within_limit(args.n, args.dim)
+    types = trees._stream_types(args.n, args.dim)
     if args.format == "json":
         _dump(
             {
                 "n": args.n,
                 "dim": args.dim,
-                "count": len(types),
+                "count": count,
                 "types": map(serialization.type_to_json, types),
             },
             out,
         )
     else:
-        out.write(f"{len(types)}\n")
+        out.write(f"{count}\n")
         for t in types:
             out.write(t.text + "\n")
     return EXIT_OK
@@ -231,6 +245,8 @@ def _passed(report: divisors.BalancingReport) -> bool:
 
 def _cmd_check(args, out) -> int:
     _thread_cap()  # validated; the faces are solved serially, which meets any cap
+    if args.n is not None:
+        _count_within_limit(args.n, args.n - 4)
     if args.what == "balancing":
         if args.fan is not None:
             fan = serialization.fan_from_json(_load_json(args.fan))
@@ -309,6 +325,7 @@ def _cmd_export(args, out) -> int:
     if args.target == "link":
         if args.n < 5:
             raise UsageError("export link needs --n >= 5")
+        _count_within_limit(args.n, 1, 2)
         graph = moduli.link_graph(args.n)
         if args.format == "dot":
             text = _link_dot(graph)
@@ -320,6 +337,7 @@ def _cmd_export(args, out) -> int:
             }
             text = _render(payload) + "\n"
     elif args.target == "fan":
+        _count_within_limit(args.n, args.n - 3)
         text = _render(serialization.fan_to_json(divisors.moduli_fan(args.n))) + "\n"
     else:  # embed
         point = serialization.point_from_json(_load_json(args.point))

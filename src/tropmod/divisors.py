@@ -22,7 +22,7 @@ most W * (d + 1) in size, and the fields are chosen wide enough to hold that
 command line writes each as it is solved.
 
 The moduli fan itself is certified from its codimension-1 types, streamed
-from their table with no facet table and no contraction
+one at a time with no facet table and no contraction
 (``_moduli_reports``).  A face's adjacent cones are its three resolutions,
 each of weight 1, and its witness has a closed form read off the 4-valent
 vertex (``_local_witness``): 1 on each face split incident to the vertex,
@@ -64,8 +64,8 @@ from .trees import (
     _key,
     _pooled_resolutions,
     _resolution_splits,
+    _stream_types,
     contract,
-    enumerate_types,
     to_tree,
 )
 
@@ -133,7 +133,7 @@ def moduli_fan(n: int) -> WeightedFan:
     """The full moduli fan: all trivalent types with weight 1."""
     if n < 4:
         raise ValueError("the moduli fan needs n >= 4")
-    return WeightedFan.of(n, tuple((t, 1) for t in enumerate_types(n, n - 3)))
+    return WeightedFan.of(n, tuple((t, 1) for t in _stream_types(n, n - 3)))
 
 
 def _face_splits(face: CombinatorialType) -> List[Split]:
@@ -501,10 +501,10 @@ def _moduli_reports(n: int, smooth: bool = False) -> Iterator[BalancingReport]:
     """The reports of ``check_balanced(moduli_fan(n))``, or with ``smooth``
     those of ``check_smooth_local`` over the codimension-1 types, in key
     order.  The faces of the moduli fan are its codimension-1 types, so
-    they are streamed from that table, each solved as it is read."""
+    they are streamed, each solved as it is made."""
     if n < 4:
         raise ValueError("the moduli fan needs n >= 4")
-    return (_codim_one_report(tau, smooth) for tau in enumerate_types(n, n - 4))
+    return (_codim_one_report(tau, smooth) for tau in _stream_types(n, n - 4))
 
 
 def verify_witness(report: BalancingReport) -> bool:
@@ -557,7 +557,7 @@ def psi_divisor(n: int, k: int) -> WeightedFan:
         raise ValueError("psi divisors need n >= 4")
     if not 1 <= k <= n:
         raise ValueError(f"leaf label k must lie in 1..{n}")
-    cones = [(t, 1) for t in enumerate_types(n, n - 4) if frozenset({k}) in _four_branches(t)]
+    cones = [(t, 1) for t in _stream_types(n, n - 4) if frozenset({k}) in _four_branches(t)]
     return WeightedFan(n=n, dim=n - 4, cones=tuple(cones))
 
 

@@ -25,7 +25,7 @@ from .rationals import (
     is_finite,
     parse_extended,
 )
-from .trees import CombinatorialType, Split, _as_labels, contract, enumerate_types
+from .trees import CombinatorialType, Split, _as_labels, _stream_types, contract, enumerate_types
 
 
 @dataclass(frozen=True)
@@ -536,7 +536,7 @@ def link_graph(n: int) -> LinkGraph:
     rays = enumerate_types(n, 1)
     position = {t: i for i, t in enumerate(rays)}
     pairs = []
-    for quadrant in enumerate_types(n, 2):
+    for quadrant in _stream_types(n, 2):
         faces = sorted(
             (position[contract(quadrant, s)] for s in quadrant.splits)
         )

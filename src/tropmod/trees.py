@@ -2,9 +2,19 @@
 
 A bounded edge of a leaf-labeled tree bipartitions the leaves; the splits of
 all bounded edges form a pairwise-compatible system, and conversely every
-such system is realized by a unique tree.  Types are stored canonically as
-split sets, with each split represented by the side not containing the
-smallest label.
+such system is realized by a unique tree (Buneman's splits-equivalence
+theorem).  Types are stored canonically as split sets, with each split
+represented by the side not containing the smallest label.
+
+Types on {1..n} are made one at a time, never tabled.  One pool per n,
+keyed by side mask, holds each split on 1..n once it is asked for, so the
+types and the resolutions share one object per split.  A depth-first search
+over all splits sorted by key (the sorted side) picks increasing indices,
+ANDing for each pick a bitset of the later splits compatible with it
+(disjoint or nested sides; made when first picked with more to pick), and
+backtracks when fewer candidates are left than splits still needed.  A
+type's key is its split keys in order, so each type comes out once and in
+key order.  ``_count_types`` counts them in closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import IncompatibleSplit, NotCodimensionOne, SplitAbsent
 
@@ -343,43 +353,21 @@ def _resolution_splits(t: CombinatorialType, branches: Tuple[Labels, ...]) -> Li
     """The first branch joined with each other one (compatible with t), by key.
 
     The first branch holds the smallest label, so each split's stored side
-    is the union of the other two branches.  On labels 1..n the split comes
-    from the pool the type tables share, so cache lookups on it take the
-    identity fast path.
+    is the union of the other two branches.  On labels 1..n the splits come
+    from the n pool, so cache lookups on them take the identity fast path.
     """
     labels = t.labels
-    pool = _split_pools.get(len(labels), {})
-    out = []
-    for i, j in ((2, 3), (1, 3), (1, 2)):
-        side = branches[i] | branches[j]
-        split = pool.get(side)
-        if split is None or split.labels != labels:
-            split = Split(labels, side)
-        out.append(split)
+    n = len(labels)
+    if labels == _leaf_set(n):
+        return _pooled_resolutions(n, [sum(1 << x for x in b) for b in branches])
+    out = [Split(labels, branches[i] | branches[j]) for i, j in ((2, 3), (1, 3), (1, 2))]
     return sorted(out, key=_key)
 
 
 def _pooled_resolutions(n: int, branches: List[int]) -> List[Split]:
-    """``_resolution_splits`` for a type on 1..n, with branches as masks.
-
-    The splits come from the pool, looked up through an index by mask, so
-    each lookup hashes an int.  A split the pool lacks joins it.
-    """
-    pool = _split_pools.setdefault(n, {})
-    index = _mask_indexes.get(n)
-    if index is None or index[0] is not pool:
-        index = _mask_indexes[n] = (pool, {s.mask: s for s in pool.values()})
-    by_mask = index[1]
+    """``_resolution_splits`` for a type on 1..n, with branches as masks."""
     _, b, c, d = branches
-    out = []
-    for mask in (c | d, b | d, b | c):
-        split = by_mask.get(mask)
-        if split is None:
-            side = frozenset(x for x in range(2, n + 1) if mask >> x & 1)
-            split = pool.get(side) or Split(frozenset(range(1, n + 1)), side)
-            pool[side] = by_mask[mask] = split
-        out.append(split)
-    return sorted(out, key=_key)
+    return sorted([_pooled_split(n, m) for m in (c | d, b | d, b | c)], key=_key)
 
 
 def resolutions(t: CombinatorialType) -> Tuple[CombinatorialType, ...]:
@@ -398,84 +386,87 @@ def count_rays(n: int) -> int:
     return sum(comb(n - 1, k) for k in range(2, n - 1))
 
 
-# Type tables per (n, dim), and per n one pool of the splits they share.
-_tables: Dict[Tuple[int, int], Tuple[CombinatorialType, ...]] = {}
-_split_pools: Dict[int, Dict[Labels, Split]] = {}
-# per n, the pool it indexes and that pool's splits by mask
-_mask_indexes: Dict[int, Tuple[Dict[Labels, Split], Dict[int, Split]]] = {}
+# per n, the splits on 1..n by side mask, each made on first use
+_pools: Dict[int, Dict[int, Split]] = {}
 
 
-def _types(n: int, dim: int) -> Tuple[CombinatorialType, ...]:
-    """The types on {1..n} with ``dim`` splits, sorted by key; built on first use."""
-    table = _tables.get((n, dim))
-    if table is None:
-        table = _tables[(n, dim)] = _build_types(n, dim)
-    return table
+@lru_cache(maxsize=None)
+def _leaf_set(n: int) -> Labels:
+    return frozenset(range(1, n + 1))
 
 
-def _build_types(n: int, dim: int) -> Tuple[CombinatorialType, ...]:
-    """Grow the types of dimension ``dim`` on {1..n} from those on {1..n-1}.
-
-    Leaf n attaches to a type on n-1 leaves at an internal vertex (same
-    dimension, so from ``_types(n-1, dim)``), or in the middle of a bounded
-    edge or of a leaf edge (one split more, so from ``_types(n-1, dim-1)``).
-    Stripping leaf n inverts each attachment, so every type arises exactly
-    once and a list collects them without a dedup set.  Facets thus need
-    only the facet chain, and low dimensions only low-dimension tables.
-
-    All types at n draw their splits from one pool, so equal splits are the
-    same object and set operations on them take the identity fast path.
-    Each attachment keeps the sides pairwise disjoint or nested, so the
-    types are built without the pairwise compatibility check.
-    """
-    if n == 3:
-        return (CombinatorialType.of(3),)
-    labels = frozenset(range(1, n + 1))
-    anchor = 1
-    leaf_n = frozenset({n})
-    pool = _split_pools.setdefault(n, {})
-    found = []
-
-    def grow(sides: Iterable[Labels]):
-        # a set frozen whole gets a smaller table than a frozenset grown one by one
-        splits = set()
-        for side in sides:
-            split = pool.get(side)
-            if split is None:
-                split = pool[side] = Split(labels, side)
-            splits.add(split)
-        found.append(CombinatorialType._trusted(labels, frozenset(splits)))
-
-    if dim <= n - 4:
-        for t in _types(n - 1, dim):
-            old_sides = [s.side for s in t.splits]
-            # at an internal vertex: the root (n joins no side), or the vertex
-            # below the edge of a split (n joins every side containing it)
-            grow(old_sides)
-            for cluster in old_sides:
-                grow([side | leaf_n if cluster <= side else side for side in old_sides])
-    if dim >= 1:
-        for t in _types(n - 1, dim - 1):
-            old_sides = [s.side for s in t.splits]
-            # in the middle of the bounded edge of s: s doubles into s, s+{n}
-            for s in old_sides:
-                new_sides = [
-                    side | leaf_n if s < side else side for side in old_sides if side != s
-                ]
-                grow(new_sides + [s, s | leaf_n])
-            # in the middle of the leaf edge of j: new split {j, n} | rest
-            for j in sorted(t.labels):
-                new_sides = [side | leaf_n if j in side else side for side in old_sides]
-                extra = labels - {j, n} if j == anchor else frozenset({j, n})
-                grow(new_sides + [extra])
-
-    return tuple(sorted(found, key=lambda t: t.key))
+def _pooled_split(n: int, mask: int) -> Split:
+    """The split on 1..n whose stored side has the bitmask ``mask``."""
+    pool = _pools.setdefault(n, {})
+    split = pool.get(mask)
+    if split is None:
+        side = frozenset(x for x in range(2, n + 1) if mask >> x & 1)
+        split = pool[mask] = Split(_leaf_set(n), side)
+    return split
 
 
-def enumerate_types(n: int, dim: int) -> Tuple[CombinatorialType, ...]:
-    """All combinatorial types with exactly ``dim`` splits, canonically ordered."""
+def _count_types(n: int, dim: int) -> int:
+    """The number c(n, dim) of types on {1..n} with ``dim`` splits (0 unless
+    0 <= dim <= n-3): c(3, 0) = 1, c(n, d) = (d+1)·c(n-1, d) + (n+d-2)·c(n-1, d-1),
+    as leaf n joins one of d+1 internal vertices or one of d-1+n-1 edges."""
+    if n < 3 or not 0 <= dim <= n - 3:
+        return 0
+    row = [1]
+    for m in range(4, n + 1):
+        below = row + [0]  # c(m-1, d) for d up to one past the row
+        row = [1] + [
+            (d + 1) * below[d] + (m + d - 2) * below[d - 1] for d in range(1, min(m - 2, dim + 1))
+        ]
+    return row[dim]
+
+
+def _stream_types(n: int, dim: int) -> Iterator[CombinatorialType]:
+    """The types on {1..n} with ``dim`` splits, made one at a time in key
+    order; the arguments are checked at the call, not at the first ``next``."""
     if not isinstance(n, int) or n < 3:
         raise ValueError("n must be an integer >= 3")
     if not 0 <= dim <= n - 3:
         raise ValueError(f"dim must lie in [0, {n - 3}] for n = {n}")
-    return _types(n, dim)
+    return _search(n, dim)
+
+
+def _search(n: int, dim: int) -> Iterator[CombinatorialType]:
+    labels = _leaf_set(n)
+    if dim == 0:
+        yield CombinatorialType._trusted(labels, frozenset())
+        return
+    sides = sorted(c for k in range(2, n - 1) for c in itertools.combinations(range(2, n + 1), k))
+    splits = [_pooled_split(n, sum(1 << x for x in c)) for c in sides]
+    masks = [s.mask for s in splits]
+    later: List[Optional[int]] = [None] * len(splits)  # the bitsets, by index
+    picked: List[Split] = []
+    stack = [(1 << len(splits)) - 1]  # the candidates left at each level
+    while stack:
+        candidates = stack.pop()
+        needed = dim - len(picked)
+        if needed == 1:
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                split = splits[low.bit_length() - 1]
+                # a set frozen whole gets a smaller table than one grown in place
+                yield CombinatorialType._trusted(labels, frozenset({*picked, split}))
+        elif candidates.bit_count() >= needed:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            if later[i] is None:
+                a = masks[i]
+                bits = "".join("1" if (a & b) in (0, a, b) else "0" for b in masks[:i:-1])
+                later[i] = int(bits or "0", 2) << (i + 1)
+            stack.append(candidates)
+            picked.append(splits[i])
+            stack.append(candidates & later[i])
+            continue
+        if picked:  # this level is done: back to the one above
+            picked.pop()
+
+
+def enumerate_types(n: int, dim: int) -> Tuple[CombinatorialType, ...]:
+    """All combinatorial types with exactly ``dim`` splits, canonically ordered."""
+    return tuple(_stream_types(n, dim))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -12,11 +13,18 @@ def random_length(rng: random.Random, bound: int = 10**6) -> Fraction:
     return Fraction(rng.randint(1, bound), rng.randint(1, bound))
 
 
+@lru_cache(maxsize=None)
+def types_table(n: int, dim: int):
+    """``enumerate_types``, kept per (n, dim): the library keeps no table,
+    and random points draw from the same few tables thousands of times."""
+    return enumerate_types(n, dim)
+
+
 def random_point(rng: random.Random, n: int, dim=None, infinite_chance: float = 0.0):
     """A random moduli point: random type of the given dimension (facet by
     default), random positive rational lengths, optionally some infinite."""
     dim = n - 3 if dim is None else dim
-    ctype = rng.choice(enumerate_types(n, dim))
+    ctype = rng.choice(types_table(n, dim))
     lengths = {}
     for s in ctype.splits:
         if infinite_chance and rng.random() < infinite_chance:

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from tropmod import divisors
+from tropmod import divisors, trees
 from tropmod.cli import EXIT_CERTIFICATE, EXIT_OK, EXIT_USAGE, main
 from tropmod.moduli import ModuliPoint, embed
 from tropmod.serialization import point_to_json, vector_to_json
+from tropmod.trees import CombinatorialType
 
 
 def run(argv):
@@ -44,6 +45,54 @@ def test_enumerate_usage_errors():
     assert code == EXIT_USAGE
     code, _ = run(["enumerate", "--n", "5"])
     assert code == EXIT_USAGE
+
+
+def test_enumerate_writes_each_type_as_made(monkeypatch):
+    made = []
+    trusted = CombinatorialType._trusted
+
+    def counted(labels, splits):
+        made.append(splits)
+        return trusted(labels, splits)
+
+    monkeypatch.setattr(CombinatorialType, "_trusted", counted)
+
+    class Out(io.StringIO):
+        made_at_writes = []
+
+        def write(self, text):
+            self.made_at_writes.append(len(made))
+            return super().write(text)
+
+    out = Out()
+    assert main(["enumerate", "--n", "8", "--dim", "5"], out=out) == EXIT_OK
+    # the count line comes before any type, the first type before the second
+    assert out.made_at_writes[:2] == [0, 1] and len(made) == 10395
+    assert out.getvalue().startswith("10395\n")
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["enumerate", "--n", "11", "--dim", "8"], 34459425),
+        (["enumerate", "--n", "24", "--dim", "1", "--format", "json"], 8388583),
+        (["check", "balancing", "--n", "11"], 91891800),
+        (["check", "smooth", "--n", "11", "--format", "json"], 91891800),
+        (["check", "psi", "--n", "11", "--k", "1"], 91891800),
+        (["export", "fan", "--n", "11"], 34459425),
+        (["export", "link", "--n", "15"], 6896046),
+    ],
+)
+def test_refuses_more_types_than_the_limit_before_making_any(monkeypatch, capsys, argv, count):
+    def refuse(*args):
+        raise AssertionError("a type was made")
+
+    monkeypatch.setattr(trees, "_stream_types", refuse)
+    monkeypatch.setattr(trees, "_search", refuse)
+    code, out = run(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(count) in err
 
 
 def test_embed_and_reconstruct_roundtrip(tmp_path):

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from tropmod import trees
+from tropmod.divisors import _moduli_reports, check_smooth_local
 from tropmod.errors import IncompatibleSplit, NotCodimensionOne, SplitAbsent
 from tropmod.trees import (
     CombinatorialType,
@@ -40,10 +41,10 @@ def test_equal_splits_hash_equal_from_either_side():
 def test_split_mask_is_the_side_as_bits():
     for n in range(4, 9):
         enumerate_types(n, 1)  # every split at n is a ray and joins the pool
-        pool = trees._split_pools[n]
+        pool = trees._pools[n]
         assert len(pool) == count_rays(n)
-        for s in pool.values():
-            assert s.mask == sum(1 << x for x in s.side)
+        for mask, s in pool.items():
+            assert mask == s.mask == sum(1 << x for x in s.side)
 
 
 def test_split_size_bounds():
@@ -103,17 +104,56 @@ def test_all_dimensions_match_prufer_oracle():
             assert {oracles.type_to_sides(t) for t in types} == _prufer(n, dim)
 
 
-def test_tables_are_built_lazily_from_shared_splits():
-    trees._tables.clear()
-    trees._split_pools.clear()
+def test_count_types_is_the_number_enumerated():
+    for n in range(3, 9):
+        for dim in range(n - 2):
+            assert trees._count_types(n, dim) == len(enumerate_types(n, dim))
+    assert trees._count_types(5, 3) == trees._count_types(5, -1) == 0
+
+
+def test_count_types_needs_no_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a type was made")
+
+    monkeypatch.setattr(trees, "_stream_types", refuse)
+    monkeypatch.setattr(trees, "_search", refuse)
+    counts = {(9, 5): 270_270, (9, 6): 135_135, (10, 6): 4_729_725, (10, 7): 2_027_025}
+    for (n, dim), count in counts.items():
+        assert trees._count_types(n, dim) == count
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_stream_at_n_8_is_every_type_once_in_key_order(dim):
+    # distinct valid types at the right count are all the types
+    keys = []
+    for t in trees._stream_types(8, dim):
+        assert CombinatorialType(t.labels, t.splits) == t  # the checked constructor
+        assert t.dim == dim
+        keys.append(t.key)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert len(keys) == trees._count_types(8, dim)
+
+
+def test_stream_checks_its_arguments_when_called():
+    for n, dim in ((2, 0), (5, 3), (5, -1), (4.0, 1)):
+        with pytest.raises(ValueError):
+            trees._stream_types(n, dim)
+    with pytest.raises(ValueError):
+        _moduli_reports(3)  # not at the first next()
+
+
+def test_pool_is_filled_lazily_and_shared_by_every_dimension(monkeypatch):
+    monkeypatch.setattr(trees, "_pools", {})
+    enumerate_types(8, 0)  # the star has no split, so none is made
+    assert trees._pools.get(8, {}) == {}
     enumerate_types(8, 1)
-    # rays at n need rays and the origin at n-1, nothing of dimension >= 2
-    built = {(3, 0), (8, 1)} | {(m, d) for m in range(4, 8) for d in (0, 1)}
-    assert set(trees._tables) == built
+    # rays at n need nothing at n-1
+    assert set(trees._pools) == {8} and len(trees._pools[8]) == count_rays(8)
 
     # every dimension at n = 7 draws on one object per split
     ids = {id(s) for dim in range(5) for t in enumerate_types(7, dim) for s in t.splits}
     assert len(ids) == count_rays(7)
+    assert ids == {id(s) for s in trees._pools[7].values()}
 
 
 def test_count_rays():
@@ -164,11 +204,11 @@ def test_resolutions_match_brute_force_oracle():
 
 def test_resolution_splits_are_pooled():
     for n in range(5, 9):
-        taus = enumerate_types(n, n - 4)
-        pool = trees._split_pools[n]
-        for tau in taus:
+        rays = {s.mask: s for t in enumerate_types(n, 1) for s in t.splits}
+        pool = trees._pools[n]
+        for tau in enumerate_types(n, n - 4):
             for s in trees._resolution_splits(tau, trees._four_branches(tau)):
-                assert s is pool[s.side]
+                assert s is pool[s.mask] is rays[s.mask]
     # on labels other than 1..n an equal side in the pool is another split
     tau = CombinatorialType.of([2, 3, 4, 5, 6], [(5, 6)])
     splits = trees._resolution_splits(tau, trees._four_branches(tau))
@@ -184,25 +224,42 @@ def test_branch_masks_are_the_four_branches():
             assert branches == [sum(1 << x for x in b) for b in expected]
             splits = trees._pooled_resolutions(n, branches)
             assert splits == trees._resolution_splits(t, expected)
-            assert all(s is trees._split_pools[n][s.side] for s in splits)
+            assert all(s is trees._pools[n][s.mask] for s in splits)
     with pytest.raises(NotCodimensionOne):
         trees._branch_masks(enumerate_types(6, 3)[0])
 
 
-def test_pooled_resolutions_follow_a_rebuilt_pool():
-    trees._tables.clear()
-    trees._split_pools.clear()
+def test_pooled_resolutions_follow_a_rebuilt_pool(monkeypatch):
+    monkeypatch.setattr(trees, "_pools", {})
     # the origin at n = 4 has no splits, so its resolutions join the pool
     origin = enumerate_types(4, 0)[0]
     splits = trees._pooled_resolutions(4, trees._branch_masks(origin))
     assert [s.key for s in splits] == [(2, 3), (2, 4), (3, 4)]
-    assert all(s is trees._split_pools[4][s.side] for s in splits)
-    # the rays built after them share them
+    assert all(s is trees._pools[4][s.mask] for s in splits)
+    # the rays enumerated after them are them
     rays = [next(iter(t.splits)) for t in enumerate_types(4, 1)]
     assert all(r is s for r, s in zip(rays, splits)) and len(rays) == 3
     for t in enumerate_types(6, 2):
         for s in trees._pooled_resolutions(6, trees._branch_masks(t)):
-            assert s is trees._split_pools[6][s.side]
+            assert s is trees._pools[6][s.mask]
+
+
+def test_smoothness_at_n_40_makes_only_the_splits_it_touches(monkeypatch):
+    monkeypatch.setattr(trees, "_pools", {})
+    n = 40
+    # blocks of 2, 4, ..., 32 leaves from leaf 2 on, and {34..39}: the one
+    # 4-valent vertex joins 1, {2..33}, {34..39} and 40.  Small blocks keep
+    # the dense directions at n = 40 cheap
+    blocks = [range(a, a + size) for size in (2, 4, 8, 16, 32) for a in range(2, n - size + 1, size)]
+    tau = CombinatorialType.of(n, blocks + [range(34, 40)])
+    assert tau.dim == n - 4
+    report = check_smooth_local(n, tau)
+    assert report.balanced and report.smooth
+    # the three resolutions, not the 2^39 - 41 splits on 1..40
+    assert set(trees._pools) == {n}
+    pool = trees._pools[n]
+    assert sorted(pool) == sorted(rec.extra_split.mask for rec in report.adjacent)
+    assert all(pool[rec.extra_split.mask] is rec.extra_split for rec in report.adjacent)
 
 
 def test_resolutions_rejects_other_profiles():

@@ -8,11 +8,11 @@ with [--output FILE].  A missing flag, or one the kind does not read, is a
 usage error.
 
 Exit codes: 0 on success, 1 on usage or input errors (a request for more
-than ``MAX_TYPES`` types among them), 2 when a requested certificate fails.
-Output ordering is canonical, so runs are byte-for-byte reproducible.  The
-TROPMOD_THREADS environment variable caps the number of worker threads for
-certificate checks and must be a positive integer; the checks run serially,
-which meets any cap.
+than ``MAX_TYPES`` types or vector entries among them), 2 when a requested
+certificate fails.  Output ordering is canonical, so runs are byte-for-byte
+reproducible.  The TROPMOD_THREADS environment variable caps the number of
+worker threads for certificate checks and must be a positive integer; the
+checks run serially, which meets any cap.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import json
 import os
 import sys
 from collections.abc import Iterator
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _string
+from math import comb
 from typing import Optional, Sequence
 
 from . import divisors, maps, moduli, serialization, trees
@@ -34,6 +36,9 @@ EXIT_CERTIFICATE = 2
 
 # The most types a command may make, counted before any is made: at n = 10
 # the 4,729,725 codim-1 types pass, at n = 11 the 34,459,425 facets do not.
+# It also bounds the N = 3·C(n,4) entries of the dense vectors that embed,
+# export embed and check balancing --fan build, checked once the input is
+# read: at n = 81 the 4,991,220 pass, at n = 82 the 5,247,180 do not.
 MAX_TYPES = 5_000_000
 
 
@@ -197,8 +202,19 @@ def _count_within_limit(n: int, *dims: int) -> int:
     """The number of types on {1..n} of these dimensions, refused past ``MAX_TYPES``."""
     count = sum(trees._count_types(n, dim) for dim in dims)
     if count > MAX_TYPES:
-        raise UsageError(f"{count} combinatorial types at n = {n} exceed the limit of {MAX_TYPES}")
+        try:
+            text = str(count)
+        except ValueError:  # more digits than int-to-str conversion allows
+            text = f"a {Decimal(count).adjusted() + 1}-digit number of"
+        raise UsageError(f"{text} combinatorial types at n = {n} exceed the limit of {MAX_TYPES}")
     return count
+
+
+def _coordinates_within_limit(n: int) -> None:
+    """Refuse a dense vector on n leaves of more than ``MAX_TYPES`` entries."""
+    size = 3 * comb(n, 4)
+    if size > MAX_TYPES:
+        raise UsageError(f"{size} embedding coordinates at n = {n} exceed the limit of {MAX_TYPES}")
 
 
 def _cmd_enumerate(args, out) -> int:
@@ -223,6 +239,7 @@ def _cmd_enumerate(args, out) -> int:
 
 def _cmd_embed(args, out) -> int:
     point = serialization.point_from_json(_load_json(args.point))
+    _coordinates_within_limit(point.n)
     vector = moduli.embed(point)
     if args.format == "text":
         for r, value in zip(vector.coordinates, vector.entries):
@@ -250,6 +267,7 @@ def _cmd_check(args, out) -> int:
     if args.what == "balancing":
         if args.fan is not None:
             fan = serialization.fan_from_json(_load_json(args.fan))
+            _coordinates_within_limit(fan.n)
             reports = divisors._face_reports(fan)
         else:
             reports = divisors._moduli_reports(args.n)
@@ -341,6 +359,7 @@ def _cmd_export(args, out) -> int:
         text = _render(serialization.fan_to_json(divisors.moduli_fan(args.n))) + "\n"
     else:  # embed
         point = serialization.point_from_json(_load_json(args.point))
+        _coordinates_within_limit(point.n)
         text = _render(serialization.vector_to_json(moduli.embed(point))) + "\n"
 
     if args.output:

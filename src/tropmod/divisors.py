@@ -17,9 +17,9 @@ A face is solved on packed vectors: each direction is one int with a signed
 field per coordinate, so the weighted sum, the recombination and their
 comparison are a few big-integer operations.  With W the sum of the adjacent
 weights and d the number of face splits, every entry of either vector is at
-most W * (d + 1) in size, and the fields are chosen wide enough to hold that
-(see ``_balance_at``).  Reports are produced one face at a time, so the
-command line writes each as it is solved.
+most W * (d + 1) in size, and the fields are chosen wide enough to hold that.
+``_balance_at`` builds every report, one face at a time, so the command
+line writes each as it is solved.
 
 The moduli fan itself is certified from its codimension-1 types, streamed
 one at a time with no facet table and no contraction
@@ -59,10 +59,8 @@ from .moduli import (
 from .trees import (
     CombinatorialType,
     Split,
-    _four_branches,
     _branch_masks,
     _key,
-    _pooled_resolutions,
     _resolution_splits,
     _stream_types,
     contract,
@@ -320,51 +318,40 @@ def _balance_at(
     face: CombinatorialType,
     adjacent: List[Tuple[CombinatorialType, int, Split]],
     splits: List[Split],
-    coordinates: List[Tuple[int, int]],
+    witness: Optional[Tuple[int, ...]] = None,
     unimodular: Optional[bool] = None,
     minor: Optional[Tuple[int, ...]] = None,
 ) -> BalancingReport:
-    """The report at a face, given its splits in key order and their
-    isolating coordinates.  A smoothness check also passes whether its
-    minor has determinant +-1, and that minor (None when it has not).
+    """The report at a face, given its (cone, weight, extra split) triples
+    by extra split and its splits in key order.  A smoothness check also
+    passes whether its minor has determinant +-1, and that minor (None when
+    it has not).  A given witness, entries at most W in size, is tried
+    first; if it fails, or none was given, the coefficients are read at the
+    isolating coordinates.  They are unique, so the verdict is the same.
 
-    The weighted sum and the recombination of the face directions are
-    compared packed.  Let W be the sum of the adjacent weights and d the
-    number of face splits.  Directions have entries in {-1, 0, 1}, so each
-    sum entry is at most W in size, hence each coefficient (a sum entry up
-    to sign), and each recombined entry at most d * W: every entry of
-    either vector, and of their difference, is at most W * (d + 1).  The
-    fields are signed with 2^(width-1) above that bound, so a packed value
-    has one representation with every digit in the fields' range, and the
-    packed ints are equal iff the vectors are.
+    Let W be the sum of the adjacent weights and d the number of face
+    splits.  Directions have entries in {-1, 0, 1}, so each sum entry is at
+    most W in size, hence each coefficient, and each recombined entry at
+    most d * W: every entry of either vector, and of their difference, is at
+    most W * (d + 1).  The fields are signed with 2^(width-1) above that
+    bound, so the packed ints are equal iff the vectors are.
     """
-    # every adjacent cone is the face plus its extra split, so this is also
-    # the order of (cone.key, extra_split.key)
-    adjacent = sorted(adjacent, key=lambda cw: cw[2].key)
     width = _field_width(sum(weight for _, weight, _ in adjacent) * (len(splits) + 1))
     total = 0
     records = []
     for cone, weight, extra in adjacent:
-        records.append(
-            AdjacentFacet(
-                cone=cone,
-                extra_split=extra,
-                weight=weight,
-                direction=_split_direction(extra),
-            )
-        )
+        records.append(AdjacentFacet(cone, extra, weight, _split_direction(extra)))
         total += weight * _packed_direction(extra, width)
     weighted_sum = _unpack(total, width, 3 * comb(face.n, 4))
-    coefficients = tuple(sign * weighted_sum[i] for i, sign in coordinates)
-    balanced = total == _recombine(splits, coefficients, width)
+    balanced = witness is not None and total == _recombine(splits, witness, width)
+    if not balanced:
+        coordinates = _isolating_coordinates(face, splits)
+        witness = tuple(sign * weighted_sum[i] for i, sign in coordinates)
+        balanced = total == _recombine(splits, witness, width)
+    smooth = None if unimodular is None else balanced and unimodular
+    # positional: keywords cost a measurable share of a moduli-fan face
     return BalancingReport(
-        face=face,
-        adjacent=tuple(records),
-        weighted_sum=weighted_sum,
-        balanced=balanced,
-        smooth=None if unimodular is None else balanced and unimodular,
-        witness=coefficients if balanced else None,
-        minor=minor,
+        face, tuple(records), weighted_sum, balanced, smooth, witness if balanced else None, minor
     )
 
 
@@ -381,8 +368,10 @@ def _face_reports(fan: WeightedFan) -> Iterator[BalancingReport]:
         for s in cone.splits:
             faces.setdefault(contract(cone, s), []).append((cone, weight, s))
     for face in sorted(faces, key=lambda f: f.key):
-        splits = _face_splits(face)
-        yield _balance_at(face, faces[face], splits, _isolating_coordinates(face, splits))
+        # every adjacent cone is the face plus its extra split, so this is
+        # also the order of (cone.key, extra_split.key)
+        adjacent = sorted(faces[face], key=lambda cw: cw[2].key)
+        yield _balance_at(face, adjacent, _face_splits(face))
 
 
 def check_balanced(fan: WeightedFan, max_workers: int = 1) -> List[BalancingReport]:
@@ -456,45 +445,26 @@ def _codim_one_report(tau: CombinatorialType, smooth: bool = False) -> Balancing
     ``smooth`` that of ``check_smooth_local``, read off the 4-valent vertex.
     The type is on labels 1..n.
 
-    The adjacent cones are the three resolutions, each of weight 1, and the
-    witness tried is ``_local_witness``.  It holds iff the packed sum of the
-    resolution directions equals its packed recombination: its entries are 0
-    and 1, within the bound that ``_balance_at`` sizes the fields for.  If
-    they differ, ``_balance_at`` decides at the isolating coordinates.  The
-    coefficients of a combination of the (independent) face directions are
-    unique, so either way the report is the one ``_balance_at`` gives.
+    The adjacent cones are the three resolutions, each of weight 1, in key
+    order, and the witness tried is ``_local_witness``.
     """
     branches = _branch_masks(tau)
     labels, face = tau.labels, tau.splits
-    n = len(labels)
-    extras = _pooled_resolutions(n, branches)
+    extras = _resolution_splits(labels, branches)
     splits = _face_splits(tau)
-    coordinates = unimodular = minor = None
+    unimodular = minor = None
     if smooth:
         coordinates = _isolating_coordinates(tau, splits)
-        base = _quartet_bases(n)[sum(m & -m for m in branches)]
+        base = _quartet_bases(len(labels))[sum(m & -m for m in branches)]
         columns = tuple(i for i, _ in coordinates) + (base, base + 1)
         # the first two adjacent directions: the extras are in key order
         rows = [_split_direction(s) for s in splits + extras[:2]]
         signs = [sign for _, sign in coordinates]
         unimodular = abs(_minor_determinant(rows, columns, signs)) == 1
         minor = columns if unimodular else None
-    width = _field_width(3 * (len(splits) + 1))
-    total = _recombine(extras, (1, 1, 1), width)
+    adjacent = [(CombinatorialType._trusted(labels, face | {s}), 1, s) for s in extras]
     witness = _local_witness(splits, branches)
-    if total != _recombine(splits, witness, width):
-        adjacent = [(CombinatorialType._trusted(labels, face | {s}), 1, s) for s in extras]
-        if coordinates is None:
-            coordinates = _isolating_coordinates(tau, splits)
-        return _balance_at(tau, adjacent, splits, coordinates, unimodular, minor)
-    records = tuple(
-        [
-            AdjacentFacet(CombinatorialType._trusted(labels, face | {s}), s, 1, _split_direction(s))
-            for s in extras
-        ]
-    )
-    weighted_sum = _unpack(total, width, 3 * comb(n, 4))
-    return BalancingReport(tau, records, weighted_sum, True, unimodular, witness, minor)
+    return _balance_at(tau, adjacent, splits, witness, unimodular, minor)
 
 
 def _moduli_reports(n: int, smooth: bool = False) -> Iterator[BalancingReport]:
@@ -530,7 +500,7 @@ def verify_witness(report: BalancingReport) -> bool:
             return False
     if report.smooth is not None:
         try:
-            expected = _resolution_splits(face, _four_branches(face))
+            expected = _resolution_splits(face.labels, _branch_masks(face))
         except NotCodimensionOne:
             return False
         if [rec.extra_split for rec in report.adjacent] != expected:
@@ -557,7 +527,7 @@ def psi_divisor(n: int, k: int) -> WeightedFan:
         raise ValueError("psi divisors need n >= 4")
     if not 1 <= k <= n:
         raise ValueError(f"leaf label k must lie in 1..{n}")
-    cones = [(t, 1) for t in _stream_types(n, n - 4) if frozenset({k}) in _four_branches(t)]
+    cones = [(t, 1) for t in _stream_types(n, n - 4) if 1 << k in _branch_masks(t)]
     return WeightedFan(n=n, dim=n - 4, cones=tuple(cones))
 
 
@@ -570,9 +540,8 @@ def _psi_reports(n: int, k: int) -> Iterator[BalancingReport]:
 
 def check_psi_balanced(n: int, k: int, max_workers: int = 1) -> List[BalancingReport]:
     """Balancing certificates for the psi divisor at its codimension-2 faces."""
-    reports = _psi_reports(n, k)
     _check_workers(max_workers)
-    return list(reports)
+    return list(_psi_reports(n, k))
 
 
 def canonical_divisor(t: CombinatorialType) -> Dict[int, int]:

@@ -15,6 +15,9 @@ ANDing for each pick a bitset of the later splits compatible with it
 backtracks when fewer candidates are left than splits still needed.  A
 type's key is its split keys in order, so each type comes out once and in
 key order.  ``_count_types`` counts them in closed form.
+
+``_branch_masks`` reads the 4-valent vertex of a codimension-1 type, as the
+masks of its four branches; resolutions and psi divisors are read off them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -276,71 +278,38 @@ def contract(t: CombinatorialType, s: Split) -> CombinatorialType:
 _key = attrgetter("key")
 
 
-def _four_valent_vertex(
-    t: CombinatorialType,
-) -> Tuple[int, int, List[Tuple[int, Split]], Optional[Tuple[int, Split]]]:
-    """The unique 4-valent vertex; the one codimension-1 test.
+def _branch_masks(t: CombinatorialType) -> List[int]:
+    """The branches at the unique 4-valent vertex as masks, ordered by least
+    label; the one codimension-1 test.
 
-    Returns the mask of all labels, the mask of the vertex's own leaves, the
-    (mask, split) pairs of its edges down and that of its edge up (None at
-    the root).  Read off the laminar family of sides as bitmasks, without
-    realizing the tree.  Vertex 0 is the root (all labels), vertex i the
-    child end of the i-th side by mask, largest first.  A superside has the
-    larger mask, so each side comes after its supersides, and its parent,
-    its smallest strict superside, is the latest earlier one holding it.  A
-    vertex's valence is its own leaves plus its children, plus one for the
-    edge up unless it is the root: its size, less size - 1 per child, plus
-    that one.
+    Read off the laminar family of sides as bitmasks, without realizing the
+    tree.  Vertex 0 is the root (all labels), vertex i the child end of the
+    i-th side by mask, largest first.  A superside has the larger mask, so
+    each side comes after its supersides, and its parent, its smallest
+    strict superside, is the latest earlier one holding it.  A vertex's
+    valence is its own leaves plus its children, plus one for the edge up
+    unless it is the root: its size, less size - 1 per child, plus that one.
     """
-    # (mask, split) pairs: the masks are distinct, so no splits are compared
-    pairs = sorted([(s.mask, s) for s in t.splits], reverse=True)
-    masks = [_labels_mask(t.labels)]
+    masks = [_labels_mask(t.labels)] + sorted([s.mask for s in t.splits], reverse=True)
     vals = [masks[0].bit_count()]
     parents = []
-    for m, _ in pairs:
-        p = len(masks) - 1
+    for m in masks[1:]:
+        p = len(vals) - 1
         while masks[p] & m != m:
             p -= 1
         parents.append(p)
         size = m.bit_count()
         vals[p] -= size - 1
-        masks.append(m)
         vals.append(size + 1)
     if vals.count(3) != len(vals) - 1 or 4 not in vals:
         raise NotCodimensionOne(
             f"valence profile {tuple(sorted(vals))} has no unique 4-valent vertex"
         )
     v = vals.index(4)
-    leaves = masks[v]
-    down = []
-    for pair, p in zip(pairs, parents):
-        if p == v:
-            leaves &= ~pair[0]
-            down.append(pair)
-    return masks[0], leaves, down, pairs[v - 1] if v else None
-
-
-@lru_cache(maxsize=None)
-def _labels_mask(labels: Labels) -> int:
-    return sum(1 << x for x in labels)
-
-
-def _four_branches(t: CombinatorialType) -> Tuple[Labels, ...]:
-    """The branches at the unique 4-valent vertex, ordered by least label."""
-    _, leaves, down, up = _four_valent_vertex(t)
-    out = [frozenset([x]) for x in t.labels if leaves >> x & 1]
-    out += [s.side for _, s in down]
-    if up is not None:
-        out.append(up[1].complement)
-    return tuple(sorted(out, key=min))
-
-
-def _branch_masks(t: CombinatorialType) -> List[int]:
-    """The branches at the 4-valent vertex as masks, ordered by least label."""
-    full, leaves, down, up = _four_valent_vertex(t)
-    branches = [m for m, _ in down]
-    if up is not None:
-        branches.append(full & ~up[0])
+    branches = [m for m, p in zip(masks[1:], parents) if p == v]
+    leaves = masks[v] & ~sum(branches)
+    if v:
+        branches.append(masks[0] & ~masks[v])
     while leaves:
         low = leaves & -leaves
         branches.append(low)
@@ -349,25 +318,27 @@ def _branch_masks(t: CombinatorialType) -> List[int]:
     return branches
 
 
-def _resolution_splits(t: CombinatorialType, branches: Tuple[Labels, ...]) -> List[Split]:
-    """The first branch joined with each other one (compatible with t), by key.
+@lru_cache(maxsize=None)
+def _labels_mask(labels: Labels) -> int:
+    return sum(1 << x for x in labels)
+
+
+def _resolution_splits(labels: Labels, branches: List[int]) -> List[Split]:
+    """The first branch joined with each other one, by key.
 
     The first branch holds the smallest label, so each split's stored side
     is the union of the other two branches.  On labels 1..n the splits come
     from the n pool, so cache lookups on them take the identity fast path.
     """
-    labels = t.labels
-    n = len(labels)
-    if labels == _leaf_set(n):
-        return _pooled_resolutions(n, [sum(1 << x for x in b) for b in branches])
-    out = [Split(labels, branches[i] | branches[j]) for i, j in ((2, 3), (1, 3), (1, 2))]
-    return sorted(out, key=_key)
-
-
-def _pooled_resolutions(n: int, branches: List[int]) -> List[Split]:
-    """``_resolution_splits`` for a type on 1..n, with branches as masks."""
     _, b, c, d = branches
-    return sorted([_pooled_split(n, m) for m in (c | d, b | d, b | c)], key=_key)
+    n = len(labels)
+    masks = (c | d, b | d, b | c)
+    full = _leaf_set(n)
+    if labels is full or labels == full:
+        out = [_pooled_split(n, m) for m in masks]
+    else:
+        out = [Split(labels, frozenset(x for x in labels if m >> x & 1)) for m in masks]
+    return sorted(out, key=_key)
 
 
 def resolutions(t: CombinatorialType) -> Tuple[CombinatorialType, ...]:
@@ -375,7 +346,7 @@ def resolutions(t: CombinatorialType) -> Tuple[CombinatorialType, ...]:
 
     Sorting by the extra split orders them as the type key would.
     """
-    splits = _resolution_splits(t, _four_branches(t))
+    splits = _resolution_splits(t.labels, _branch_masks(t))
     return tuple(CombinatorialType._trusted(t.labels, t.splits | {s}) for s in splits)
 
 
@@ -383,7 +354,7 @@ def count_rays(n: int) -> int:
     """Number of one-split types: bipartitions of {1..n} with both sides >= 2."""
     if n < 4:
         raise ValueError("rays exist only for n >= 4")
-    return sum(comb(n - 1, k) for k in range(2, n - 1))
+    return _count_types(n, 1)
 
 
 # per n, the splits on 1..n by side mask, each made on first use

@@ -432,9 +432,8 @@ def determinant(rows) -> Fraction:
 def dense_balance_at(face, adjacent, splits, coordinates) -> BalancingReport:
     """The balancing report at a face, summed and solved on dense lists.
 
-    Takes what ``divisors._balance_at`` takes: the (cone, weight, extra
-    split) triples, the face splits in key order and their isolating
-    coordinates.
+    Takes the (cone, weight, extra split) triples, the face splits in key
+    order and their isolating coordinates.
     """
     adjacent = sorted(adjacent, key=lambda cw: cw[2].key)
     total = [0] * (3 * comb(face.n, 4))

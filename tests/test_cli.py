@@ -1,10 +1,11 @@
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 
-from tropmod import divisors, trees
+from tropmod import divisors, moduli, trees
 from tropmod.cli import EXIT_CERTIFICATE, EXIT_OK, EXIT_USAGE, main
 from tropmod.moduli import ModuliPoint, embed
 from tropmod.serialization import point_to_json, vector_to_json
@@ -93,6 +94,53 @@ def test_refuses_more_types_than_the_limit_before_making_any(monkeypatch, capsys
     err = capsys.readouterr().err
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(count) in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="int-to-str conversion has no digit limit"
+)
+def test_type_limit_names_an_unprintable_count_by_its_digits(capsys):
+    count = trees._count_types(300, 296)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            str(count)
+        code, out = run(["check", "balancing", "--n", "300"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err == (
+        f"error: a {len(str(count))}-digit number of combinatorial types at n = 300"
+        " exceed the limit of 5000000\n"
+    )
+
+
+@pytest.mark.parametrize("n, size", [(82, 5247180), (200, 194054850)])
+@pytest.mark.parametrize(
+    "argv",
+    [["embed", "--point"], ["export", "embed", "--point"], ["check", "balancing", "--fan"]],
+    ids=["embed", "export-embed", "check-fan"],
+)
+def test_refuses_dense_vectors_past_the_limit_before_building_any(
+    tmp_path, monkeypatch, capsys, argv, n, size
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense vector was built")
+
+    monkeypatch.setattr(moduli, "embed", refuse)
+    monkeypatch.setattr(divisors, "_face_reports", refuse)
+    if argv[-1] == "--fan":
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({"n": n, "dim": 1, "cones": [{"splits": [[2, 3]]}]}))
+        path = str(path)
+    else:
+        path = write_point(tmp_path, ModuliPoint.of(n, {(2, 3): 1}))
+    code, out = run(argv + [path])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {size} embedding coordinates at n = {n} exceed the limit of 5000000\n"
 
 
 def test_embed_and_reconstruct_roundtrip(tmp_path):

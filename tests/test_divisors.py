@@ -1,5 +1,6 @@
 import pytest
 
+from tropmod import divisors
 from tropmod.divisors import (
     WeightedFan,
     canonical_divisor,
@@ -11,7 +12,7 @@ from tropmod.divisors import (
 )
 from tropmod.errors import NotCodimensionOne, NotPure
 from tropmod.moduli import RatioIndex, canonical_coordinates, direction_vector
-from tropmod.trees import CombinatorialType, enumerate_types
+from tropmod.trees import CombinatorialType, enumerate_types, to_tree
 
 
 def test_moduli_fan_counts():
@@ -170,3 +171,27 @@ def test_canonical_divisor():
     assert sorted(canonical_divisor(star).values()) == [3]
     ray = enumerate_types(5, 1)[0]
     assert sorted(canonical_divisor(ray).values()) == [1, 2]
+
+
+def test_psi_divisor_cones_hang_leaf_k_off_the_four_valent_vertex():
+    for n in range(5, 8):
+        codim_one = enumerate_types(n, n - 4)
+        for k in range(1, n + 1):
+            expected = []
+            for t in codim_one:
+                tree = to_tree(t)
+                if k in tree.vertices[tree.valences().index(4)].leaves:
+                    expected.append(t)
+            fan = psi_divisor(n, k)
+            assert [t for t, _ in fan.cones] == expected
+            assert all(weight == 1 for _, weight in fan.cones)
+
+
+def test_check_psi_balanced_refuses_max_workers_before_building_the_divisor(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the psi divisor was built")
+
+    monkeypatch.setattr(divisors, "psi_divisor", refused)
+    for bad in (0, -1, True, 1.5):
+        with pytest.raises(ValueError, match="max_workers"):
+            check_psi_balanced(9, 1, max_workers=bad)

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -194,12 +195,21 @@ def test_resolutions_contract_roundtrip():
 
 
 def test_resolutions_match_brute_force_oracle():
+    rng = random.Random(4)
     for n in range(4, 8):
         for tau in enumerate_types(n, n - 4):
-            res = resolutions(tau)
-            assert list(res) == oracles.brute_force_resolutions(tau)
-            for rho in res:
-                assert CombinatorialType(rho.labels, rho.splits) == rho
+            # also on other leaf sets: labels that move the anchor, and a
+            # shift that keeps it
+            types = [tau]
+            for image in (rng.sample(range(1, 4 * n), n), range(5, n + 5)):
+                relabel = dict(zip(range(1, n + 1), image))
+                sides = [[relabel[x] for x in s.side] for s in tau.splits]
+                types.append(CombinatorialType.of(relabel.values(), sides))
+            for t in types:
+                res = resolutions(t)
+                assert list(res) == oracles.brute_force_resolutions(t)
+                for rho in res:
+                    assert CombinatorialType(rho.labels, rho.splits) == rho
 
 
 def test_resolution_splits_are_pooled():
@@ -207,11 +217,11 @@ def test_resolution_splits_are_pooled():
         rays = {s.mask: s for t in enumerate_types(n, 1) for s in t.splits}
         pool = trees._pools[n]
         for tau in enumerate_types(n, n - 4):
-            for s in trees._resolution_splits(tau, trees._four_branches(tau)):
+            for s in trees._resolution_splits(tau.labels, trees._branch_masks(tau)):
                 assert s is pool[s.mask] is rays[s.mask]
     # on labels other than 1..n an equal side in the pool is another split
     tau = CombinatorialType.of([2, 3, 4, 5, 6], [(5, 6)])
-    splits = trees._resolution_splits(tau, trees._four_branches(tau))
+    splits = trees._resolution_splits(tau.labels, trees._branch_masks(tau))
     assert [s.key for s in splits] == [(3, 4), (3, 5, 6), (4, 5, 6)]
     assert all(s.labels == tau.labels for s in splits)
 
@@ -220,10 +230,12 @@ def test_branch_masks_are_the_four_branches():
     for n in range(4, 9):
         for t in enumerate_types(n, n - 4):
             branches = trees._branch_masks(t)
-            expected = trees._four_branches(t)
-            assert branches == [sum(1 << x for x in b) for b in expected]
-            splits = trees._pooled_resolutions(n, branches)
-            assert splits == trees._resolution_splits(t, expected)
+            expected = _realized_four_branches(t)
+            assert branches == _masks(expected)
+            splits = trees._resolution_splits(t.labels, branches)
+            _, b, c, d = expected
+            joined = [Split(t.labels, side) for side in (c | d, b | d, b | c)]
+            assert splits == sorted(joined, key=lambda s: s.key)
             assert all(s is trees._pools[n][s.mask] for s in splits)
     with pytest.raises(NotCodimensionOne):
         trees._branch_masks(enumerate_types(6, 3)[0])
@@ -233,14 +245,14 @@ def test_pooled_resolutions_follow_a_rebuilt_pool(monkeypatch):
     monkeypatch.setattr(trees, "_pools", {})
     # the origin at n = 4 has no splits, so its resolutions join the pool
     origin = enumerate_types(4, 0)[0]
-    splits = trees._pooled_resolutions(4, trees._branch_masks(origin))
+    splits = trees._resolution_splits(origin.labels, trees._branch_masks(origin))
     assert [s.key for s in splits] == [(2, 3), (2, 4), (3, 4)]
     assert all(s is trees._pools[4][s.mask] for s in splits)
     # the rays enumerated after them are them
     rays = [next(iter(t.splits)) for t in enumerate_types(4, 1)]
     assert all(r is s for r, s in zip(rays, splits)) and len(rays) == 3
     for t in enumerate_types(6, 2):
-        for s in trees._pooled_resolutions(6, trees._branch_masks(t)):
+        for s in trees._resolution_splits(t.labels, trees._branch_masks(t)):
             assert s is trees._pools[6][s.mask]
 
 
@@ -278,9 +290,16 @@ def _realized_four_branches(t):
     return tree.branches(vals.index(4))
 
 
+def _masks(branches):
+    """The branches as bitmasks; an error message passes through."""
+    if isinstance(branches, str):
+        return branches
+    return [sum(1 << x for x in b) for b in branches]
+
+
 def _mask_four_branches(t):
     try:
-        return trees._four_branches(t)
+        return trees._branch_masks(t)
     except NotCodimensionOne as exc:
         return str(exc)
 
@@ -289,13 +308,13 @@ def test_four_branches_match_the_realized_tree():
     for n in range(4, 9):
         types = enumerate_types(n, n - 4)
         for t in types:
-            branches = trees._four_branches(t)
-            assert branches == _realized_four_branches(t)
+            branches = trees._branch_masks(t)
+            assert branches == _masks(_realized_four_branches(t))
             assert len(branches) == 4
     # leaf labels other than 1..n
     for sides in ([(2, 5)], [(2, 5), (11, 12)], [(9, 11, 12), (11, 12)]):
         t = CombinatorialType.of((2, 5, 7, 9, 11, 12), sides)
-        assert _mask_four_branches(t) == _realized_four_branches(t)
+        assert _mask_four_branches(t) == _masks(_realized_four_branches(t))
 
 
 def test_four_branches_reject_every_other_type():
@@ -307,7 +326,7 @@ def test_four_branches_reject_every_other_type():
                 message = _realized_four_branches(t)
                 assert isinstance(message, str)
                 with pytest.raises(NotCodimensionOne, match=rf"^{re.escape(message)}$"):
-                    trees._four_branches(t)
+                    trees._branch_masks(t)
     for sides in ([], [(2, 5), (11, 12)], [(2, 5), (2, 5, 7), (11, 12), (11, 12, 14)]):
         t = CombinatorialType.of((2, 5, 7, 9, 11, 12, 14), sides)
         message = _realized_four_branches(t)

@@ -27,10 +27,11 @@ from tropmod.moduli import _split_direction, _split_support
 from tropmod.trees import (
     CombinatorialType,
     Split,
-    _four_branches,
+    _branch_masks,
     _resolution_splits,
     contract,
     enumerate_types,
+    to_tree,
 )
 
 import oracles
@@ -233,7 +234,7 @@ def test_packed_face_solve_matches_dense_oracle():
             splits = _face_splits(tau)
             adjacent = [
                 (CombinatorialType._trusted(tau.labels, tau.splits | {s}), 1, s)
-                for s in _resolution_splits(tau, _four_branches(tau))
+                for s in _resolution_splits(tau.labels, _branch_masks(tau))
             ]
             dense = oracles.dense_balance_at(
                 tau, adjacent, splits, _isolating_coordinates(tau, splits)
@@ -249,17 +250,19 @@ def test_codim_one_stream_matches_contract_listing(n, monkeypatch):
         raise AssertionError("the closed-form witness holds at every face")
 
     # so no report of the stream comes from the fallback
-    monkeypatch.setattr(divisors, "_balance_at", refused)
+    monkeypatch.setattr(divisors, "_isolating_coordinates", refused)
     assert list(_moduli_reports(n)) == listing
 
 
 def test_local_witness_marks_the_splits_on_the_vertex():
     for n in range(4, 9):
         for tau in enumerate_types(n, n - 4):
-            branches = _four_branches(tau)
+            tree = to_tree(tau)
+            branches = tree.branches(tree.valences().index(4))
             splits = _face_splits(tau)
             on_vertex = [int(s.side in branches or s.complement in branches) for s in splits]
             masks = [sum(1 << x for x in b) for b in branches]
+            assert _branch_masks(tau) == masks
             assert divisors._local_witness(splits, masks) == tuple(on_vertex)
             assert sum(on_vertex) == sum(len(b) > 1 for b in branches)
 
@@ -277,7 +280,7 @@ def test_smooth_reports_match_bareiss_oracle(n):
 
 def test_wrong_local_witness_falls_back_to_the_isolating_solve(monkeypatch):
     local_witness = divisors._local_witness
-    balance_at = divisors._balance_at
+    isolating_coordinates = divisors._isolating_coordinates
     solved = []
 
     def wrong(splits, branches):
@@ -286,10 +289,10 @@ def test_wrong_local_witness_falls_back_to_the_isolating_solve(monkeypatch):
 
     def counted(*args):
         solved.append(args[0])
-        return balance_at(*args)
+        return isolating_coordinates(*args)
 
     monkeypatch.setattr(divisors, "_local_witness", wrong)
-    monkeypatch.setattr(divisors, "_balance_at", counted)
+    monkeypatch.setattr(divisors, "_isolating_coordinates", counted)
     for n in range(4, 8):
         taus = enumerate_types(n, n - 4)
         solved.clear()

@@ -327,14 +327,11 @@ def _cmd_decompose(args, out) -> int:
 
 
 def _link_dot(graph: moduli.LinkGraph) -> str:
+    names = [next(iter(ray.splits)).text for ray in graph.vertices]
     lines = [f"graph link_n{graph.n} {{"]
-    for ray in graph.vertices:
-        split = next(iter(ray.splits))
-        lines.append(f'  "{split.text}";')
+    lines += [f'  "{name}";' for name in names]
     for (a, b), quadrant in zip(graph.edges, graph.quadrants):
-        ta = next(iter(graph.vertices[a].splits)).text
-        tb = next(iter(graph.vertices[b].splits)).text
-        lines.append(f'  "{ta}" -- "{tb}"; // {quadrant.text}')
+        lines.append(f'  "{names[a]}" -- "{names[b]}"; // {quadrant.text}')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -25,7 +25,7 @@ from .rationals import (
     is_finite,
     parse_extended,
 )
-from .trees import CombinatorialType, Split, _as_labels, _stream_types, contract, enumerate_types
+from .trees import CombinatorialType, Split, _as_labels, _stream_types, enumerate_types
 
 
 @dataclass(frozen=True)
@@ -530,21 +530,12 @@ class LinkGraph:
 
 
 def link_graph(n: int) -> LinkGraph:
-    """Vertices: one-split types; edges: two-split types joining their two faces."""
+    """Vertices: one-split types; edges: two-split types, in stream order,
+    each joining its two splits' rays (so in key order, as the rays are)."""
     if n < 5:
         raise ValueError("the link graph needs n >= 5")
     rays = enumerate_types(n, 1)
-    position = {t: i for i, t in enumerate(rays)}
-    pairs = []
-    for quadrant in _stream_types(n, 2):
-        faces = sorted(
-            (position[contract(quadrant, s)] for s in quadrant.splits)
-        )
-        pairs.append(((faces[0], faces[1]), quadrant))
-    pairs.sort(key=lambda p: (p[0], p[1].key))
-    return LinkGraph(
-        n=n,
-        vertices=rays,
-        edges=tuple(p[0] for p in pairs),
-        quadrants=tuple(p[1] for p in pairs),
-    )
+    position = {ray.key[0]: i for i, ray in enumerate(rays)}
+    quadrants = tuple(_stream_types(n, 2))
+    edges = tuple(tuple(position[k] for k in quadrant.key) for quadrant in quadrants)
+    return LinkGraph(n=n, vertices=rays, edges=edges, quadrants=quadrants)

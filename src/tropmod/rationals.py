@@ -1,13 +1,16 @@
 """Exact extended rationals: arbitrary-precision fractions plus signed infinities.
 
 All certificates in this package are computed over exact rationals.  The
-infinities used for boundary edge lengths are explicit tags that cooperate
-with ``Fraction`` addition; they are never IEEE floats.  The indeterminate
-sum ``inf + (-inf)`` raises instead of producing a silent sentinel.
+infinities of boundary edge lengths are tags that add to ``Fraction``s, never
+IEEE floats, and ``inf + (-inf)`` raises.  ``parse_extended`` is the one
+reader of exact values; in text it takes ``-?[0-9]+(/[0-9]+)?``, ``inf`` and
+``-inf``, and nothing else (no spaces, ``+``, decimals, exponents, ``_`` or
+non-ASCII digits).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -55,44 +58,34 @@ NEG_INF = Infinity(-1)
 
 ExtendedRational = Union[Fraction, Infinity]
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
-def ensure_fraction(value) -> Fraction:
-    """Coerce an exact input (int, Fraction or 'p/q' string) to Fraction.
 
-    Floats are rejected: they would poison exact certificates.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("booleans are not rational numbers")
-    if isinstance(value, int):
-        return Fraction(value)
+def parse_extended(value) -> ExtendedRational:
+    """A Fraction or Infinity as it is, an int as a Fraction, or a string in
+    the grammar; another string raises ``ValueError`` (``ZeroDivisionError``
+    for q = 0), a float, bool or other type ``TypeError``."""
     if isinstance(value, str):
+        if value == "inf":
+            return POS_INF
+        if value == "-inf":
+            return NEG_INF
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ValueError(f'not a "p/q" string: {value!r}')
+        return Fraction(int(match[1]), int(match[2] or 1))
+    if isinstance(value, (Infinity, Fraction)):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass an int, Fraction or 'p/q' string")
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def parse_extended(value) -> ExtendedRational:
-    """Parse an extended rational from 'p/q' / 'inf' / '-inf' (or exact number)."""
-    if isinstance(value, Infinity):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        if text in ("inf", "+inf"):
-            return POS_INF
-        if text == "-inf":
-            return NEG_INF
-        return Fraction(text)
-    return ensure_fraction(value)
-
-
 def format_extended(value: ExtendedRational) -> str:
     """Serialize an extended rational as 'p/q' (denominator 1 omitted) or '±inf'."""
-    if isinstance(value, Infinity):
-        return repr(value)
-    return str(ensure_fraction(value))
+    return str(parse_extended(value))
 
 
 def is_finite(value: ExtendedRational) -> bool:

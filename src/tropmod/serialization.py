@@ -18,7 +18,7 @@ from .trees import CombinatorialType, Split, _as_labels
 
 
 def split_to_json(split: Split) -> List[int]:
-    return sorted(split.side)
+    return list(split.key)
 
 
 def point_to_json(x: ModuliPoint) -> dict:
@@ -49,12 +49,10 @@ def _integers(value, what: str) -> List[int]:
 
 
 def _extended(value, what: str) -> ExtendedRational:
-    """A "p/q" | "inf" | "-inf" string (or a JSON integer), nothing else."""
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise MalformedInput(f'{what} must be a "p/q" string, got {value!r}')
+    """``parse_extended``, its refusals raised as ``MalformedInput``."""
     try:
         return parse_extended(value)
-    except (ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise MalformedInput(f'{what} must be a "p/q" string, got {value!r}') from None
 
 
@@ -113,11 +111,7 @@ def fan_to_json(fan: WeightedFan) -> dict:
     return {
         "n": fan.n,
         "dim": fan.dim,
-        "cones": [
-            {"splits": [split_to_json(s) for s in sorted(c.splits, key=lambda s: s.key)],
-             "weight": w}
-            for c, w in fan.cones
-        ],
+        "cones": [{"splits": type_to_json(c), "weight": w} for c, w in fan.cones],
     }
 
 
@@ -141,7 +135,7 @@ def fan_from_json(obj: dict) -> WeightedFan:
 
 
 def type_to_json(t: CombinatorialType) -> List[List[int]]:
-    return [split_to_json(s) for s in sorted(t.splits, key=lambda s: s.key)]
+    return [list(k) for k in t.key]
 
 
 def report_to_json(report: BalancingReport) -> dict:

@@ -379,16 +379,20 @@ def _pooled_split(n: int, mask: int) -> Split:
 def _count_types(n: int, dim: int) -> int:
     """The number c(n, dim) of types on {1..n} with ``dim`` splits (0 unless
     0 <= dim <= n-3): c(3, 0) = 1, c(n, d) = (d+1)·c(n-1, d) + (n+d-2)·c(n-1, d-1),
-    as leaf n joins one of d+1 internal vertices or one of d-1+n-1 edges."""
+    as leaf n joins one of d+1 internal vertices or one of d-1+n-1 edges.  A
+    leaf adds at most one split, so row m keeps only d >= dim - (n - m)."""
     if n < 3 or not 0 <= dim <= n - 3:
         return 0
-    row = [1]
+    lo, row = 0, [1]
     for m in range(4, n + 1):
-        below = row + [0]  # c(m-1, d) for d up to one past the row
-        row = [1] + [
-            (d + 1) * below[d] + (m + d - 2) * below[d - 1] for d in range(1, min(m - 2, dim + 1))
+        below = [0, *row, 0]  # c(m-1, d) at d - lo + 1; c(m-1, lo-1) is 0 or unused
+        new_lo = max(0, dim - (n - m))
+        row = [
+            (d + 1) * below[d - lo + 1] + (m + d - 2) * below[d - lo]
+            for d in range(new_lo, min(dim, m - 3) + 1)
         ]
-    return row[dim]
+        lo = new_lo
+    return row[0]
 
 
 def _stream_types(n: int, dim: int) -> Iterator[CombinatorialType]:

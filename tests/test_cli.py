@@ -465,6 +465,41 @@ def test_malformed_point_is_one_error_line(tmp_path, capsys, splits):
 
 
 
+# strings outside the "p/q" grammar, each with the value a looser reader
+# took it for ("1/0" has none)
+_OFF_GRAMMAR = {
+    " 3/2": "3/2", "+3/2": "3/2", "1.5": "3/2", ".5": "1/2", "1e3": "1000", "1_000": "1000",
+    "+inf": "inf", " inf": "inf", "\u0663": "3", "1/0": None,
+}
+
+
+# "1e20000000" once ran for half a minute before an unrelated error
+@pytest.mark.parametrize("length", [*_OFF_GRAMMAR, "1e20000000"])
+def test_length_outside_the_grammar_is_one_error_line(tmp_path, capsys, length):
+    path = tmp_path / "bad_point.json"
+    path.write_text(json.dumps({"n": 5, "splits": [{"side": [4, 5], "length": length}]}))
+    for argv in (["embed"], ["forget", "--j", "2"], ["decompose"]):
+        code, out = run(argv + ["--point", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", _OFF_GRAMMAR)
+def test_vector_entry_outside_the_grammar_is_one_error_line(tmp_path, capsys, entry):
+    # a finite entry spells a value the vector has there, so only the grammar refuses it
+    value = _OFF_GRAMMAR[entry]
+    finite = value not in (None, "inf")
+    vector = vector_to_json(embed(ModuliPoint.of(5, {(4, 5): value if finite else 1})))
+    vector[vector.index(value) if finite else 0] = entry
+    path = tmp_path / "bad_vector.json"
+    path.write_text(json.dumps(vector))
+    code, out = run(["reconstruct", "--vector", str(path), "--n", "5"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 _FAN_CONE = {"splits": [[4, 5], [3, 4, 5]], "weight": 1}
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -281,6 +282,27 @@ def test_link_graph_n6():
     assert len(graph.edges) == len(enumerate_types(6, 2))
     with pytest.raises(ValueError):
         link_graph(4)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_link_graph_matches_pairwise_compatibility(n):
+    # independent of the type stream: rays i < j are joined exactly when
+    # their splits are compatible, edges in lexicographic order
+    sides = sorted(
+        tuple(c) for k in range(2, n - 1) for c in itertools.combinations(range(2, n + 1), k)
+    )
+    splits = [Split.of(n, side) for side in sides]
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(splits)), 2)
+        if splits[i].compatible_with(splits[j])
+    ]
+    graph = link_graph(n)
+    assert [t.splits for t in graph.vertices] == [frozenset({s}) for s in splits]
+    assert list(graph.edges) == edges
+    assert list(graph.quadrants) == [
+        CombinatorialType.of(n, [sides[i], sides[j]]) for i, j in edges
+    ]
 
 
 def test_embedding_vector_validation():

@@ -123,6 +123,28 @@ def test_count_types_needs_no_enumeration(monkeypatch):
         assert trees._count_types(n, dim) == count
 
 
+def test_count_types_matches_the_full_triangle():
+    # every entry c(m, d) of the recurrence, written out: no band is skipped
+    triangle = {(3, 0): 1}
+    for m in range(4, 41):
+        for d in range(m - 2):
+            triangle[m, d] = (d + 1) * triangle.get((m - 1, d), 0) + (m + d - 2) * triangle.get(
+                (m - 1, d - 1), 0
+            )
+    for n in range(3, 41):
+        for dim in range(-1, n - 1):
+            assert trees._count_types(n, dim) == triangle.get((n, dim), 0)
+
+
+def test_count_types_near_the_facets_at_n_2000():
+    n = 2000
+    facets = 1  # (2n-5)!!
+    for k in range(3, 2 * n - 4, 2):
+        facets *= k
+    assert trees._count_types(n, n - 3) == facets
+    assert trees._count_types(n, n - 4) == (n - 3) * facets // 3
+
+
 @pytest.mark.parametrize("dim", [4, 5])
 def test_stream_at_n_8_is_every_type_once_in_key_order(dim):
     # distinct valid types at the right count are all the types

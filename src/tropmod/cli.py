@@ -242,8 +242,11 @@ def _cmd_embed(args, out) -> int:
     _coordinates_within_limit(point.n)
     vector = moduli.embed(point)
     if args.format == "text":
+        # every distinct entry is formatted before the first line is written,
+        # so one past the int-to-string limit leaves stdout empty
+        text = {id(e): serialization.format_extended(e) for e in vector.entries}
         for r, value in zip(vector.coordinates, vector.entries):
-            out.write(f"{r.first}{r.second}: {serialization.format_extended(value)}\n")
+            out.write(f"{r.first}{r.second}: {text[id(value)]}\n")
     else:
         _dump(serialization.vector_to_json(vector), out)
     return EXIT_OK

@@ -17,9 +17,11 @@ A face is solved on packed vectors: each direction is one int with a signed
 field per coordinate, so the weighted sum, the recombination and their
 comparison are a few big-integer operations.  With W the sum of the adjacent
 weights and d the number of face splits, every entry of either vector is at
-most W * (d + 1) in size, and the fields are chosen wide enough to hold that.
-``_balance_at`` builds every report, one face at a time, so the command
-line writes each as it is solved.
+most W * (d + 1) in size, and the fields are whole bytes wide enough to
+hold that.  ``_balance_at`` builds every report, one face at a time, so the
+command line writes each as it is solved.  A report keeps what the solve
+decided: extra splits, weights, coefficients and minor; each direction and
+the weighted sum are read off the splits when asked for.
 
 The moduli fan itself is certified from its codimension-1 types, streamed
 one at a time with no facet table and no contraction
@@ -42,7 +44,6 @@ otherwise Bareiss decides.  ``verify_witness`` re-checks with Bareiss.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -102,12 +103,16 @@ class WeightedFan:
 
 @dataclass(frozen=True, slots=True)
 class AdjacentFacet:
-    """One facet adjacent to a face, with the primitive direction it adds."""
+    """One facet adjacent to a face, with the extra split it adds."""
 
     cone: CombinatorialType
     extra_split: Split
     weight: int
-    direction: Tuple[int, ...]
+
+    @property
+    def direction(self) -> Tuple[int, ...]:
+        """The primitive direction the facet adds: that of its extra split."""
+        return _split_direction(self.extra_split)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +121,6 @@ class BalancingReport:
 
     face: CombinatorialType
     adjacent: Tuple[AdjacentFacet, ...]
-    weighted_sum: Tuple[int, ...]
     balanced: bool
     smooth: Optional[bool] = None
     # coefficients of the face directions (face-split order) that recombine
@@ -125,6 +129,15 @@ class BalancingReport:
     # smoothness only: columns on which the face directions and the first two
     # adjacent directions form a minor of determinant +-1
     minor: Optional[Tuple[int, ...]] = None
+
+    @property
+    def weighted_sum(self) -> Tuple[int, ...]:
+        """The weighted sum of the adjacent directions, added over their supports."""
+        total = [0] * (3 * comb(self.face.n, 4))
+        for rec in self.adjacent:
+            for i, x in _split_support(rec.extra_split):
+                total[i] += rec.weight * x
+        return tuple(total)
 
 
 def moduli_fan(n: int) -> WeightedFan:
@@ -181,20 +194,6 @@ def _isolating_coordinates(
     return out
 
 
-def _solve(
-    splits: List[Split], coordinates: List[Tuple[int, int]], vector: Sequence[int]
-) -> Tuple[Tuple[int, ...], List[int]]:
-    residual = list(vector)
-    coefficients = []
-    for s, (index, sign) in zip(splits, coordinates):
-        coef = vector[index] * sign
-        coefficients.append(coef)
-        if coef:
-            for i, x in _split_support(s):
-                residual[i] -= coef * x
-    return tuple(coefficients), residual
-
-
 def span_witness(
     face: CombinatorialType, vector: Sequence[int]
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -212,7 +211,11 @@ def span_witness(
     if any(isinstance(x, bool) or not isinstance(x, int) for x in vector):
         raise TypeError("integer vector expected")
     splits = _face_splits(face)
-    coefficients, residual = _solve(splits, _isolating_coordinates(face, splits), vector)
+    coefficients = tuple(vector[i] * sign for i, sign in _isolating_coordinates(face, splits))
+    residual = list(vector)
+    for s, coef in zip(splits, coefficients):
+        for i, x in _split_support(s):
+            residual[i] -= coef * x
     return coefficients, tuple(residual)
 
 
@@ -235,16 +238,11 @@ def _determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1] if size else 1
 
 
-# memoryview formats of the field widths that a C integer type holds
-_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
-
-
 @lru_cache(maxsize=None)
 def _field_width(bound: int) -> int:
-    """The narrowest field whose signed range holds -bound..bound: 8, 16, 32
-    or 64 bits, or beyond that a whole number of bytes."""
-    bits = bound.bit_length() + 1  # 2^(bits-1) > bound
-    return next((w for w in _FORMATS if w >= bits), -(-bits // 8) * 8)
+    """The narrowest whole number of bytes, in bits, whose signed range
+    holds -bound..bound."""
+    return -(-(bound.bit_length() + 1) // 8) * 8  # 2^(width-1) > bound
 
 
 # packed directions by (n, field width), then by side mask
@@ -282,29 +280,6 @@ def _field_bias(width: int, size: int) -> int:
     return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * size, "little")
 
 
-def _unpack(packed: int, width: int, size: int) -> Tuple[int, ...]:
-    """The entries of a packed vector of ``size`` fields that hold them.
-
-    Adding the bias makes every field a digit in [0, 2^width), so no carry
-    crosses a field, and flipping each field's top bit back leaves the
-    entries in two's complement, read in C where a C type is that wide.
-    """
-    bias = _field_bias(width, size)
-    step = width // 8
-    order = sys.byteorder
-    raw = ((packed + bias) ^ bias).to_bytes(size * step, order)
-    code = _FORMATS.get(width)
-    if code is not None:
-        fields = tuple(memoryview(raw).cast(code))
-    else:
-        fields = tuple(
-            int.from_bytes(raw[i : i + step], order, signed=True)
-            for i in range(0, len(raw), step)
-        )
-    # big-endian bytes list the highest field first
-    return fields if order == "little" else fields[::-1]
-
-
 def _recombine(splits: List[Split], coefficients: Sequence[int], width: int) -> int:
     """The packed combination of the splits' directions with these coefficients."""
     total = 0
@@ -326,8 +301,10 @@ def _balance_at(
     by extra split and its splits in key order.  A smoothness check also
     passes whether its minor has determinant +-1, and that minor (None when
     it has not).  A given witness, entries at most W in size, is tried
-    first; if it fails, or none was given, the coefficients are read at the
-    isolating coordinates.  They are unique, so the verdict is the same.
+    first; if it fails, or none was given, the coefficients are read off
+    the packed weighted sum at the isolating coordinates.  They are unique,
+    so the verdict is the same.  The report keeps the extra splits, weights
+    and coefficients; no dense vector is unpacked.
 
     Let W be the sum of the adjacent weights and d the number of face
     splits.  Directions have entries in {-1, 0, 1}, so each sum entry is at
@@ -340,18 +317,22 @@ def _balance_at(
     total = 0
     records = []
     for cone, weight, extra in adjacent:
-        records.append(AdjacentFacet(cone, extra, weight, _split_direction(extra)))
+        records.append(AdjacentFacet(cone, extra, weight))
         total += weight * _packed_direction(extra, width)
-    weighted_sum = _unpack(total, width, 3 * comb(face.n, 4))
     balanced = witness is not None and total == _recombine(splits, witness, width)
     if not balanced:
-        coordinates = _isolating_coordinates(face, splits)
-        witness = tuple(sign * weighted_sum[i] for i, sign in coordinates)
+        # biased, every field is a digit in [0, 2^width): no borrow crosses one
+        biased = total + _field_bias(width, 3 * comb(face.n, 4))
+        field, half = (1 << width) - 1, 1 << (width - 1)
+        witness = tuple(
+            sign * (((biased >> (width * i)) & field) - half)
+            for i, sign in _isolating_coordinates(face, splits)
+        )
         balanced = total == _recombine(splits, witness, width)
     smooth = None if unimodular is None else balanced and unimodular
     # positional: keywords cost a measurable share of a moduli-fan face
     return BalancingReport(
-        face, tuple(records), weighted_sum, balanced, smooth, witness if balanced else None, minor
+        face, tuple(records), balanced, smooth, witness if balanced else None, minor
     )
 
 
@@ -480,11 +461,11 @@ def _moduli_reports(n: int, smooth: bool = False) -> Iterator[BalancingReport]:
 def verify_witness(report: BalancingReport) -> bool:
     """Check a report's witness exactly, independently of how it was found.
 
-    Each adjacent cone must be the face plus an extra split, with that
-    split's direction, and a smoothness report must list the three
-    resolutions in key order.  The coefficients must recombine the face
-    directions (face-split order) into the weighted sum of the adjacent
-    directions.  A minor, required for a smooth verdict, must pick columns
+    Each adjacent cone must be the face plus an extra split, and a
+    smoothness report must list the three resolutions in key order.  The
+    coefficients must recombine the face directions (face-split order) into
+    the weighted sum of the adjacent directions, both summed here on dense
+    vectors.  A minor, required for a smooth verdict, must pick columns
     on which the face directions and the first two adjacent directions have
     determinant +-1.  A report without a witness verifies as False.
     """
@@ -495,8 +476,7 @@ def verify_witness(report: BalancingReport) -> bool:
         extra = rec.extra_split
         if extra.labels != face.labels or extra in face.splits:
             return False
-        cone = CombinatorialType._trusted(face.labels, face.splits | {extra})
-        if rec.cone != cone or rec.direction != _split_direction(extra):
+        if rec.cone != CombinatorialType._trusted(face.labels, face.splits | {extra}):
             return False
     if report.smooth is not None:
         try:
@@ -506,12 +486,12 @@ def verify_witness(report: BalancingReport) -> bool:
         if [rec.extra_split for rec in report.adjacent] != expected:
             return False
     directions = [_split_direction(s) for s in _face_splits(face)]
-    size = 3 * comb(face.n, 4)
-    if len(report.witness) != len(directions) or len(report.weighted_sum) != size:
+    if len(report.witness) != len(directions):
         return False
+    size = 3 * comb(face.n, 4)
     total = [sum(rec.weight * rec.direction[i] for rec in report.adjacent) for i in range(size)]
     combo = [sum(c * d[i] for c, d in zip(report.witness, directions)) for i in range(size)]
-    if not list(report.weighted_sum) == total == combo:
+    if total != combo:
         return False
     if report.minor is None:
         return True

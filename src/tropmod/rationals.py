@@ -5,12 +5,14 @@ infinities of boundary edge lengths are tags that add to ``Fraction``s, never
 IEEE floats, and ``inf + (-inf)`` raises.  ``parse_extended`` is the one
 reader of exact values; in text it takes ``-?[0-9]+(/[0-9]+)?``, ``inf`` and
 ``-inf``, and nothing else (no spaces, ``+``, decimals, exponents, ``_`` or
-non-ASCII digits).
+non-ASCII digits), with no more digits in either number than int-to-string
+conversion allows.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -61,10 +63,16 @@ ExtendedRational = Union[Fraction, Infinity]
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+class TooManyDigits(ValueError):
+    """A string in the grammar with more digits than int-to-string
+    conversion allows (``sys.get_int_max_str_digits()``)."""
+
+
 def parse_extended(value) -> ExtendedRational:
     """A Fraction or Infinity as it is, an int as a Fraction, or a string in
     the grammar; another string raises ``ValueError`` (``ZeroDivisionError``
-    for q = 0), a float, bool or other type ``TypeError``."""
+    for q = 0, ``TooManyDigits`` past the digit limit), a float, bool or
+    other type ``TypeError``."""
     if isinstance(value, str):
         if value == "inf":
             return POS_INF
@@ -73,7 +81,11 @@ def parse_extended(value) -> ExtendedRational:
         match = _RATIONAL.fullmatch(value)
         if match is None:
             raise ValueError(f'not a "p/q" string: {value!r}')
-        return Fraction(int(match[1]), int(match[2] or 1))
+        try:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except ValueError:  # the digits match, so only their number is refused
+            limit = sys.get_int_max_str_digits()
+            raise TooManyDigits(f"more than {limit} digits, the int-to-string limit") from None
     if isinstance(value, (Infinity, Fraction)):
         return value
     if isinstance(value, int) and not isinstance(value, bool):

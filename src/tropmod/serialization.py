@@ -13,7 +13,7 @@ from .divisors import BalancingReport, WeightedFan
 from .errors import MalformedInput
 from .maps import BoundaryDecomposition
 from .moduli import EmbeddingVector, ModuliPoint, _check_coordinates
-from .rationals import ExtendedRational, format_extended, parse_extended
+from .rationals import ExtendedRational, TooManyDigits, format_extended, parse_extended
 from .trees import CombinatorialType, Split, _as_labels
 
 
@@ -49,11 +49,16 @@ def _integers(value, what: str) -> List[int]:
 
 
 def _extended(value, what: str) -> ExtendedRational:
-    """``parse_extended``, its refusals raised as ``MalformedInput``."""
+    """``parse_extended``, its refusals raised as ``MalformedInput`` that
+    echo at most the first 40 characters of the value."""
     try:
         return parse_extended(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise MalformedInput(f'{what} must be a "p/q" string, got {value!r}') from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        shown = repr(value)
+        if len(shown) > 40:
+            shown = f"{shown[:40]}... ({len(shown)} characters)"
+        why = f": {exc}" if isinstance(exc, TooManyDigits) else ""
+        raise MalformedInput(f'{what} must be a "p/q" string, got {shown}{why}') from None
 
 
 def point_from_json(obj: dict) -> ModuliPoint:

@@ -8,7 +8,8 @@ breadth-first search.  Span membership and saturation use general
 Hermite/Smith normal forms, against which the library's closed-form
 witnesses are checked.  The embedding is inverted by scanning every
 bipartition, against which leaf-by-leaf split recovery is checked.  A face
-is solved on dense lists, against which the packed face solve is checked,
+is solved on walked dense directions, against which the packed face solve
+and the directions and weighted sum a report reads off its splits are checked,
 and a smoothness minor by Bareiss elimination on branches read off the
 realized tree, against which the closed-form minor is checked.  A split
 direction is walked coordinate by coordinate, against which the scattered
@@ -39,8 +40,6 @@ from tropmod.moduli import (
     RatioIndex,
     _quartet_bases,
     _sigma,
-    _split_direction,
-    _split_support,
     canonical_coordinates,
 )
 from tropmod.rationals import ExtendedRational, is_finite
@@ -300,6 +299,7 @@ def graph_decompose_boundary(x: ModuliPoint) -> BoundaryDecomposition:
     return BoundaryDecomposition(components=components, gluings=gluings)
 
 
+@lru_cache(maxsize=None)
 def walked_split_direction(split: Split) -> Tuple[int, ...]:
     """The direction of a split, one canonical coordinate at a time."""
     return tuple(_sigma(split, r) for r in canonical_coordinates(split.n))
@@ -429,8 +429,11 @@ def determinant(rows) -> Fraction:
     return det
 
 
-def dense_balance_at(face, adjacent, splits, coordinates) -> BalancingReport:
-    """The balancing report at a face, summed and solved on dense lists.
+def dense_balance_at(
+    face, adjacent, splits, coordinates
+) -> Tuple[BalancingReport, Tuple[int, ...]]:
+    """The balancing report at a face, summed and solved on walked dense
+    directions, and the weighted sum it was solved from.
 
     Takes the (cone, weight, extra split) triples, the face splits in key
     order and their isolating coordinates.
@@ -439,33 +442,31 @@ def dense_balance_at(face, adjacent, splits, coordinates) -> BalancingReport:
     total = [0] * (3 * comb(face.n, 4))
     records = []
     for cone, weight, extra in adjacent:
-        records.append(
-            AdjacentFacet(
-                cone=cone, extra_split=extra, weight=weight, direction=_split_direction(extra)
-            )
-        )
-        for i, x in _split_support(extra):
+        records.append(AdjacentFacet(cone=cone, extra_split=extra, weight=weight))
+        for i, x in enumerate(walked_split_direction(extra)):
             total[i] += weight * x
     residual = list(total)
     coefficients = []
     for s, (index, sign) in zip(splits, coordinates):
         coef = total[index] * sign
         coefficients.append(coef)
-        for i, x in _split_support(s):
+        for i, x in enumerate(walked_split_direction(s)):
             residual[i] -= coef * x
     balanced = not any(residual)
-    return BalancingReport(
+    report = BalancingReport(
         face=face,
         adjacent=tuple(records),
-        weighted_sum=tuple(total),
         balanced=balanced,
         witness=tuple(coefficients) if balanced else None,
     )
+    return report, tuple(total)
 
 
-def bareiss_smooth_report(n: int, tau: CombinatorialType) -> BalancingReport:
+def bareiss_smooth_report(
+    n: int, tau: CombinatorialType
+) -> Tuple[BalancingReport, Tuple[int, ...]]:
     """The smoothness report at a codimension-1 type, the minor's
-    determinant taken by Bareiss elimination in full.
+    determinant taken by Bareiss elimination in full, and its weighted sum.
 
     The branches at the 4-valent vertex come from the realized tree, the
     adjacent cones are the face plus the union of two non-anchor branches,
@@ -480,15 +481,12 @@ def bareiss_smooth_report(n: int, tau: CombinatorialType) -> BalancingReport:
     coordinates = _isolating_coordinates(tau, splits)
     base = _quartet_bases(n)[sum(1 << min(branch) for branch in branches)]
     columns = tuple(i for i, _ in coordinates) + (base, base + 1)
-    rows = [_split_direction(s) for s in splits + extras[:2]]
+    rows = [walked_split_direction(s) for s in splits + extras[:2]]
     unimodular = abs(_determinant([[row[k] for k in columns] for row in rows])) == 1
     adjacent = [(CombinatorialType._trusted(tau.labels, tau.splits | {s}), 1, s) for s in extras]
-    report = dense_balance_at(tau, adjacent, splits, coordinates)
-    return replace(
-        report,
-        smooth=report.balanced and unimodular,
-        minor=columns if unimodular else None,
-    )
+    report, total = dense_balance_at(tau, adjacent, splits, coordinates)
+    smooth = report.balanced and unimodular
+    return replace(report, smooth=smooth, minor=columns if unimodular else None), total
 
 
 # ---------------------------------------------------------------- lattices

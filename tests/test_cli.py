@@ -485,6 +485,56 @@ def test_length_outside_the_grammar_is_one_error_line(tmp_path, capsys, length):
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="int-to-str conversion has no digit limit"
+)
+def test_numbers_past_the_digit_limit_are_one_short_error_line(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        point = tmp_path / "long_point.json"
+        point.write_text(json.dumps({"n": 5, "splits": [{"side": [4, 5], "length": "1" * 5000}]}))
+        vector = vector_to_json(embed(ModuliPoint.of(5, {(4, 5): "3/2"})))
+        vector[0] = "1" * 5000
+        vector_path = tmp_path / "long_vector.json"
+        vector_path.write_text(json.dumps(vector))
+        for argv in (
+            ["embed", "--point", str(point)],
+            ["reconstruct", "--vector", str(vector_path), "--n", "5"],
+        ):
+            code, out = run(argv)
+            err = capsys.readouterr().err
+            assert code == EXIT_USAGE and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert len(err.encode()) < 200 and "4300 digits" in err
+        # within the limit a long length is read
+        point.write_text(json.dumps({"n": 5, "splits": [{"side": [4, 5], "length": "1" * 4000}]}))
+        code, out = run(["embed", "--point", str(point)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == EXIT_OK and "1" * 4000 in out
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="int-to-str conversion has no digit limit"
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_embed_entry_past_the_digit_limit_writes_no_line(tmp_path, capsys, fmt):
+    # each length is within the limit, but their common denominator is not
+    lengths = {(4, 5): "1/" + "1" * 4000, (1, 2): "1/" + "1" * 3999 + "3"}
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(point_to_json(ModuliPoint.of(5, lengths))))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run(["embed", "--point", str(path), "--format", fmt])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("entry", _OFF_GRAMMAR)
 def test_vector_entry_outside_the_grammar_is_one_error_line(tmp_path, capsys, entry):
     # a finite entry spells a value the vector has there, so only the grammar refuses it

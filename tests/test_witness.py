@@ -50,6 +50,18 @@ def span_verdict(face, vector):
     return not any(residual)
 
 
+def assert_matches_oracle(reports, solved):
+    """Each report equals its oracle report, its weighted sum is the
+    oracle's dense sum, and each direction is its split's walked one."""
+    reports = list(reports)
+    assert len(reports) == len(solved)
+    for rep, (expected, total) in zip(reports, solved):
+        assert rep == expected
+        assert rep.weighted_sum == total
+        for rec in rep.adjacent:
+            assert rec.direction == oracles.walked_split_direction(rec.extra_split)
+
+
 def test_split_support_is_the_dense_direction():
     for n in range(4, 10):
         labels = frozenset(range(1, n + 1))
@@ -133,23 +145,22 @@ def test_verifier_rejects_tampering():
     assert not verify_witness(replace(rep, minor=tuple(minor)))
     assert not verify_witness(replace(rep, minor=rep.minor[:-1]))
     assert not verify_witness(replace(rep, minor=rep.minor[:-1] + (10**6,)))
+    # the sum and the directions are read off the splits, so no report
+    # carries a sum or a direction to forge
     wrong_sum = (rep.weighted_sum[0] + 1,) + rep.weighted_sum[1:]
-    assert not verify_witness(replace(rep, weighted_sum=wrong_sum))
+    with pytest.raises(TypeError):
+        replace(rep, weighted_sum=wrong_sum)
     # a smooth verdict needs its minor
     assert not verify_witness(replace(rep, minor=None))
-    # forgeries that fit together: zero directions, sum and coefficients with
-    # no smoothness claim; a truncated sum; cones that are not face + extra
-    zero = (0,) * len(rep.weighted_sum)
-    zeroed = replace(
-        rep,
-        adjacent=tuple(replace(rec, direction=zero) for rec in rep.adjacent),
-        weighted_sum=zero,
-        witness=(0,) * len(rep.witness),
-        smooth=None,
-        minor=None,
-    )
+    # forgeries: zero coefficients with no smoothness claim; zero directions
+    # and a truncated sum, which no report can carry; cones that are not
+    # face + extra
+    zeroed = replace(rep, witness=(0,) * len(rep.witness), smooth=None, minor=None)
     assert not verify_witness(zeroed)
-    assert not verify_witness(replace(rep, weighted_sum=(), smooth=None, minor=None))
+    with pytest.raises(TypeError):
+        replace(rep.adjacent[0], direction=(0,) * len(rep.weighted_sum))
+    with pytest.raises(TypeError):
+        replace(rep, weighted_sum=(), smooth=None, minor=None)
     unrelated = enumerate_types(6, 3)[0]
     assert all(unrelated.splits != tau.splits | {rec.extra_split} for rec in rep.adjacent)
     wrong_cones = tuple(replace(rec, cone=unrelated) for rec in rep.adjacent)
@@ -204,7 +215,7 @@ def fans_across_field_widths():
     # one weight v against two of 1 at n = 4 gives sum entries v - 1 of
     # either sign, so the weights bracket each width's 2^(w-1); scaled
     # balanced fans bracket it for W * (d + 1) at n = 5
-    for base in (2**6, 2**7, 2**14, 2**15, 2**30, 2**31, 2**62, 2**63, 2**70):
+    for base in (2**6, 2**7, 2**14, 2**15, 2**23, 2**30, 2**31, 2**39, 2**62, 2**63, 2**70):
         for v in (base - 1, base, base + 1):
             for weights in ((v, v, v), (v, 1, 1), (1, v, 1), (1, 1, v), (v, v, v + 1)):
                 yield reweighted(4, weights)
@@ -225,7 +236,7 @@ def test_packed_face_solve_matches_dense_oracle():
     verdicts = set()
     for fan in fans:
         reports = check_balanced(fan)
-        assert reports == dense_reports(fan)
+        assert_matches_oracle(reports, dense_reports(fan))
         verdicts |= {rep.balanced for rep in reports}
     assert verdicts == {True, False}
     for n in range(4, 8):
@@ -239,7 +250,7 @@ def test_packed_face_solve_matches_dense_oracle():
             dense = oracles.dense_balance_at(
                 tau, adjacent, splits, _isolating_coordinates(tau, splits)
             )
-            assert replace(rep, smooth=None, minor=None) == dense
+            assert_matches_oracle([replace(rep, smooth=None, minor=None)], [dense])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -272,8 +283,8 @@ def test_smooth_reports_match_bareiss_oracle(n):
     taus = enumerate_types(n, n - 4)
     reports = list(_moduli_reports(n, smooth=True))
     assert len(reports) == len(taus)
-    for tau, rep in zip(taus, reports):
-        assert rep.smooth and rep == oracles.bareiss_smooth_report(n, tau)
+    assert all(rep.smooth for rep in reports)
+    assert_matches_oracle(reports, [oracles.bareiss_smooth_report(n, tau) for tau in taus])
     if n < 8:
         assert reports == [check_smooth_local(n, tau) for tau in taus]
 
@@ -296,11 +307,11 @@ def test_wrong_local_witness_falls_back_to_the_isolating_solve(monkeypatch):
     for n in range(4, 8):
         taus = enumerate_types(n, n - 4)
         solved.clear()
-        assert list(_moduli_reports(n)) == dense_reports(moduli_fan(n))
+        assert_matches_oracle(_moduli_reports(n), dense_reports(moduli_fan(n)))
         # every face with a split fell back; at n = 4 the witness is empty
         assert solved == (list(taus) if n > 4 else [])
         smooth = list(_moduli_reports(n, smooth=True))
-        assert smooth == [oracles.bareiss_smooth_report(n, tau) for tau in taus]
+        assert_matches_oracle(smooth, [oracles.bareiss_smooth_report(n, tau) for tau in taus])
 
 
 def test_forged_minor_row_is_not_unimodular():

@@ -40,12 +40,24 @@ row is its sign on its own isolating column and 0 on the minor's other
 columns.  ``_minor_determinant`` checks that entry by entry and then takes
 the product of the signs times a 2x2 determinant on the quartet columns;
 otherwise Bareiss decides.  ``verify_witness`` re-checks with Bareiss.
+
+A psi divisor is certified the same way, from codimension-2 types streamed
+in key order (``_psi_reports``).  Its cones are the codimension-1 types
+whose 4-valent vertex carries leaf k (Kerber-Markwig), so its faces are the
+types with leaf k at a 5-valent vertex, whose 6 adjacent cones join two of
+the four other branches there, with witness 2 on each face split incident
+to that vertex; or with leaf k at a 4-valent vertex while another is
+4-valent, whose 3 adjacent cones resolve the other one, with that vertex's
+``_local_witness``.  Other types are skipped on the valence of leaf k's
+vertex alone.  Only a fan read from a file (``_face_reports``) still has
+its cones contracted at each split and its faces grouped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -61,9 +73,12 @@ from .trees import (
     CombinatorialType,
     Split,
     _branch_masks,
+    _branches_at,
     _key,
+    _pooled_split,
     _resolution_splits,
     _stream_types,
+    _vertices,
     contract,
     to_tree,
 )
@@ -388,17 +403,19 @@ def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
     return _codim_one_report(tau, smooth=True)
 
 
-def _local_witness(splits: List[Split], branches: List[int]) -> Tuple[int, ...]:
-    """The closed-form balancing coefficients at a codimension-1 type: 1 on
-    each face split incident to the 4-valent vertex, 0 on every other.
+def _local_witness(
+    splits: List[Split], branches: List[int], coefficient: int = 1
+) -> Tuple[int, ...]:
+    """The closed-form balancing coefficients at a vertex: ``coefficient``
+    on each face split incident to it, 0 on every other.
 
     With the branches as masks, the anchor's first, a split on the vertex
-    has a branch as its side, or on the edge up the union of the other
-    three (a single leaf or all but one is no side, so cannot match).
+    has a branch as its side, or on the edge up the union of the others (a
+    single leaf or all but one is no side, so cannot match).
     """
-    _, b, c, d = branches
-    on_vertex = {b, c, d, b | c | d}
-    return tuple([int(s.mask in on_vertex) for s in splits])
+    rest = branches[1:]
+    on_vertex = {*rest, sum(rest)}
+    return tuple([coefficient if s.mask in on_vertex else 0 for s in splits])
 
 
 def _minor_determinant(
@@ -501,21 +518,74 @@ def verify_witness(report: BalancingReport) -> bool:
     return abs(_determinant([[row[c] for c in report.minor] for row in rows])) == 1
 
 
+def _check_leaf(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"leaf label k must lie in 1..{n}")
+
+
 def psi_divisor(n: int, k: int) -> WeightedFan:
     """The weight-1 fan of codimension-1 types whose 4-valent vertex carries leaf k."""
     if n < 4:
         raise ValueError("psi divisors need n >= 4")
-    if not 1 <= k <= n:
-        raise ValueError(f"leaf label k must lie in 1..{n}")
+    _check_leaf(n, k)
     cones = [(t, 1) for t in _stream_types(n, n - 4) if 1 << k in _branch_masks(t)]
     return WeightedFan(n=n, dim=n - 4, cones=tuple(cones))
 
 
+def _psi_report(tau: CombinatorialType, k: int) -> Optional[BalancingReport]:
+    """The report of ``psi_divisor(n, k)`` at a codimension-2 type on labels
+    1..n, or None when the type is no face of it, read off the vertex of
+    leaf k (the last vertex whose mask holds it).
+
+    With leaf k at a 5-valent vertex, the adjacent cones join two of the
+    four other branches there, and the witness is 2 on each face split
+    incident to the vertex.  With leaf k at a 4-valent vertex, they are the
+    resolutions of the other 4-valent vertex, and the witness is that
+    vertex's ``_local_witness``.  With leaf k at a 3-valent vertex, no psi
+    cone holds the type.
+    """
+    masks, vals, parents = _vertices(tau)
+    leaf = 1 << k
+    home = len(masks) - 1
+    while not masks[home] & leaf:
+        home -= 1
+    valence = vals[home]
+    if valence == 3:
+        return None
+    labels = tau.labels
+    if valence == 5:
+        branches = _branches_at(masks, parents, home)
+        others = [m for m in branches if m != leaf]
+        full = masks[0]
+        anchor = full & -full
+        # each stored side is the one without the anchor
+        joins = [a | b for a, b in combinations(others, 2)]
+        sides = [full ^ m if m & anchor else m for m in joins]
+        extras = sorted([_pooled_split(len(labels), m) for m in sides], key=_key)
+        coefficient = 2
+    else:
+        other = next(v for v, val in enumerate(vals) if val == 4 and v != home)
+        branches = _branches_at(masks, parents, other)
+        extras = _resolution_splits(labels, branches)
+        coefficient = 1
+    splits = _face_splits(tau)
+    adjacent = [(CombinatorialType._trusted(labels, tau.splits | {s}), 1, s) for s in extras]
+    witness = _local_witness(splits, branches, coefficient)
+    return _balance_at(tau, adjacent, splits, witness)
+
+
 def _psi_reports(n: int, k: int) -> Iterator[BalancingReport]:
-    """The psi divisor's face reports, each solved as it is read."""
+    """The reports of ``check_balanced(psi_divisor(n, k))``, in key order.
+
+    The faces of the psi divisor are the codimension-2 types with leaf k at
+    a 5-valent vertex, or at a 4-valent vertex while another is 4-valent,
+    so they are streamed and each solved as it is made (``_psi_report``).
+    """
     if n < 5:
         raise ValueError("psi balancing is a condition on faces; needs n >= 5")
-    return _face_reports(psi_divisor(n, k))
+    _check_leaf(n, k)
+    reports = (_psi_report(tau, k) for tau in _stream_types(n, n - 5))
+    return (rep for rep in reports if rep is not None)
 
 
 def check_psi_balanced(n: int, k: int, max_workers: int = 1) -> List[BalancingReport]:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show a value."""
+
+
+def _shown(value) -> str:
+    """The repr of a value for an error message: at most its first 40
+    characters, then its length when it is longer."""
+    text = repr(value)
+    if len(text) > 40:
+        text = f"{text[:40]}... ({len(text)} characters)"
+    return text
 
 
 class TropmodError(Exception):

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import IncompatibleSplit, NotInImage
+from .errors import IncompatibleSplit, NotInImage, _shown
 from .rationals import (
     NEG_INF,
     POS_INF,
@@ -428,8 +428,12 @@ def _recover_splits(scaled: Sequence[int], denominator: int, n: int) -> Dict[Tup
         zero = triple.index(0) if zeros == 1 else 0
         size = abs(triple[zero - 1])
         if zeros != 1 or abs(triple[zero - 2]) != size:
-            shown = tuple(Fraction(t, denominator) for t in triple)
-            raise NotInImage(f"quartet {quad}: coordinates {shown} are not of the form (0, m, +-m)")
+            # the tuple's repr, each integer shortened past 40 digits
+            shown = ", ".join(
+                f"Fraction({_shown(f.numerator)}, {_shown(f.denominator)})"
+                for f in (Fraction(t, denominator) for t in triple)
+            )
+            raise NotInImage(f"quartet {quad}: coordinates ({shown}) are not of the form (0, m, +-m)")
         topology[mask] = ((1 << quad[0]) | (1 << quad[zero + 1]), size)
 
     def least_straddling(nears: List[int], fars: List[int]) -> Optional[int]:

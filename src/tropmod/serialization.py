@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from .divisors import BalancingReport, WeightedFan
-from .errors import MalformedInput
+from .errors import MalformedInput, _shown
 from .maps import BoundaryDecomposition
 from .moduli import EmbeddingVector, ModuliPoint, _check_coordinates
 from .rationals import ExtendedRational, TooManyDigits, format_extended, parse_extended
@@ -54,11 +54,8 @@ def _extended(value, what: str) -> ExtendedRational:
     try:
         return parse_extended(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        shown = repr(value)
-        if len(shown) > 40:
-            shown = f"{shown[:40]}... ({len(shown)} characters)"
         why = f": {exc}" if isinstance(exc, TooManyDigits) else ""
-        raise MalformedInput(f'{what} must be a "p/q" string, got {shown}{why}') from None
+        raise MalformedInput(f'{what} must be a "p/q" string, got {_shown(value)}{why}') from None
 
 
 def point_from_json(obj: dict) -> ModuliPoint:

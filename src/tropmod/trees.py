@@ -16,8 +16,13 @@ backtracks when fewer candidates are left than splits still needed.  A
 type's key is its split keys in order, so each type comes out once and in
 key order.  ``_count_types`` counts them in closed form.
 
-``_branch_masks`` reads the 4-valent vertex of a codimension-1 type, as the
-masks of its four branches; resolutions and psi divisors are read off them.
+``_vertices`` is the one reader of local structure: it reads a type's
+internal vertices off its side masks, as masks, valences and parents, and
+``_branches_at`` gives the branches at one of them as masks.
+``_branch_masks`` reads the 4-valent vertex of a codimension-1 type with
+them, and resolutions and psi divisors are read off its four branches; the
+psi faces read the vertex of leaf k and the other vertex that is not
+trivalent.
 """
 
 from __future__ import annotations
@@ -276,23 +281,24 @@ def contract(t: CombinatorialType, s: Split) -> CombinatorialType:
 
 
 _key = attrgetter("key")
+_mask = attrgetter("mask")
 
 
-def _branch_masks(t: CombinatorialType) -> List[int]:
-    """The branches at the unique 4-valent vertex as masks, ordered by least
-    label; the one codimension-1 test.
+def _vertices(t: CombinatorialType) -> Tuple[List[int], List[int], List[int]]:
+    """The internal vertices of a type as (masks, valences, parents), read
+    off the laminar family of sides as bitmasks, without realizing the tree.
 
-    Read off the laminar family of sides as bitmasks, without realizing the
-    tree.  Vertex 0 is the root (all labels), vertex i the child end of the
-    i-th side by mask, largest first.  A superside has the larger mask, so
-    each side comes after its supersides, and its parent, its smallest
-    strict superside, is the latest earlier one holding it.  A vertex's
-    valence is its own leaves plus its children, plus one for the edge up
-    unless it is the root: its size, less size - 1 per child, plus that one.
+    Vertex 0 is the root (mask: all labels, parent -1), vertex i the child
+    end of the i-th side by mask, largest first.  A superside has the larger
+    mask, so each side comes after its supersides, and its parent, its
+    smallest strict superside, is the latest earlier one holding it.  A
+    vertex's valence is its own leaves plus its children, plus one for the
+    edge up unless it is the root: its size, less size - 1 per child, plus
+    that one.  A leaf hangs off the last vertex whose mask holds it.
     """
-    masks = [_labels_mask(t.labels)] + sorted([s.mask for s in t.splits], reverse=True)
+    masks = [_labels_mask(t.labels)] + sorted(map(_mask, t.splits), reverse=True)
     vals = [masks[0].bit_count()]
-    parents = []
+    parents = [-1]
     for m in masks[1:]:
         p = len(vals) - 1
         while masks[p] & m != m:
@@ -301,12 +307,25 @@ def _branch_masks(t: CombinatorialType) -> List[int]:
         size = m.bit_count()
         vals[p] -= size - 1
         vals.append(size + 1)
+    return masks, vals, parents
+
+
+def _branch_masks(t: CombinatorialType) -> List[int]:
+    """The branches at the unique 4-valent vertex as masks, ordered by least
+    label; the one codimension-1 test."""
+    masks, vals, parents = _vertices(t)
     if vals.count(3) != len(vals) - 1 or 4 not in vals:
         raise NotCodimensionOne(
             f"valence profile {tuple(sorted(vals))} has no unique 4-valent vertex"
         )
-    v = vals.index(4)
-    branches = [m for m, p in zip(masks[1:], parents) if p == v]
+    return _branches_at(masks, parents, vals.index(4))
+
+
+def _branches_at(masks: List[int], parents: List[int], v: int) -> List[int]:
+    """The branches at vertex v of ``_vertices`` as masks, ordered by least
+    label: its children's sides, the labels beyond its own side unless it is
+    the root, and its own leaves one by one."""
+    branches = [m for m, p in zip(masks, parents) if p == v]
     leaves = masks[v] & ~sum(branches)
     if v:
         branches.append(masks[0] & ~masks[v])
@@ -314,8 +333,14 @@ def _branch_masks(t: CombinatorialType) -> List[int]:
         low = leaves & -leaves
         branches.append(low)
         leaves ^= low
-    branches.sort(key=lambda m: m & -m)
+    # a module-level key: a lambda made on each call costs a measurable
+    # share of a moduli-fan face
+    branches.sort(key=_least_bit)
     return branches
+
+
+def _least_bit(m: int) -> int:
+    return m & -m
 
 
 @lru_cache(maxsize=None)

@@ -256,6 +256,16 @@ def test_check_moduli_fan_builds_no_facets_or_contractions(monkeypatch):
         assert code == EXIT_OK and out.endswith("all checks passed\n")
 
 
+def test_check_psi_lists_no_cones_or_contractions(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the psi faces are read off their vertices")
+
+    monkeypatch.setattr(divisors, "psi_divisor", refused)
+    monkeypatch.setattr(divisors, "contract", refused)
+    code, out = run(["check", "psi", "--n", "7", "--k", "3"])
+    assert code == EXIT_OK and out.endswith("all checks passed\n")
+
+
 def test_check_psi_pass_and_usage():
     code, out = run(["check", "psi", "--n", "5", "--k", "1"])
     assert code == EXIT_OK
@@ -603,3 +613,18 @@ def test_check_json_carries_witnesses(tmp_path):
     assert code == EXIT_CERTIFICATE
     assert [rep["witness"] for rep in json.loads(out)["reports"]] == [None]
 
+
+def test_reconstruct_shows_a_long_entry_off_the_image_short(tmp_path, capsys):
+    # a 4,200-digit entry makes quartet 1234 (m, 0, 0), which is off the image
+    vector = ["0"] * 15
+    vector[0] = "1" * 4200
+    path = tmp_path / "long_vector.json"
+    path.write_text(json.dumps(vector))
+    code, out = run(["reconstruct", "--vector", str(path), "--n", "5"])
+    err = capsys.readouterr().err
+    shown = "Fraction(" + "1" * 40 + "... (4200 characters), 1)"
+    assert code == EXIT_USAGE and out == ""
+    assert err == (
+        f"error: quartet (1, 2, 3, 4): coordinates ({shown}, Fraction(0, 1), Fraction(0, 1))"
+        " are not of the form (0, m, +-m)\n"
+    )

@@ -189,9 +189,9 @@ def test_psi_divisor_cones_hang_leaf_k_off_the_four_valent_vertex():
 
 def test_check_psi_balanced_refuses_max_workers_before_building_the_divisor(monkeypatch):
     def refused(*args):
-        raise AssertionError("the psi divisor was built")
+        raise AssertionError("the psi faces were streamed")
 
-    monkeypatch.setattr(divisors, "psi_divisor", refused)
+    monkeypatch.setattr(divisors, "_stream_types", refused)
     for bad in (0, -1, True, 1.5):
         with pytest.raises(ValueError, match="max_workers"):
             check_psi_balanced(9, 1, max_workers=bad)

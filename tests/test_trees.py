@@ -355,6 +355,18 @@ def test_four_branches_reject_every_other_type():
         assert isinstance(message, str) and _mask_four_branches(t) == message
 
 
+def test_vertex_reader_matches_the_realized_tree():
+    # every vertex of every type, as its valence and branches
+    for n in range(3, 8):
+        for dim in range(n - 2):
+            for t in enumerate_types(n, dim):
+                tree = to_tree(t)
+                masks, vals, parents = trees._vertices(t)
+                read = [(val, trees._branches_at(masks, parents, v)) for v, val in enumerate(vals)]
+                realized = [(v.valence, _masks(tree.branches(i))) for i, v in enumerate(tree.vertices)]
+                assert sorted(read) == sorted(realized)
+
+
 def test_to_tree_examples():
     # one split 45|123: a 3-valent vertex with leaves 4,5; a 4-valent with 1,2,3
     t = CombinatorialType.of(5, [(4, 5)])

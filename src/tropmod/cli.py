@@ -199,15 +199,29 @@ def build_parser() -> _Parser:
 
 
 def _count_within_limit(n: int, *dims: int) -> int:
-    """The number of types on {1..n} of these dimensions, refused past ``MAX_TYPES``."""
+    """The number of types on {1..n} of these dimensions, refused past ``MAX_TYPES``.
+
+    Every set of ``dim`` splits of one facet is a type, so comb(n - 3, dim)
+    bounds the count from below.  It is checked first, because the exact
+    count takes O(n * dim) big-integer products.
+    """
+    floor = sum(comb(n - 3, dim) for dim in dims if 0 <= dim <= n - 3)
+    if floor > MAX_TYPES:
+        _refuse_types("at least ", floor, n)
     count = sum(trees._count_types(n, dim) for dim in dims)
     if count > MAX_TYPES:
-        try:
-            text = str(count)
-        except ValueError:  # more digits than int-to-str conversion allows
-            text = f"a {Decimal(count).adjusted() + 1}-digit number of"
-        raise UsageError(f"{text} combinatorial types at n = {n} exceed the limit of {MAX_TYPES}")
+        _refuse_types("", count, n)
     return count
+
+
+def _refuse_types(prefix: str, count: int, n: int) -> None:
+    try:
+        text = str(count)
+    except ValueError:  # more digits than int-to-str conversion allows
+        text = f"a {Decimal(count).adjusted() + 1}-digit number of"
+    raise UsageError(
+        f"{prefix}{text} combinatorial types at n = {n} exceed the limit of {MAX_TYPES}"
+    )
 
 
 def _coordinates_within_limit(n: int) -> None:

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import IncompatibleSplit, NotCodimensionOne, SplitAbsent
 
@@ -141,6 +141,11 @@ class CombinatorialType:
 
     labels: Labels
     splits: FrozenSet[Split]
+    # the splits in key order, as the stream picked them; None for a type
+    # made any other way, whose key and text sort its splits
+    _ordered: Optional[Tuple[Split, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         labels = frozenset(self.labels)
@@ -171,11 +176,18 @@ class CombinatorialType:
         return cls(lab, frozenset(Split.of(lab, side) for side in sides))
 
     @classmethod
-    def _trusted(cls, labels: Labels, splits: FrozenSet[Split]) -> "CombinatorialType":
-        """Build without the pairwise checks, for splits compatible by construction."""
+    def _trusted(
+        cls,
+        labels: Labels,
+        splits: FrozenSet[Split],
+        ordered: Optional[Tuple[Split, ...]] = None,
+    ) -> "CombinatorialType":
+        """Build without the pairwise checks, for splits compatible by
+        construction; ``ordered``, if given, is the splits in key order."""
         t = object.__new__(cls)
         object.__setattr__(t, "labels", labels)
         object.__setattr__(t, "splits", splits)
+        object.__setattr__(t, "_ordered", ordered)
         return t
 
     @property
@@ -193,11 +205,16 @@ class CombinatorialType:
 
     @property
     def key(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(sorted(s.key for s in self.splits))
+        return tuple(s.key for s in self._by_key())
 
     @property
     def text(self) -> str:
-        return "{" + ",".join(s.text for s in sorted(self.splits, key=lambda s: s.key)) + "}"
+        return "{" + ",".join(s.text for s in self._by_key()) + "}"
+
+    def _by_key(self) -> Sequence[Split]:
+        """The splits in key order: as the stream picked them, else sorted."""
+        ordered = self._ordered
+        return sorted(self.splits, key=_key) if ordered is None else ordered
 
     def __repr__(self) -> str:
         return f"CombinatorialType(n={self.n}, {self.text})"
@@ -246,7 +263,7 @@ def to_tree(t: CombinatorialType) -> TreeRealization:
     smallest side yet that holds it: the home of a side's least label is its
     parent, and each leaf hangs off its final home.
     """
-    ordered = sorted(t.splits, key=lambda s: s.key)
+    ordered = t._by_key()
     home = dict.fromkeys(t.labels, 0)
     parent = [0] * (len(ordered) + 1)
     for i in sorted(range(1, len(parent)), key=lambda i: -len(ordered[i - 1].side)):
@@ -449,8 +466,11 @@ def _search(n: int, dim: int) -> Iterator[CombinatorialType]:
                 low = candidates & -candidates
                 candidates ^= low
                 split = splits[low.bit_length() - 1]
-                # a set frozen whole gets a smaller table than one grown in place
-                yield CombinatorialType._trusted(labels, frozenset({*picked, split}))
+                # a set frozen whole gets a smaller table than one grown in
+                # place; the picks' increasing indices are the key order
+                yield CombinatorialType._trusted(
+                    labels, frozenset({*picked, split}), (*picked, split)
+                )
         elif candidates.bit_count() >= needed:
             low = candidates & -candidates
             candidates ^= low

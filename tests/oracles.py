@@ -436,13 +436,15 @@ def dense_balance_at(
     directions, and the weighted sum it was solved from.
 
     Takes the (cone, weight, extra split) triples, the face splits in key
-    order and their isolating coordinates.
+    order and their isolating coordinates.  Each cone must be the face plus
+    its extra split.
     """
     adjacent = sorted(adjacent, key=lambda cw: cw[2].key)
     total = [0] * (3 * comb(face.n, 4))
     records = []
     for cone, weight, extra in adjacent:
-        records.append(AdjacentFacet(cone=cone, extra_split=extra, weight=weight))
+        assert cone.splits == face.splits | {extra}
+        records.append(AdjacentFacet(face=face, extra_split=extra, weight=weight))
         for i, x in enumerate(walked_split_direction(extra)):
             total[i] += weight * x
     residual = list(total)

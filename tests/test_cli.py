@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import sys
+import time
+from math import comb
 
 import pytest
 
@@ -52,9 +54,9 @@ def test_enumerate_writes_each_type_as_made(monkeypatch):
     made = []
     trusted = CombinatorialType._trusted
 
-    def counted(labels, splits):
+    def counted(labels, splits, ordered=None):
         made.append(splits)
-        return trusted(labels, splits)
+        return trusted(labels, splits, ordered)
 
     monkeypatch.setattr(CombinatorialType, "_trusted", counted)
 
@@ -115,6 +117,36 @@ def test_type_limit_names_an_unprintable_count_by_its_digits(capsys):
         f"error: a {len(str(count))}-digit number of combinatorial types at n = 300"
         " exceed the limit of 5000000\n"
     )
+
+
+def test_huge_mid_range_requests_are_refused_on_a_lower_bound_at_once(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the exact count was taken")
+
+    monkeypatch.setattr(trees, "_count_types", refuse)
+    floor = comb(1997, 1000)  # sets of 1000 splits of one facet
+    start = time.perf_counter()
+    code, out = run(["enumerate", "--n", "2000", "--dim", "1000"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == "" and elapsed < 0.2
+    assert err == (
+        f"error: at least {floor} combinatorial types at n = 2000 exceed the limit of 5000000\n"
+    )
+    if hasattr(sys, "set_int_max_str_digits"):
+        digits = len(str(comb(3997, 2000)))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out = run(["enumerate", "--n", "4000", "--dim", "2000"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and out == "" and digits > 640
+        assert err == (
+            f"error: at least a {digits}-digit number of combinatorial types"
+            " at n = 4000 exceed the limit of 5000000\n"
+        )
 
 
 @pytest.mark.parametrize("n, size", [(82, 5247180), (200, 194054850)])

@@ -7,7 +7,6 @@ import pytest
 
 from tropmod import cli, divisors
 from tropmod.divisors import _face_reports, _psi_reports, psi_divisor
-from tropmod.trees import CombinatorialType
 
 CASES = [(n, k) for n in (5, 6, 7) for k in range(1, n + 1)] + [(8, 1), (8, 4), (8, 8)]
 
@@ -74,9 +73,7 @@ def test_planted_wrong_extra_split_is_unbalanced_by_name(monkeypatch):
         # at the 100th face, the last adjacent cone takes the first one's extra split
         faces.append(face)
         if len(faces) == 100:
-            extra = adjacent[0][2]
-            cone = CombinatorialType._trusted(face.labels, face.splits | {extra})
-            adjacent = adjacent[:-1] + [(cone, 1, extra)]
+            adjacent = adjacent[:-1] + [(1, adjacent[0][1])]
         return balance_at(face, adjacent, splits, *rest)
 
     monkeypatch.setattr(divisors, "_balance_at", wrong_extra)

@@ -150,7 +150,12 @@ def test_stream_at_n_8_is_every_type_once_in_key_order(dim):
     # distinct valid types at the right count are all the types
     keys = []
     for t in trees._stream_types(8, dim):
-        assert CombinatorialType(t.labels, t.splits) == t  # the checked constructor
+        rebuilt = CombinatorialType(t.labels, t.splits)  # the checked constructor
+        assert rebuilt == t and hash(rebuilt) == hash(t)
+        # the kept pick order is the key order a rebuilt type sorts into
+        assert rebuilt._ordered is None
+        assert t._ordered == tuple(sorted(t.splits, key=lambda s: s.key))
+        assert (t.key, t.text) == (rebuilt.key, rebuilt.text)
         assert t.dim == dim
         keys.append(t.key)
     assert all(a < b for a, b in zip(keys, keys[1:]))

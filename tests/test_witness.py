@@ -153,18 +153,17 @@ def test_verifier_rejects_tampering():
     # a smooth verdict needs its minor
     assert not verify_witness(replace(rep, minor=None))
     # forgeries: zero coefficients with no smoothness claim; zero directions
-    # and a truncated sum, which no report can carry; cones that are not
-    # face + extra
+    # and a truncated sum, which no report can carry; facets of another face
     zeroed = replace(rep, witness=(0,) * len(rep.witness), smooth=None, minor=None)
     assert not verify_witness(zeroed)
     with pytest.raises(TypeError):
         replace(rep.adjacent[0], direction=(0,) * len(rep.weighted_sum))
     with pytest.raises(TypeError):
         replace(rep, weighted_sum=(), smooth=None, minor=None)
-    unrelated = enumerate_types(6, 3)[0]
-    assert all(unrelated.splits != tau.splits | {rec.extra_split} for rec in rep.adjacent)
-    wrong_cones = tuple(replace(rec, cone=unrelated) for rec in rep.adjacent)
-    assert not verify_witness(replace(rep, adjacent=wrong_cones))
+    unrelated = enumerate_types(6, 2)[-1]
+    assert unrelated != tau
+    wrong_faces = tuple(replace(rec, face=unrelated) for rec in rep.adjacent)
+    assert not verify_witness(replace(rep, adjacent=wrong_faces))
     # a smoothness report must list the three resolutions in key order
     for face in enumerate_types(6, 2):
         rep = check_smooth_local(6, face)
@@ -263,6 +262,29 @@ def test_codim_one_stream_matches_contract_listing(n, monkeypatch):
     # so no report of the stream comes from the fallback
     monkeypatch.setattr(divisors, "_isolating_coordinates", refused)
     assert list(_moduli_reports(n)) == listing
+
+
+@pytest.mark.parametrize("smooth", [False, True])
+def test_each_partition_is_solved_once_and_every_report_verifies(smooth, monkeypatch):
+    balance_at = divisors._balance_at
+    solved = []
+
+    def counted(face, *rest):
+        solved.append(tuple(_branch_masks(face)))
+        return balance_at(face, *rest)
+
+    monkeypatch.setattr(divisors, "_balance_at", counted)
+    for n in range(4, 8):
+        solved.clear()
+        reports = list(_moduli_reports(n, smooth))
+        # one solve per partition of the n leaves into four blocks
+        stirling = (4**n - 4 * 3**n + 6 * 2**n - 4) // 24
+        assert len(solved) == len(set(solved)) == stirling
+        assert len(reports) == len(enumerate_types(n, n - 4))
+        assert all(verify_witness(rep) for rep in reports)
+        assert all(rec.face is rep.face for rep in reports for rec in rep.adjacent)
+    # at n = 7, 1,260 faces share 350 partitions: 910 reports are read off one
+    assert (len(reports), len(solved)) == (1260, 350)
 
 
 def test_local_witness_marks_the_splits_on_the_vertex():

@@ -344,7 +344,7 @@ def _cmd_decompose(args, out) -> int:
 
 
 def _link_dot(graph: moduli.LinkGraph) -> str:
-    names = [next(iter(ray.splits)).text for ray in graph.vertices]
+    names = [ray.splits[0].text for ray in graph.vertices]
     lines = [f"graph link_n{graph.n} {{"]
     lines += [f'  "{name}";' for name in names]
     for (a, b), quadrant in zip(graph.edges, graph.quadrants):

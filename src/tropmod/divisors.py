@@ -18,11 +18,14 @@ field per coordinate, so the weighted sum, the recombination and their
 comparison are a few big-integer operations.  With W the sum of the adjacent
 weights and d the number of face splits, every entry of either vector is at
 most W * (d + 1) in size, and the fields are whole bytes wide enough to
-hold that.  ``_balance_at`` builds every report, one face at a time, so the
-command line writes each as it is solved.  A report keeps what the solve
-decided: extra splits, weights, coefficients and minor; each adjacent cone
-(the face plus its extra split), each direction and the weighted sum are
-read off the splits when asked for.
+hold that.  Reports are built one face at a time, so the command line
+writes each as it is solved: ``_balance_at`` solves a face, and a moduli-fan
+face whose 4-partition this run has already decided is reported without a
+solve (see below).  A report keeps what the solve decided: extra splits,
+weights, coefficients and minor; each adjacent cone (the face plus its extra
+split), each direction and the weighted sum are read off the splits when
+asked for.  A face's splits are a tuple in key order, the order of its
+coefficients.
 
 The moduli fan itself is certified from its codimension-1 types, streamed
 one at a time with no facet table and no contraction
@@ -50,8 +53,9 @@ and the witness is nonzero only on the face splits whose side is one of
 those branches or the union of all three.
 So a run decides its faces once per partition of the leaves into four
 blocks (S(8, 4) = 1,701 against 17,325 faces at n = 8).  A dict kept by the
-run, keyed by the branch masks, holds each partition whose equality has
-passed with the local witness, and a later face with that partition is
+run, keyed by one int packing the three branch masks away from the anchor,
+holds the resolution splits of each partition whose equality has passed
+with the local witness, and a later face with that partition is
 balanced with its own local witness without a solve; its smoothness minor
 is still checked.  A partition whose equality fails is never stored, so
 each of its faces is solved, and the next run proves every partition again.
@@ -94,6 +98,7 @@ from .trees import (
     _resolution_splits,
     _stream_types,
     _vertices,
+    _with_split,
     contract,
     to_tree,
 )
@@ -142,9 +147,7 @@ class AdjacentFacet:
     @property
     def cone(self) -> CombinatorialType:
         """The facet: the face's splits and the extra split."""
-        return CombinatorialType._trusted(
-            self.face.labels, self.face.splits | {self.extra_split}
-        )
+        return _with_split(self.face, self.extra_split)
 
     @property
     def direction(self) -> Tuple[int, ...]:
@@ -184,14 +187,9 @@ def moduli_fan(n: int) -> WeightedFan:
     return WeightedFan.of(n, tuple((t, 1) for t in _stream_types(n, n - 3)))
 
 
-def _face_splits(face: CombinatorialType) -> Sequence[Split]:
-    return face._by_key()
-
-
-def _isolating_coordinates(
-    face: CombinatorialType, splits: Sequence[Split]
-) -> List[Tuple[int, int]]:
-    """(index, sign) per split: its direction is sign there, other face splits 0.
+def _isolating_coordinates(face: CombinatorialType) -> List[Tuple[int, int]]:
+    """(index, sign) per face split: its direction is sign there, every
+    other face split's 0.
 
     Two leaves from different branches at each end of the edge of a split
     form a quartet whose inner path is that edge alone.  At the end inside
@@ -206,7 +204,7 @@ def _isolating_coordinates(
     full = sum(1 << x for x in labels) & ~(1 << c)
     sides = [(u.mask, len(u.side)) for u in face.splits]
     out = []
-    for s in splits:
+    for s in face.splits:
         m = s.mask
         low = m & -m  # the bit of a
         branch, branch_size = low, 1
@@ -247,10 +245,9 @@ def span_witness(
         raise DimensionMismatch(f"expected {size} coordinates for n = {face.n}")
     if any(isinstance(x, bool) or not isinstance(x, int) for x in vector):
         raise TypeError("integer vector expected")
-    splits = _face_splits(face)
-    coefficients = tuple(vector[i] * sign for i, sign in _isolating_coordinates(face, splits))
+    coefficients = tuple(vector[i] * sign for i, sign in _isolating_coordinates(face))
     residual = list(vector)
-    for s, coef in zip(splits, coefficients):
+    for s, coef in zip(face.splits, coefficients):
         for i, x in _split_support(s):
             residual[i] -= coef * x
     return coefficients, tuple(residual)
@@ -329,19 +326,18 @@ def _recombine(splits: Sequence[Split], coefficients: Sequence[int], width: int)
 def _balance_at(
     face: CombinatorialType,
     adjacent: List[Tuple[int, Split]],
-    splits: Sequence[Split],
     witness: Optional[Tuple[int, ...]] = None,
     unimodular: Optional[bool] = None,
     minor: Optional[Tuple[int, ...]] = None,
 ) -> BalancingReport:
     """The report at a face, given its (weight, extra split) pairs by extra
-    split and its splits in key order.  A smoothness check also
-    passes whether its minor has determinant +-1, and that minor (None when
-    it has not).  A given witness, entries at most W in size, is tried
-    first; if it fails, or none was given, the coefficients are read off
-    the packed weighted sum at the isolating coordinates.  They are unique,
-    so the verdict is the same.  The report keeps the extra splits, weights
-    and coefficients; no dense vector is unpacked.
+    split.  A smoothness check also passes whether its minor has
+    determinant +-1, and that minor (None when it has not).  A given
+    witness, entries at most W in size, is tried first; if it fails, or
+    none was given, the coefficients are read off the packed weighted sum
+    at the isolating coordinates.  They are unique, so the verdict is the
+    same.  The report keeps the extra splits, weights and coefficients; no
+    dense vector is unpacked.
 
     Let W be the sum of the adjacent weights and d the number of face
     splits.  Directions have entries in {-1, 0, 1}, so each sum entry is at
@@ -350,6 +346,7 @@ def _balance_at(
     most W * (d + 1).  The fields are signed with 2^(width-1) above that
     bound, so the packed ints are equal iff the vectors are.
     """
+    splits = face.splits
     width = _field_width(sum(weight for weight, _ in adjacent) * (len(splits) + 1))
     total = 0
     records = []
@@ -363,7 +360,7 @@ def _balance_at(
         field, half = (1 << width) - 1, 1 << (width - 1)
         witness = tuple(
             sign * (((biased >> (width * i)) & field) - half)
-            for i, sign in _isolating_coordinates(face, splits)
+            for i, sign in _isolating_coordinates(face)
         )
         balanced = total == _recombine(splits, witness, width)
     smooth = None if unimodular is None else balanced and unimodular
@@ -371,11 +368,6 @@ def _balance_at(
     return BalancingReport(
         face, tuple(records), balanced, smooth, witness if balanced else None, minor
     )
-
-
-def _check_workers(max_workers: int) -> None:
-    if isinstance(max_workers, bool) or not isinstance(max_workers, int) or max_workers < 1:
-        raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
 
 
 def _face_reports(fan: WeightedFan) -> Iterator[BalancingReport]:
@@ -389,18 +381,16 @@ def _face_reports(fan: WeightedFan) -> Iterator[BalancingReport]:
         # every adjacent cone is the face plus its extra split, so this is
         # also the order of (cone.key, extra_split.key)
         adjacent = sorted(faces[face], key=lambda ws: ws[1].key)
-        yield _balance_at(face, adjacent, _face_splits(face))
+        yield _balance_at(face, adjacent)
 
 
-def check_balanced(fan: WeightedFan, max_workers: int = 1) -> List[BalancingReport]:
+def check_balanced(fan: WeightedFan) -> List[BalancingReport]:
     """Certify balancing at every codimension-1 face of the fan.
 
     Faces are the types obtained by removing one split from a cone; every
     such face is checked, whether shared by several cones or exposed on the
-    boundary of a single one.  ``max_workers`` caps the worker threads; the
-    faces are checked serially, which meets any cap.
+    boundary of a single one.
     """
-    _check_workers(max_workers)
     return list(_face_reports(fan))
 
 
@@ -461,7 +451,7 @@ def _minor_determinant(
 
 
 def _codim_one_report(
-    tau: CombinatorialType, smooth: bool, decided: Dict[Tuple[int, ...], List[Split]]
+    tau: CombinatorialType, smooth: bool, decided: Dict[int, Tuple[Split, ...]]
 ) -> BalancingReport:
     """The report of the moduli fan at a codimension-1 type, or with
     ``smooth`` that of ``check_smooth_local``, read off the 4-valent vertex.
@@ -469,24 +459,27 @@ def _codim_one_report(
 
     The adjacent cones are the three resolutions, each of weight 1, in key
     order, and the witness tried is ``_local_witness``.  ``decided`` maps
-    the branch masks of each 4-partition whose packed equality has passed
-    with that witness to its resolution splits.  A face with such a
-    partition is balanced by the same equality, so it is not solved again;
-    its minor is still checked.  A partition is stored only once the
-    equality has passed.
+    each 4-partition whose packed equality has passed with that witness to
+    its resolution splits, keyed by the three branch masks away from the
+    anchor packed into one int (the anchor's branch is the rest).  A face
+    with such a partition is balanced by the same equality, so it is not
+    solved again; its minor is still checked.  A partition is stored only
+    once the equality has passed.
     """
     branches = _branch_masks(tau)
     labels = tau.labels
-    partition = tuple(branches)
+    n = len(labels)
+    _, b, c, d = branches
+    partition = b | c << (n + 1) | d << 2 * (n + 1)  # each mask fits in n + 1 bits
     extras = decided.get(partition)
     known = extras is not None
     if not known:
         extras = _resolution_splits(labels, branches)
-    splits = _face_splits(tau)
+    splits = tau.splits
     unimodular = minor = None
     if smooth:
-        coordinates = _isolating_coordinates(tau, splits)
-        base = _quartet_bases(len(labels))[sum(m & -m for m in branches)]
+        coordinates = _isolating_coordinates(tau)
+        base = _quartet_bases(n)[sum(m & -m for m in branches)]
         columns = tuple(i for i, _ in coordinates) + (base, base + 1)
         # the first two adjacent directions: the extras are in key order
         rows = [_split_direction(s) for s in (*splits, *extras[:2])]
@@ -497,7 +490,7 @@ def _codim_one_report(
     if known:
         adjacent = tuple([AdjacentFacet(tau, s, 1) for s in extras])
         return BalancingReport(tau, adjacent, True, unimodular, witness, minor)
-    report = _balance_at(tau, [(1, s) for s in extras], splits, witness, unimodular, minor)
+    report = _balance_at(tau, [(1, s) for s in extras], witness, unimodular, minor)
     # the coefficients are unique, so they equal the witness tried iff it passed
     if report.witness == witness:
         decided[partition] = extras
@@ -512,7 +505,7 @@ def _moduli_reports(n: int, smooth: bool = False) -> Iterator[BalancingReport]:
     partitions this run has decided (see ``_codim_one_report``)."""
     if n < 4:
         raise ValueError("the moduli fan needs n >= 4")
-    decided: Dict[Tuple[int, ...], List[Split]] = {}
+    decided: Dict[int, Tuple[Split, ...]] = {}
     return (_codim_one_report(tau, smooth, decided) for tau in _stream_types(n, n - 4))
 
 
@@ -540,9 +533,9 @@ def verify_witness(report: BalancingReport) -> bool:
             expected = _resolution_splits(face.labels, _branch_masks(face))
         except NotCodimensionOne:
             return False
-        if [rec.extra_split for rec in report.adjacent] != expected:
+        if tuple(rec.extra_split for rec in report.adjacent) != expected:
             return False
-    directions = [_split_direction(s) for s in _face_splits(face)]
+    directions = [_split_direction(s) for s in face.splits]
     if len(report.witness) != len(directions):
         return False
     size = 3 * comb(face.n, 4)
@@ -608,9 +601,8 @@ def _psi_report(tau: CombinatorialType, k: int) -> Optional[BalancingReport]:
         branches = _branches_at(masks, parents, other)
         extras = _resolution_splits(labels, branches)
         coefficient = 1
-    splits = _face_splits(tau)
-    witness = _local_witness(splits, branches, coefficient)
-    return _balance_at(tau, [(1, s) for s in extras], splits, witness)
+    witness = _local_witness(tau.splits, branches, coefficient)
+    return _balance_at(tau, [(1, s) for s in extras], witness)
 
 
 def _psi_reports(n: int, k: int) -> Iterator[BalancingReport]:
@@ -627,9 +619,8 @@ def _psi_reports(n: int, k: int) -> Iterator[BalancingReport]:
     return (rep for rep in reports if rep is not None)
 
 
-def check_psi_balanced(n: int, k: int, max_workers: int = 1) -> List[BalancingReport]:
+def check_psi_balanced(n: int, k: int) -> List[BalancingReport]:
     """Balancing certificates for the psi divisor at its codimension-2 faces."""
-    _check_workers(max_workers)
     return list(_psi_reports(n, k))
 
 

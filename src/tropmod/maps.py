@@ -33,7 +33,7 @@ def forget_cone(t: CombinatorialType, j: int) -> CombinatorialType:
         raise TooFewLeaves("forgetting a leaf needs at least four marked leaves")
     labels = t.labels - {j}
     images = (_forget_split(s, labels, j) for s in t.splits)
-    return CombinatorialType(labels, frozenset(s for s in images if s is not None))
+    return CombinatorialType(labels, [s for s in images if s is not None])
 
 
 def forget(x: ModuliPoint, j: int) -> ModuliPoint:
@@ -48,7 +48,7 @@ def forget(x: ModuliPoint, j: int) -> ModuliPoint:
         new = _forget_split(s, labels, j)
         if new is not None:
             merged[new] = merged[new] + length if new in merged else length
-    ctype = CombinatorialType(labels, frozenset(merged))
+    ctype = CombinatorialType(labels, merged)
     return ModuliPoint(ctype, tuple(merged.items()))
 
 
@@ -68,7 +68,7 @@ def section(x: ModuliPoint, k: int) -> ModuliPoint:
         side = s.side | {new} if k in s.side else s.side
         lengths[Split(labels, side)] = length
     lengths[Split(labels, frozenset({k, new}))] = POS_INF
-    ctype = CombinatorialType(labels, frozenset(lengths))
+    ctype = CombinatorialType(labels, lengths)
     return ModuliPoint(ctype, tuple(lengths.items()))
 
 
@@ -83,7 +83,7 @@ def relabel(x: ModuliPoint, mapping: Optional[Mapping[int, int]] = None) -> Modu
         Split(labels, frozenset(mapping[v] for v in s.side)): length
         for s, length in x.lengths
     }
-    ctype = CombinatorialType(labels, frozenset(lengths))
+    ctype = CombinatorialType(labels, lengths)
     return ModuliPoint(ctype, tuple(lengths.items()))
 
 
@@ -136,7 +136,7 @@ def decompose_boundary(x: ModuliPoint) -> BoundaryDecomposition:
             side = frozenset(label for label, held in beyond[k].items() if held <= s.side)
             lengths[k][Split(labels[k], side)] = length
     points = [
-        ModuliPoint(CombinatorialType(lab, frozenset(own)), tuple(own.items()))
+        ModuliPoint(CombinatorialType(lab, own), tuple(own.items()))
         for lab, own in zip(labels, lengths)
     ]
     order = sorted(range(len(points)), key=lambda k: min(labels[k]))

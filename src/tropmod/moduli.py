@@ -127,7 +127,7 @@ class ModuliPoint:
                 raise ValueError(f"edge lengths must be positive, got {value}")
             items.append((split, value))
         items.sort(key=lambda kv: kv[0].key)
-        if {s for s, _ in items} != self.ctype.splits or len(items) != len(self.ctype.splits):
+        if tuple(s for s, _ in items) != self.ctype.splits:
             raise ValueError("lengths must be given exactly on the splits of the type")
         object.__setattr__(self, "lengths", tuple(items))
 
@@ -149,7 +149,7 @@ class ModuliPoint:
         ctype = (
             shape
             if isinstance(shape, CombinatorialType)
-            else CombinatorialType(labels, frozenset(by_split))
+            else CombinatorialType(labels, by_split)
         )
         return cls(ctype, tuple(by_split.items()))
 
@@ -503,7 +503,7 @@ def reconstruct(v: Union[EmbeddingVector, Sequence], n: int) -> ModuliPoint:
         for side, least in _recover_splits(scaled, denominator, n).items()
     }
     try:
-        ctype = CombinatorialType(labels, frozenset(splits))
+        ctype = CombinatorialType(labels, splits)
     except IncompatibleSplit as exc:
         raise NotInImage(f"recovered splits are incompatible: {exc}") from exc
     point = ModuliPoint(

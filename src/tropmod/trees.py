@@ -3,8 +3,11 @@
 A bounded edge of a leaf-labeled tree bipartitions the leaves; the splits of
 all bounded edges form a pairwise-compatible system, and conversely every
 such system is realized by a unique tree (Buneman's splits-equivalence
-theorem).  Types are stored canonically as split sets, with each split
-represented by the side not containing the smallest label.
+theorem).  A type stores its splits once, as a tuple in key order (each
+split by its sorted side), with each split represented by the side not
+containing the smallest label; that tuple is canonical, so it gives the
+type's key, text, equality and hash, and a type made by dropping or adding
+a split keeps it in order.
 
 Types on {1..n} are made one at a time, never tabled.  One pool per n,
 keyed by side mask, holds each split on 1..n once it is asked for, so the
@@ -28,10 +31,11 @@ trivalent.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import IncompatibleSplit, NotCodimensionOne, SplitAbsent
 
@@ -135,35 +139,32 @@ class Split:
         return f"Split({self.text})"
 
 
+_key = attrgetter("key")
+_mask = attrgetter("mask")
+
+
 @dataclass(frozen=True, slots=True)
 class CombinatorialType:
-    """A pairwise-compatible set of splits; indexes one cone of the moduli fan."""
+    """A pairwise-compatible set of splits; indexes one cone of the moduli fan.
+
+    ``splits`` is a tuple in key order.  The constructor takes the splits in
+    any order, with repeats, and stores them deduplicated and sorted.
+    """
 
     labels: Labels
-    splits: FrozenSet[Split]
-    # the splits in key order, as the stream picked them; None for a type
-    # made any other way, whose key and text sort its splits
-    _ordered: Optional[Tuple[Split, ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    splits: Tuple[Split, ...]
 
     def __post_init__(self):
         labels = frozenset(self.labels)
-        splits = frozenset(self.splits)
         if len(labels) < 3:
             raise ValueError("at least three marked leaves are required")
+        splits = tuple(sorted(set(self.splits), key=_key))
         for s in splits:
             if s.labels != labels:
                 raise ValueError(f"{s!r} does not live on the type's leaf set")
         for s, t in itertools.combinations(splits, 2):
             if not s.compatible_with(t):
-                # name the first clashing pair in canonical order
-                ordered = sorted(splits, key=lambda s: s.key)
-                s, t = next(
-                    (s, t)
-                    for s, t in itertools.combinations(ordered, 2)
-                    if not s.compatible_with(t)
-                )
+                # the first clashing pair in canonical order
                 raise IncompatibleSplit(f"{s!r} and {t!r} cannot coexist in one tree")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "splits", splits)
@@ -173,21 +174,15 @@ class CombinatorialType:
         cls, labels: Union[int, Iterable[int]], sides: Iterable[Iterable[int]] = ()
     ) -> "CombinatorialType":
         lab = _as_labels(labels)
-        return cls(lab, frozenset(Split.of(lab, side) for side in sides))
+        return cls(lab, [Split.of(lab, side) for side in sides])
 
     @classmethod
-    def _trusted(
-        cls,
-        labels: Labels,
-        splits: FrozenSet[Split],
-        ordered: Optional[Tuple[Split, ...]] = None,
-    ) -> "CombinatorialType":
-        """Build without the pairwise checks, for splits compatible by
-        construction; ``ordered``, if given, is the splits in key order."""
+    def _trusted(cls, labels: Labels, splits: Tuple[Split, ...]) -> "CombinatorialType":
+        """Build without the checks, for splits compatible by construction
+        and already in key order."""
         t = object.__new__(cls)
         object.__setattr__(t, "labels", labels)
         object.__setattr__(t, "splits", splits)
-        object.__setattr__(t, "_ordered", ordered)
         return t
 
     @property
@@ -205,16 +200,11 @@ class CombinatorialType:
 
     @property
     def key(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(s.key for s in self._by_key())
+        return tuple(s.key for s in self.splits)
 
     @property
     def text(self) -> str:
-        return "{" + ",".join(s.text for s in self._by_key()) + "}"
-
-    def _by_key(self) -> Sequence[Split]:
-        """The splits in key order: as the stream picked them, else sorted."""
-        ordered = self._ordered
-        return sorted(self.splits, key=_key) if ordered is None else ordered
+        return "{" + ",".join(s.text for s in self.splits) + "}"
 
     def __repr__(self) -> str:
         return f"CombinatorialType(n={self.n}, {self.text})"
@@ -263,7 +253,7 @@ def to_tree(t: CombinatorialType) -> TreeRealization:
     smallest side yet that holds it: the home of a side's least label is its
     parent, and each leaf hangs off its final home.
     """
-    ordered = t._by_key()
+    ordered = t.splits
     home = dict.fromkeys(t.labels, 0)
     parent = [0] * (len(ordered) + 1)
     for i in sorted(range(1, len(parent)), key=lambda i: -len(ordered[i - 1].side)):
@@ -290,15 +280,23 @@ def valence_profile(t: CombinatorialType) -> Tuple[int, ...]:
 def contract(t: CombinatorialType, s: Split) -> CombinatorialType:
     """Contract the bounded edge of s to a point: drop the split.
 
-    A subset of a compatible system is compatible, so nothing is re-checked.
+    A subset of a compatible system is compatible, so nothing is re-checked,
+    and the rest stay in key order.
     """
-    if s not in t.splits:
-        raise SplitAbsent(f"{s!r} is not a split of {t!r}")
-    return CombinatorialType._trusted(t.labels, t.splits - {s})
+    splits = t.splits
+    try:
+        i = splits.index(s)
+    except ValueError:
+        raise SplitAbsent(f"{s!r} is not a split of {t!r}") from None
+    return CombinatorialType._trusted(t.labels, splits[:i] + splits[i + 1 :])
 
 
-_key = attrgetter("key")
-_mask = attrgetter("mask")
+def _with_split(t: CombinatorialType, s: Split) -> CombinatorialType:
+    """The type with one more split, compatible by construction, put in its
+    place in key order."""
+    splits = t.splits
+    i = bisect_left(splits, s.key, key=_key)
+    return CombinatorialType._trusted(t.labels, (*splits[:i], s, *splits[i:]))
 
 
 def _vertices(t: CombinatorialType) -> Tuple[List[int], List[int], List[int]]:
@@ -365,7 +363,7 @@ def _labels_mask(labels: Labels) -> int:
     return sum(1 << x for x in labels)
 
 
-def _resolution_splits(labels: Labels, branches: List[int]) -> List[Split]:
+def _resolution_splits(labels: Labels, branches: List[int]) -> Tuple[Split, ...]:
     """The first branch joined with each other one, by key.
 
     The first branch holds the smallest label, so each split's stored side
@@ -380,7 +378,7 @@ def _resolution_splits(labels: Labels, branches: List[int]) -> List[Split]:
         out = [_pooled_split(n, m) for m in masks]
     else:
         out = [Split(labels, frozenset(x for x in labels if m >> x & 1)) for m in masks]
-    return sorted(out, key=_key)
+    return tuple(sorted(out, key=_key))
 
 
 def resolutions(t: CombinatorialType) -> Tuple[CombinatorialType, ...]:
@@ -389,7 +387,7 @@ def resolutions(t: CombinatorialType) -> Tuple[CombinatorialType, ...]:
     Sorting by the extra split orders them as the type key would.
     """
     splits = _resolution_splits(t.labels, _branch_masks(t))
-    return tuple(CombinatorialType._trusted(t.labels, t.splits | {s}) for s in splits)
+    return tuple(_with_split(t, s) for s in splits)
 
 
 def count_rays(n: int) -> int:
@@ -450,7 +448,7 @@ def _stream_types(n: int, dim: int) -> Iterator[CombinatorialType]:
 def _search(n: int, dim: int) -> Iterator[CombinatorialType]:
     labels = _leaf_set(n)
     if dim == 0:
-        yield CombinatorialType._trusted(labels, frozenset())
+        yield CombinatorialType._trusted(labels, ())
         return
     sides = sorted(c for k in range(2, n - 1) for c in itertools.combinations(range(2, n + 1), k))
     splits = [_pooled_split(n, sum(1 << x for x in c)) for c in sides]
@@ -465,12 +463,8 @@ def _search(n: int, dim: int) -> Iterator[CombinatorialType]:
             while candidates:
                 low = candidates & -candidates
                 candidates ^= low
-                split = splits[low.bit_length() - 1]
-                # a set frozen whole gets a smaller table than one grown in
-                # place; the picks' increasing indices are the key order
-                yield CombinatorialType._trusted(
-                    labels, frozenset({*picked, split}), (*picked, split)
-                )
+                # the picks' increasing indices are the key order
+                yield CombinatorialType._trusted(labels, (*picked, splits[low.bit_length() - 1]))
         elif candidates.bit_count() >= needed:
             low = candidates & -candidates
             candidates ^= low

@@ -150,7 +150,7 @@ def brute_force_resolutions(t: CombinatorialType) -> List[CombinatorialType]:
         for side in itertools.combinations(rest, size):
             s = Split(t.labels, frozenset(side))
             if s not in t.splits and all(s.compatible_with(u) for u in t.splits):
-                out.append(CombinatorialType(t.labels, t.splits | {s}))
+                out.append(CombinatorialType(t.labels, (*t.splits, s)))
     return sorted(out, key=lambda r: r.key)
 
 
@@ -443,7 +443,7 @@ def dense_balance_at(
     total = [0] * (3 * comb(face.n, 4))
     records = []
     for cone, weight, extra in adjacent:
-        assert cone.splits == face.splits | {extra}
+        assert frozenset(cone.splits) == frozenset(face.splits) | {extra}
         records.append(AdjacentFacet(face=face, extra_split=extra, weight=weight))
         for i, x in enumerate(walked_split_direction(extra)):
             total[i] += weight * x
@@ -480,12 +480,12 @@ def bareiss_smooth_report(
     sides = (c | d, b | d, b | c)
     extras = sorted((Split(tau.labels, side) for side in sides), key=lambda s: s.key)
     splits = sorted(tau.splits, key=lambda s: s.key)
-    coordinates = _isolating_coordinates(tau, splits)
+    coordinates = _isolating_coordinates(tau)
     base = _quartet_bases(n)[sum(1 << min(branch) for branch in branches)]
     columns = tuple(i for i, _ in coordinates) + (base, base + 1)
     rows = [walked_split_direction(s) for s in splits + extras[:2]]
     unimodular = abs(_determinant([[row[k] for k in columns] for row in rows])) == 1
-    adjacent = [(CombinatorialType._trusted(tau.labels, tau.splits | {s}), 1, s) for s in extras]
+    adjacent = [(CombinatorialType(tau.labels, (*tau.splits, s)), 1, s) for s in extras]
     report, total = dense_balance_at(tau, adjacent, splits, coordinates)
     smooth = report.balanced and unimodular
     return replace(report, smooth=smooth, minor=columns if unimodular else None), total

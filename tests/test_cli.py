@@ -54,9 +54,9 @@ def test_enumerate_writes_each_type_as_made(monkeypatch):
     made = []
     trusted = CombinatorialType._trusted
 
-    def counted(labels, splits, ordered=None):
+    def counted(labels, splits):
         made.append(splits)
-        return trusted(labels, splits, ordered)
+        return trusted(labels, splits)
 
     monkeypatch.setattr(CombinatorialType, "_trusted", counted)
 

@@ -1,6 +1,5 @@
 import pytest
 
-from tropmod import divisors
 from tropmod.divisors import (
     WeightedFan,
     canonical_divisor,
@@ -56,11 +55,6 @@ def test_two_rays_of_m04_unbalanced():
     reports = check_balanced(broken)
     assert len(reports) == 1
     assert reports[0].balanced is False
-
-
-def test_check_balanced_parallel_matches_serial():
-    fan = moduli_fan(5)
-    assert check_balanced(fan, max_workers=4) == check_balanced(fan)
 
 
 def test_smooth_local_examples():
@@ -185,13 +179,3 @@ def test_psi_divisor_cones_hang_leaf_k_off_the_four_valent_vertex():
             fan = psi_divisor(n, k)
             assert [t for t, _ in fan.cones] == expected
             assert all(weight == 1 for _, weight in fan.cones)
-
-
-def test_check_psi_balanced_refuses_max_workers_before_building_the_divisor(monkeypatch):
-    def refused(*args):
-        raise AssertionError("the psi faces were streamed")
-
-    monkeypatch.setattr(divisors, "_stream_types", refused)
-    for bad in (0, -1, True, 1.5):
-        with pytest.raises(ValueError, match="max_workers"):
-            check_psi_balanced(9, 1, max_workers=bad)

@@ -298,7 +298,7 @@ def test_link_graph_matches_pairwise_compatibility(n):
         if splits[i].compatible_with(splits[j])
     ]
     graph = link_graph(n)
-    assert [t.splits for t in graph.vertices] == [frozenset({s}) for s in splits]
+    assert [t.splits for t in graph.vertices] == [(s,) for s in splits]
     assert list(graph.edges) == edges
     assert list(graph.quadrants) == [
         CombinatorialType.of(n, [sides[i], sides[j]]) for i, j in edges

@@ -25,9 +25,9 @@ def test_streamed_psi_reports_match_the_contract_listing(n, k, monkeypatch):
     balance_at = divisors._balance_at
     witnesses = []
 
-    def recorded(face, adjacent, splits, witness=None, *rest):
+    def recorded(face, adjacent, witness=None, *rest):
         witnesses.append(witness)
-        return balance_at(face, adjacent, splits, witness, *rest)
+        return balance_at(face, adjacent, witness, *rest)
 
     monkeypatch.setattr(divisors, "_balance_at", recorded)
     assert list(_psi_reports(n, k)) == listing
@@ -52,9 +52,9 @@ def test_planted_wrong_witness_is_overruled_by_the_isolating_solve(monkeypatch, 
         planted.append(coefficient)
         return (witness[0] + 1,) + witness[1:]
 
-    def counted(face, splits):
+    def counted(face):
         solved.append(face)
-        return isolating_coordinates(face, splits)
+        return isolating_coordinates(face)
 
     monkeypatch.setattr(divisors, "_local_witness", off_by_one)
     monkeypatch.setattr(divisors, "_isolating_coordinates", counted)
@@ -69,12 +69,12 @@ def test_planted_wrong_extra_split_is_unbalanced_by_name(monkeypatch):
     balance_at = divisors._balance_at
     faces = []
 
-    def wrong_extra(face, adjacent, splits, *rest):
+    def wrong_extra(face, adjacent, *rest):
         # at the 100th face, the last adjacent cone takes the first one's extra split
         faces.append(face)
         if len(faces) == 100:
             adjacent = adjacent[:-1] + [(1, adjacent[0][1])]
-        return balance_at(face, adjacent, splits, *rest)
+        return balance_at(face, adjacent, *rest)
 
     monkeypatch.setattr(divisors, "_balance_at", wrong_extra)
     code, out = run(argv)

@@ -11,7 +11,6 @@ from tropmod.divisors import (
     WeightedFan,
     _determinant,
     _face_reports,
-    _face_splits,
     _isolating_coordinates,
     _minor_determinant,
     _moduli_reports,
@@ -38,7 +37,7 @@ import oracles
 
 
 def face_directions(face):
-    return [_split_direction(s) for s in _face_splits(face)]
+    return [_split_direction(s) for s in face.splits]
 
 
 def oracle_verdicts(vector, rows):
@@ -77,10 +76,9 @@ def test_isolating_coordinates_on_every_type():
     for n in range(4, 8):
         for dim in range(n - 2):
             for t in enumerate_types(n, dim):
-                splits = _face_splits(t)
-                for s, (index, sign) in zip(splits, _isolating_coordinates(t, splits)):
+                for s, (index, sign) in zip(t.splits, _isolating_coordinates(t)):
                     assert sign in (1, -1)
-                    for u in splits:
+                    for u in t.splits:
                         assert _split_direction(u)[index] == (sign if u == s else 0)
 
 
@@ -198,9 +196,8 @@ def dense_reports(fan):
             faces.setdefault(contract(cone, s), []).append((cone, weight, s))
     out = []
     for face in sorted(faces, key=lambda f: f.key):
-        splits = _face_splits(face)
-        coordinates = _isolating_coordinates(face, splits)
-        out.append(oracles.dense_balance_at(face, faces[face], splits, coordinates))
+        coordinates = _isolating_coordinates(face)
+        out.append(oracles.dense_balance_at(face, faces[face], face.splits, coordinates))
     return out
 
 
@@ -241,13 +238,12 @@ def test_packed_face_solve_matches_dense_oracle():
     for n in range(4, 8):
         for tau in enumerate_types(n, n - 4):
             rep = check_smooth_local(n, tau)
-            splits = _face_splits(tau)
             adjacent = [
-                (CombinatorialType._trusted(tau.labels, tau.splits | {s}), 1, s)
+                (CombinatorialType(tau.labels, (*tau.splits, s)), 1, s)
                 for s in _resolution_splits(tau.labels, _branch_masks(tau))
             ]
             dense = oracles.dense_balance_at(
-                tau, adjacent, splits, _isolating_coordinates(tau, splits)
+                tau, adjacent, tau.splits, _isolating_coordinates(tau)
             )
             assert_matches_oracle([replace(rep, smooth=None, minor=None)], [dense])
 
@@ -292,11 +288,10 @@ def test_local_witness_marks_the_splits_on_the_vertex():
         for tau in enumerate_types(n, n - 4):
             tree = to_tree(tau)
             branches = tree.branches(tree.valences().index(4))
-            splits = _face_splits(tau)
-            on_vertex = [int(s.side in branches or s.complement in branches) for s in splits]
+            on_vertex = [int(s.side in branches or s.complement in branches) for s in tau.splits]
             masks = [sum(1 << x for x in b) for b in branches]
             assert _branch_masks(tau) == masks
-            assert divisors._local_witness(splits, masks) == tuple(on_vertex)
+            assert divisors._local_witness(tau.splits, masks) == tuple(on_vertex)
             assert sum(on_vertex) == sum(len(b) > 1 for b in branches)
 
 
@@ -341,8 +336,7 @@ def test_forged_minor_row_is_not_unimodular():
     for n in (6, 7):
         for tau in enumerate_types(n, n - 4):
             rep = check_smooth_local(n, tau)
-            splits = _face_splits(tau)
-            signs = [sign for _, sign in _isolating_coordinates(tau, splits)]
+            signs = [sign for _, sign in _isolating_coordinates(tau)]
             rows = face_directions(tau) + [rec.direction for rec in rep.adjacent[:2]]
             assert abs(_minor_determinant(rows, rep.minor, signs)) == 1
             # face row 0 copies face row 1: nonzero on column 1, off the
@@ -352,7 +346,7 @@ def test_forged_minor_row_is_not_unimodular():
             assert _minor_determinant(forged, rep.minor, signs) == 0
             # one face entry changed on a column of the minor: Bareiss decides
             forged = [list(row) for row in rows]
-            i = rng.randrange(len(splits))
+            i = rng.randrange(len(tau.splits))
             forged[i][rng.choice(rep.minor)] += rng.choice((-2, -1, 1, 2))
             minor = [[row[c] for c in rep.minor] for row in forged]
             assert _minor_determinant(forged, rep.minor, signs) == _determinant(minor)
@@ -391,10 +385,3 @@ def test_span_witness_input_checks():
         span_witness(face, (True,) + (0,) * 14)
     assert span_witness(face, (0,) * 15) == ((0,), (0,) * 15)
 
-
-def test_max_workers_is_a_validated_cap():
-    fan = moduli_fan(5)
-    for bad in (0, -1, True, 1.5):
-        with pytest.raises(ValueError):
-            check_balanced(fan, max_workers=bad)
-    assert check_balanced(fan, max_workers=8) == check_balanced(fan)

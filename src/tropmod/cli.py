@@ -23,6 +23,7 @@ import os
 import sys
 from collections.abc import Iterator
 from decimal import Decimal
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _string
 from math import comb
 from typing import Optional, Sequence
@@ -78,19 +79,31 @@ def _render(value, pad: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2)``, started on a line with
     newline-and-indentation ``pad``.
 
-    A list of plain ints is joined in C.  A value of a kind the CLI does
-    not write (a float, a subclass, a dict with non-string keys) goes to
-    ``json.dumps`` and is re-indented.
+    A list or tuple of plain ints is joined in C by ``_join_ints``.  A tuple
+    of at most ``_MEMO_LEN`` plain ints is rendered once per pad and then
+    taken from the memo ``_ints``: the serializers hand over as tuples only
+    what depends on one split alone, its side (``Split.key``) and its
+    direction, which a report or a type table repeats thousands of times,
+    and hand over as lists everything made for one face, type or edge
+    (sums, coefficients, minors, link edges).  The memo is bounded in
+    entries and in the length of each: ``_MEMO_SIZE`` texts of at most
+    ``_MEMO_LEN`` ints, so a run that writes more splits than it repeats
+    keeps only its latest texts, and a direction too long to be worth
+    keeping (n >= 10) is joined each time.  A value of a kind the
+    CLI does not write (a float, a subclass, a dict with non-string keys)
+    goes to ``json.dumps`` and is re-indented.
     """
     kind = type(value)
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        inner = pad + "  "
+        # checked before the lookup: (True, 2) == (1, 2), with equal hashes
         if set(map(type, value)) == {int}:
-            items = map(str, value)
-        else:
-            items = [_render(item, inner) for item in value]
+            if kind is tuple and len(value) <= _MEMO_LEN:
+                return _ints(value, pad)
+            return _join_ints(value, pad)
+        inner = pad + "  "
+        items = [_render(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is dict and value and set(map(type, value)) == {str}:
         inner = pad + "  "
@@ -107,6 +120,22 @@ def _render(value, pad: str = "\n") -> str:
     if value is False:
         return "false"
     return json.dumps(value, indent=2).replace("\n", pad)
+
+
+def _join_ints(value, pad: str) -> str:
+    """``_render`` of a nonempty list or tuple of plain ints."""
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(map(str, value)) + pad + "]"
+
+
+# A check report at n = 9 renders 246 splits at four pads, all kept.  A
+# direction has 3 * comb(n, 4) entries, so only those of n <= 9 are kept,
+# about 5 kB of text each, and a side has at most n - 2.  enumerate and
+# export link repeat a side only up to n = 14 (at n = 15 the 2-dimensional
+# types pass MAX_TYPES), where the 8,177 splits outnumber the entries.
+_MEMO_SIZE = 4096
+_MEMO_LEN = 512
+_ints = lru_cache(maxsize=_MEMO_SIZE)(_join_ints)
 
 
 def _dump(obj, out) -> None:
@@ -283,9 +312,12 @@ def _cmd_check(args, out) -> int:
         _count_within_limit(args.n, args.n - 4)
     if args.what == "balancing":
         if args.fan is not None:
-            fan = serialization.fan_from_json(_load_json(args.fan))
-            _coordinates_within_limit(fan.n)
-            reports = divisors._face_reports(fan)
+            obj = _load_json(args.fan)
+            n = obj.get("n") if isinstance(obj, dict) else None
+            if type(n) is int and n >= 0:
+                # before the fan is read, which makes the n labels
+                _coordinates_within_limit(n)
+            reports = divisors._face_reports(serialization.fan_from_json(obj))
         else:
             reports = divisors._moduli_reports(args.n)
     elif args.what == "psi":
@@ -365,7 +397,7 @@ def _cmd_export(args, out) -> int:
             payload = {
                 "n": args.n,
                 "vertices": [serialization.type_to_json(t) for t in graph.vertices],
-                "edges": graph.edges,
+                "edges": [list(edge) for edge in graph.edges],
             }
             text = _render(payload) + "\n"
     elif args.target == "fan":

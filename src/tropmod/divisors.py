@@ -138,7 +138,11 @@ class WeightedFan:
 
 @dataclass(frozen=True, slots=True)
 class AdjacentFacet:
-    """One facet adjacent to a face: the face plus the extra split it adds."""
+    """One facet adjacent to a face: the face plus the extra split it adds.
+
+    ``cone`` refuses an extra split the face already has with a
+    ``ValueError``, since that adds no facet.
+    """
 
     face: CombinatorialType
     extra_split: Split

@@ -7,10 +7,10 @@ orderings so output is byte-for-byte reproducible.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .divisors import BalancingReport, WeightedFan
-from .errors import MalformedInput, _shown
+from .errors import MalformedInput, TropmodError, _shown
 from .maps import BoundaryDecomposition
 from .moduli import EmbeddingVector, ModuliPoint, _check_coordinates
 from .rationals import ExtendedRational, TooManyDigits, format_extended, parse_extended
@@ -43,7 +43,7 @@ def _integer(value, what: str) -> int:
 
 
 def _integers(value, what: str) -> List[int]:
-    if not isinstance(value, list):
+    if not isinstance(value, (list, tuple)):
         raise MalformedInput(f"{what} must be a list of integers, got {value!r}")
     return [_integer(x, what) for x in value]
 
@@ -118,6 +118,12 @@ def fan_to_json(fan: WeightedFan) -> dict:
 
 
 def fan_from_json(obj: dict) -> WeightedFan:
+    """Read a fan; the output of ``fan_to_json`` reads back as it is.
+
+    Every refusal is a ``MalformedInput``, including those of the types and
+    the fan it builds (a label out of range, clashing splits, a cone of
+    another dimension, a repeated cone), which keep their messages.
+    """
     if not isinstance(obj, dict) or not {"n", "dim", "cones"} <= set(obj):
         raise MalformedInput('a fan object needs keys "n", "dim" and "cones"')
     n = _integer(obj["n"], '"n"')
@@ -125,30 +131,38 @@ def fan_from_json(obj: dict) -> WeightedFan:
     if not isinstance(obj["cones"], list):
         raise MalformedInput('"cones" must be a list')
     cones = []
-    for entry in obj["cones"]:
-        if not isinstance(entry, dict) or "splits" not in entry:
-            raise MalformedInput(f'each cone needs a key "splits", got {entry!r}')
-        if not isinstance(entry["splits"], list):
-            raise MalformedInput(f'"splits" must be a list of sides, got {entry["splits"]!r}')
-        sides = [_integers(side, '"side"') for side in entry["splits"]]
-        weight = _integer(entry.get("weight", 1), '"weight"')
-        cones.append((CombinatorialType.of(n, sides), weight))
-    return WeightedFan(n=n, dim=dim, cones=tuple(cones))
+    try:
+        for entry in obj["cones"]:
+            if not isinstance(entry, dict) or "splits" not in entry:
+                raise MalformedInput(f'each cone needs a key "splits", got {entry!r}')
+            if not isinstance(entry["splits"], (list, tuple)):
+                raise MalformedInput(f'"splits" must be a list of sides, got {entry["splits"]!r}')
+            sides = [_integers(side, '"side"') for side in entry["splits"]]
+            weight = _integer(entry.get("weight", 1), '"weight"')
+            cones.append((CombinatorialType.of(n, sides), weight))
+        return WeightedFan(n=n, dim=dim, cones=tuple(cones))
+    except (TropmodError, ValueError) as exc:
+        raise MalformedInput(str(exc)) from None
 
 
-def type_to_json(t: CombinatorialType) -> List[List[int]]:
-    return [list(k) for k in t.key]
+def type_to_json(t: CombinatorialType) -> Tuple[Tuple[int, ...], ...]:
+    """The sides in key order, each the split's own ``key`` tuple, which
+    the CLI's writer renders once per split."""
+    return t.key
 
 
 def report_to_json(report: BalancingReport) -> dict:
+    """A report's JSON object.  Sides and directions are the splits' own
+    tuples, as in ``type_to_json``; the sum, the coefficients and the minor,
+    made for this face alone, are lists."""
     return {
         "face": type_to_json(report.face),
         "adjacent": [
             {
                 "cone": type_to_json(rec.cone),
-                "extra_split": split_to_json(rec.extra_split),
+                "extra_split": rec.extra_split.key,
                 "weight": rec.weight,
-                "direction": list(rec.direction),
+                "direction": rec.direction,
             }
             for rec in report.adjacent
         ],

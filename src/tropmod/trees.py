@@ -293,9 +293,13 @@ def contract(t: CombinatorialType, s: Split) -> CombinatorialType:
 
 def _with_split(t: CombinatorialType, s: Split) -> CombinatorialType:
     """The type with one more split, compatible by construction, put in its
-    place in key order."""
+    place in key order.  A split the type already has is refused with a
+    ``ValueError``: its key is the one the search lands on."""
     splits = t.splits
-    i = bisect_left(splits, s.key, key=_key)
+    key = s.key
+    i = bisect_left(splits, key, key=_key)
+    if i < len(splits) and splits[i].key == key:
+        raise ValueError(f"{s!r} is already a split of {t!r}")
     return CombinatorialType._trusted(t.labels, (*splits[:i], s, *splits[i:]))
 
 

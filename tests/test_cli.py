@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from tropmod import divisors, moduli, trees
+from tropmod import divisors, moduli, serialization, trees
 from tropmod.cli import EXIT_CERTIFICATE, EXIT_OK, EXIT_USAGE, main
 from tropmod.moduli import ModuliPoint, embed
 from tropmod.serialization import point_to_json, vector_to_json
@@ -172,6 +172,22 @@ def test_refuses_dense_vectors_past_the_limit_before_building_any(
     code, out = run(argv + [path])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {size} embedding coordinates at n = {n} exceed the limit of 5000000\n"
+
+
+def test_fan_past_the_limit_is_refused_before_its_labels_are_made(tmp_path, monkeypatch, capsys):
+    # reading the fan makes its n labels: 1.4 GB at n = 10^7
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fan was read")
+
+    monkeypatch.setattr(serialization, "fan_from_json", refuse)
+    n = 10**12
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"n": n, "dim": 1, "cones": [{"splits": [[2, 3]]}]}))
+    code, out = run(["check", "balancing", "--fan", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    size = 3 * comb(n, 4)
     assert err == f"error: {size} embedding coordinates at n = {n} exceed the limit of 5000000\n"
 
 

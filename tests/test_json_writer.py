@@ -6,7 +6,9 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropmod.cli import EXIT_CERTIFICATE, EXIT_OK, _dump, _render, main
+from tropmod import divisors, moduli, serialization, trees
+from tropmod.cli import _MEMO_LEN, EXIT_CERTIFICATE, EXIT_OK, _dump, _ints, _render, main
+from tropmod.maps import decompose_boundary
 from tropmod.moduli import ModuliPoint
 from tropmod.serialization import point_to_json
 
@@ -51,6 +53,90 @@ def test_streamed_lists_match_json_dumps(obj):
 def test_writer_hands_other_values_to_json():
     for obj in ({1: [2]}, [1.5, {"a": float("inf")}], {}, [True, 1], {"a": {}}):
         assert _render(obj) == json.dumps(obj, indent=2)
+
+
+def test_int_tuples_rendered_again_at_any_pad_match_json_dumps():
+    sides = [(2, 3), (4, 5, 6), tuple(range(-3, 40)), (10**30, -(10**30))]
+    # the same tuples at four depths, twice over, and once more as lists
+    obj = {"a": sides, "b": [{"c": sides, "d": [sides]}], "e": sides, "f": [list(t) for t in sides]}
+    for _ in range(2):
+        assert _render(obj) == json.dumps(obj, indent=2)
+        for pad in ("\n", "\n  ", "\n      ", "\n\t"):
+            for t in sides:
+                assert _render(t, pad) == json.dumps(t, indent=2).replace("\n", pad)
+
+
+def test_bools_and_int_subclasses_never_reach_the_memo():
+    class Level(int):
+        def __str__(self):
+            return "level"
+
+    assert _render((1, 2), "\n  ") == "[\n    1,\n    2\n  ]"
+    before = _ints.cache_info()
+    # equal to (1, 2), with an equal hash: the exact-int check comes first
+    assert _render((True, 2), "\n  ") == "[\n    true,\n    2\n  ]"
+    assert _render((Level(1), 2), "\n  ") == "[\n    1,\n    2\n  ]"
+    assert _render((Level(1),)) == json.dumps((Level(1),), indent=2)
+    after = _ints.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_memo_holds_only_values_of_one_split():
+    # splits on 1..n: sides of size 2..n-2 away from leaf 1
+    splits = {n: 2 ** (n - 1) - n - 1 for n in (7, 8)}
+    _ints.cache_clear()
+    assert run(["check", "balancing", "--n", "7", "--format", "json"])[0] == EXIT_OK
+    # each split's side, in the face, as an extra split and in a cone, and
+    # its direction: four (tuple, pad) keys; a face's sum would be a fifth
+    assert _ints.cache_info().currsize <= 4 * splits[7]
+    assert run(["enumerate", "--n", "8", "--dim", "4", "--format", "json"])[0] == EXIT_OK
+    # each type lists its sides at one pad
+    info = _ints.cache_info()
+    assert info.currsize <= 4 * splits[7] + splits[8]
+    assert info.hits > 10 * info.misses
+
+
+def test_long_int_tuples_are_joined_but_not_kept():
+    # a direction at n = 10 has 630 entries
+    long = tuple(range(_MEMO_LEN + 1))
+    before = _ints.cache_info()
+    assert _render(long, "\n  ") == json.dumps(long, indent=2).replace("\n", "\n  ")
+    after = _ints.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+
+
+def _int_tuples(obj):
+    """Each tuple of plain ints in a serializer's output: what the writer keeps."""
+    if type(obj) is dict:
+        for value in obj.values():
+            yield from _int_tuples(value)
+    elif type(obj) is tuple and obj and set(map(type, obj)) == {int}:
+        yield obj
+    elif type(obj) in (list, tuple):
+        for item in obj:
+            yield from _int_tuples(item)
+
+
+def test_serializers_hand_over_as_tuples_only_values_of_one_split():
+    n = 6
+    splits = [t.splits[0] for t in trees.enumerate_types(n, 1)]
+    own = {s.key for s in splits} | {moduli._split_direction(s) for s in splits}
+    fans = [divisors.moduli_fan(n), divisors.psi_divisor(n, 1)]
+    reports = [r for fan in fans for r in divisors.check_balanced(fan)]
+    reports += divisors.check_psi_balanced(n, 2)
+    reports += [divisors.check_smooth_local(n, t) for t in trees.enumerate_types(n, n - 4)]
+    point = ModuliPoint.of(n, {(5, 6): "3/2", (4, 5, 6): 7, (2, 3): "inf"})
+    outputs = [serialization.report_to_json(r) for r in reports]
+    outputs += [serialization.fan_to_json(fan) for fan in fans]
+    outputs += [serialization.type_to_json(t) for d in range(n - 2) for t in trees.enumerate_types(n, d)]
+    outputs += [
+        point_to_json(point),
+        serialization.vector_to_json(moduli.embed(point)),
+        serialization.decomposition_to_json(decompose_boundary(point)),
+    ]
+    kept = [t for obj in outputs for t in _int_tuples(obj)]
+    assert len({len(t) for t in kept}) > 1  # sides and directions both
+    assert all(t in own for t in kept)
 
 
 def run(argv):

@@ -6,11 +6,20 @@ import json
 import random
 from pathlib import Path
 
-from tropmod.divisors import _face_reports, _moduli_reports, _psi_reports
+import pytest
+
+from tropmod.divisors import AdjacentFacet, _face_reports, _moduli_reports, _psi_reports
 from tropmod.maps import decompose_boundary, forget, forget_cone, relabel, section
 from tropmod.moduli import ModuliPoint, embed, reconstruct
 from tropmod.serialization import fan_from_json
-from tropmod.trees import CombinatorialType, Split, _stream_types, contract, resolutions
+from tropmod.trees import (
+    CombinatorialType,
+    Split,
+    _stream_types,
+    _with_split,
+    contract,
+    resolutions,
+)
 
 from conftest import random_tree_point
 
@@ -57,6 +66,19 @@ def test_adjacent_cones_keep_key_order():
         for k in (1, n):
             for rep in _psi_reports(n, k):
                 assert_cones_in_key_order(rep)
+
+
+def test_a_split_already_on_the_face_adds_no_facet():
+    first = next(_stream_types(6, 2))
+    assert first.text == "{23,234}"
+    for t in (first, *_stream_types(7, 3)):
+        for s in t.splits:
+            # the pooled split and one made afresh from its other side
+            for extra in (s, Split(s.labels, s.complement)):
+                with pytest.raises(ValueError, match="already a split"):
+                    _with_split(t, extra)
+                with pytest.raises(ValueError, match="already a split"):
+                    AdjacentFacet(t, extra, 1).cone
 
 
 def test_checked_constructor_sorts_and_dedupes_any_order():

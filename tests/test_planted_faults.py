@@ -2,13 +2,20 @@
 the mathematics under it is broken.  Each case patches one function with one
 named fault, runs a command, and asserts which check catches it."""
 
+import inspect
 import io
+import json
+from pathlib import Path
+
+import pytest
 
 from test_witness import assert_matches_oracle, dense_reports, fans_across_field_widths
-from tropmod import divisors
+from tropmod import cli, divisors
 from tropmod.cli import EXIT_CERTIFICATE, EXIT_OK, main
-from tropmod.divisors import check_balanced
-from tropmod.trees import Split, enumerate_types, to_tree
+from tropmod.divisors import check_balanced, verify_witness
+from tropmod.trees import Split, _branch_masks, _stream_types, enumerate_types, to_tree
+
+FAN = Path(__file__).with_name("fan_n6_weight2.json")
 
 
 def run(argv):
@@ -91,3 +98,119 @@ def test_field_one_byte_short_is_caught_by_the_dense_oracle(monkeypatch):
         except AssertionError:
             caught += 1
     assert caught
+
+
+def test_check_keeping_only_the_last_verdict_is_caught_by_exit_2(monkeypatch):
+    argv = ["check", "balancing", "--fan", str(FAN), "--format", "json"]
+
+    def guard():
+        code, out = run(argv)
+        assert code == EXIT_CERTIFICATE and json.loads(out)["all_passed"] is False
+
+    guard()
+    source = inspect.getsource(cli._cmd_check)
+    assert source.count("ok = ok and _passed(rep)") == 1
+    namespace = dict(vars(cli))
+    exec(source.replace("ok = ok and _passed(rep)", "ok = _passed(rep)"), namespace)
+    monkeypatch.setitem(cli._COMMANDS, "check", namespace["_cmd_check"])
+    code, out = run(argv)
+    reports = json.loads(out)["reports"]
+    # the unbalanced faces are still written; only the verdict over them is lost
+    assert [rep["balanced"] for rep in reports].count(False) == 3 and reports[-1]["balanced"]
+    with pytest.raises(AssertionError):
+        guard()
+
+
+def test_label_dropped_from_a_resolution_fails_exactly_the_faces_it_reaches(monkeypatch):
+    argv = ["check", "balancing", "--n", "7"]
+    code, expected = run(argv)
+    assert code == EXIT_OK
+    resolution_splits = divisors._resolution_splits
+
+    def planted(labels, branches):
+        # the first resolution with a side of 3 or more loses its largest label
+        splits = resolution_splits(labels, branches)
+        for i, s in enumerate(splits):
+            if len(s.side) >= 3:
+                short = Split(labels, s.side - {max(s.side)})
+                return (*splits[:i], short, *splits[i + 1 :])
+        return splits
+
+    monkeypatch.setattr(divisors, "_resolution_splits", planted)
+    code, out = run(argv)
+    assert code == EXIT_CERTIFICATE
+    # every side is two of the branches away from the anchor, so the fault
+    # reaches a face unless those three branches are single leaves
+    lines = expected.splitlines()
+    for i, face in enumerate(_stream_types(7, 3)):
+        _, b, c, d = _branch_masks(face)
+        if (b | c | d).bit_count() > 3:
+            lines[i] = lines[i].replace(", balanced", ", UNBALANCED")
+    lines[-1] = "CERTIFICATE FAILED"
+    assert 0 < sum("UNBALANCED" in line for line in lines) < len(lines) - 1
+    assert out.splitlines() == lines
+
+
+def _on_vertex(face, split):
+    """Whether the split is an edge at the face's 4-valent vertex, read off
+    the realized tree."""
+    tree = to_tree(face)
+    return split in tree.vertices[tree.valences().index(4)].splits
+
+
+def test_local_witness_off_by_one_on_the_vertex_is_solved_by_the_fallback(monkeypatch):
+    argvs = [
+        ["check", what, "--n", "7", "--format", fmt]
+        for what in ("balancing", "smooth")
+        for fmt in ("text", "json")
+    ]
+    expected = [run(argv) for argv in argvs]
+    x = Split.of(7, {6, 7})
+    local_witness = divisors._local_witness
+
+    def planted(splits, branches, coefficient=1):
+        witness = local_witness(splits, branches, coefficient)
+        return tuple(c + 1 if s == x and c else c for s, c in zip(splits, witness))
+
+    field_bias = divisors._field_bias
+    solved = []
+
+    def counted(*args):
+        solved.append(args)  # only the fallback solve reads the fields
+        return field_bias(*args)
+
+    monkeypatch.setattr(divisors, "_local_witness", planted)
+    monkeypatch.setattr(divisors, "_field_bias", counted)
+    # every face with x on its vertex fails the witness tried, so its
+    # partition is never stored, and the solve finds the true coefficients
+    reaches = sum(_on_vertex(face, x) for face in _stream_types(7, 3))
+    for argv, clean in zip(argvs, expected):
+        solved.clear()
+        assert run(argv) == clean
+        assert len(solved) == reaches > 0
+
+
+def test_local_witness_off_by_one_off_the_vertex_is_caught_by_verify_witness(monkeypatch):
+    # a face whose partition this run has decided is reported with the
+    # coefficients _local_witness gives, unchecked: only the verifier sees
+    # a 1 on a split off the vertex there; the text report cannot show it
+    code, expected = run(["check", "balancing", "--n", "7"])
+    x = Split.of(7, {6, 7})
+    local_witness = divisors._local_witness
+
+    def planted(splits, branches, coefficient=1):
+        witness = local_witness(splits, branches, coefficient)
+        return tuple(c + 1 if s == x and not c else c for s, c in zip(splits, witness))
+
+    monkeypatch.setattr(divisors, "_local_witness", planted)
+    assert run(["check", "balancing", "--n", "7"]) == (code, expected)
+    reports = list(divisors._moduli_reports(7))
+    wrong = [
+        rep.face
+        for rep in reports
+        if x in rep.face.splits
+        and rep.witness[rep.face.splits.index(x)] == 1
+        and not _on_vertex(rep.face, x)
+    ]
+    assert all(rep.balanced for rep in reports)
+    assert wrong and [rep.face for rep in reports if not verify_witness(rep)] == wrong

@@ -8,11 +8,12 @@ with [--output FILE].  A missing flag, or one the kind does not read, is a
 usage error.
 
 Exit codes: 0 on success, 1 on usage or input errors (a request for more
-than ``MAX_TYPES`` types or vector entries among them), 2 when a requested
-certificate fails.  Output ordering is canonical, so runs are byte-for-byte
-reproducible.  The TROPMOD_THREADS environment variable caps the number of
-worker threads for certificate checks and must be a positive integer; the
-checks run serially, which meets any cap.
+than ``MAX_TYPES`` types or vector entries among them) or when a reader
+closes stdout early, 2 when a requested certificate fails.  Output ordering
+is canonical, so runs are byte-for-byte reproducible.  The TROPMOD_THREADS
+environment variable caps the number of worker threads for certificate
+checks and must be a positive integer; the checks run serially, which meets
+any cap.
 """
 
 from __future__ import annotations
@@ -443,7 +444,17 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    """The console script: ``main``, ending quietly with exit 1 when a
+    reader closes stdout early (``tropmod ... | head -1``)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        # so that flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

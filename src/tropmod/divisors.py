@@ -55,10 +55,14 @@ So a run decides its faces once per partition of the leaves into four
 blocks (S(8, 4) = 1,701 against 17,325 faces at n = 8).  A dict kept by the
 run, keyed by one int packing the three branch masks away from the anchor,
 holds the resolution splits of each partition whose equality has passed
-with the local witness, and a later face with that partition is
-balanced with its own local witness without a solve; its smoothness minor
-is still checked.  A partition whose equality fails is never stored, so
-each of its faces is solved, and the next run proves every partition again.
+with the local witness, and the masks of the face splits that had
+coefficient 1 in it.  Every face of the partition has those splits on its
+vertex (the branches of two or more leaves, and the complement of the
+anchor's branch when it has two or more), so a later face is balanced
+with 1 on those masks, the witness that passed, without a solve; its
+smoothness minor is still checked.  A partition whose equality fails is
+never stored, so each of its faces is solved, and the next run proves every
+partition again.
 
 A psi divisor is certified the same way, from codimension-2 types streamed
 in key order (``_psi_reports``).  Its cones are the codimension-1 types
@@ -74,12 +78,12 @@ its cones contracted at each split and its faces grouped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ._value import Value, _set
 from .errors import DimensionMismatch, NotCodimensionOne, NotPure
 from .moduli import (
     _quartet_coordinate,
@@ -104,31 +108,28 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class WeightedFan:
+class WeightedFan(Value):
     """A pure-dimensional set of cones of the moduli fan with positive weights."""
 
-    n: int
-    dim: int
-    cones: Tuple[Tuple[CombinatorialType, int], ...]
+    __slots__ = ("n", "dim", "cones")
 
-    def __post_init__(self):
-        labels = frozenset(range(1, self.n + 1))
-        cones = sorted(self.cones, key=lambda cw: cw[0].key)
+    def __init__(self, n: int, dim: int, cones: Iterable[Tuple[CombinatorialType, int]]):
+        labels = frozenset(range(1, n + 1))
+        cones = sorted(cones, key=lambda cw: cw[0].key)
         if not cones:
             raise ValueError("a fan needs at least one cone")
         for ctype, weight in cones:
             if ctype.labels != labels:
-                raise ValueError(f"{ctype!r} does not live on leaves 1..{self.n}")
-            if ctype.dim != self.dim:
-                raise NotPure(
-                    f"cone {ctype!r} has dimension {ctype.dim}, fan has {self.dim}"
-                )
+                raise ValueError(f"{ctype!r} does not live on leaves 1..{n}")
+            if ctype.dim != dim:
+                raise NotPure(f"cone {ctype!r} has dimension {ctype.dim}, fan has {dim}")
             if not isinstance(weight, int) or weight < 1:
                 raise ValueError(f"weights must be positive integers, got {weight!r}")
         if len({c for c, _ in cones}) != len(cones):
             raise ValueError("duplicate cones in fan")
-        object.__setattr__(self, "cones", tuple(cones))
+        _set(self, "n", n)
+        _set(self, "dim", dim)
+        _set(self, "cones", tuple(cones))
 
     @classmethod
     def of(cls, n: int, cones: Iterable[Tuple[CombinatorialType, int]]) -> "WeightedFan":
@@ -136,17 +137,19 @@ class WeightedFan:
         return cls(n=n, dim=cones[0][0].dim if cones else 0, cones=cones)
 
 
-@dataclass(frozen=True, slots=True)
-class AdjacentFacet:
+class AdjacentFacet(Value):
     """One facet adjacent to a face: the face plus the extra split it adds.
 
     ``cone`` refuses an extra split the face already has with a
     ``ValueError``, since that adds no facet.
     """
 
-    face: CombinatorialType
-    extra_split: Split
-    weight: int
+    __slots__ = ("face", "extra_split", "weight")
+
+    def __init__(self, face: CombinatorialType, extra_split: Split, weight: int):
+        _set(self, "face", face)
+        _set(self, "extra_split", extra_split)
+        _set(self, "weight", weight)
 
     @property
     def cone(self) -> CombinatorialType:
@@ -159,20 +162,33 @@ class AdjacentFacet:
         return _split_direction(self.extra_split)
 
 
-@dataclass(frozen=True, slots=True)
-class BalancingReport:
-    """Verdict of the balancing (and optionally smoothness) check at one face."""
+class BalancingReport(Value):
+    """Verdict of the balancing (and optionally smoothness) check at one face.
 
-    face: CombinatorialType
-    adjacent: Tuple[AdjacentFacet, ...]
-    balanced: bool
-    smooth: Optional[bool] = None
-    # coefficients of the face directions (face-split order) that recombine
-    # into weighted_sum; None when the face is unbalanced
-    witness: Optional[Tuple[int, ...]] = None
-    # smoothness only: columns on which the face directions and the first two
-    # adjacent directions form a minor of determinant +-1
-    minor: Optional[Tuple[int, ...]] = None
+    ``witness`` holds the coefficients of the face directions (face-split
+    order) that recombine into ``weighted_sum``, None when the face is
+    unbalanced.  ``minor``, for smoothness only, holds the columns on which
+    the face directions and the first two adjacent directions form a minor
+    of determinant +-1.
+    """
+
+    __slots__ = ("face", "adjacent", "balanced", "smooth", "witness", "minor")
+
+    def __init__(
+        self,
+        face: CombinatorialType,
+        adjacent: Tuple[AdjacentFacet, ...],
+        balanced: bool,
+        smooth: Optional[bool] = None,
+        witness: Optional[Tuple[int, ...]] = None,
+        minor: Optional[Tuple[int, ...]] = None,
+    ):
+        _set(self, "face", face)
+        _set(self, "adjacent", adjacent)
+        _set(self, "balanced", balanced)
+        _set(self, "smooth", smooth)
+        _set(self, "witness", witness)
+        _set(self, "minor", minor)
 
     @property
     def weighted_sum(self) -> Tuple[int, ...]:
@@ -455,7 +471,7 @@ def _minor_determinant(
 
 
 def _codim_one_report(
-    tau: CombinatorialType, smooth: bool, decided: Dict[int, Tuple[Split, ...]]
+    tau: CombinatorialType, smooth: bool, decided: Dict[int, tuple]
 ) -> BalancingReport:
     """The report of the moduli fan at a codimension-1 type, or with
     ``smooth`` that of ``check_smooth_local``, read off the 4-valent vertex.
@@ -464,22 +480,25 @@ def _codim_one_report(
     The adjacent cones are the three resolutions, each of weight 1, in key
     order, and the witness tried is ``_local_witness``.  ``decided`` maps
     each 4-partition whose packed equality has passed with that witness to
-    its resolution splits, keyed by the three branch masks away from the
+    its resolution splits followed by the masks of the face splits with
+    coefficient 1 in it, keyed by the three branch masks away from the
     anchor packed into one int (the anchor's branch is the rest).  A face
-    with such a partition is balanced by the same equality, so it is not
-    solved again; its minor is still checked.  A partition is stored only
-    once the equality has passed.
+    with such a partition has the same splits on its vertex: its witness is
+    1 on those masks, balanced by the same equality, so it is not solved
+    again; its minor is still checked.  A partition is stored only once the
+    equality has passed.
     """
     branches = _branch_masks(tau)
     labels = tau.labels
     n = len(labels)
     _, b, c, d = branches
     partition = b | c << (n + 1) | d << 2 * (n + 1)  # each mask fits in n + 1 bits
-    extras = decided.get(partition)
-    known = extras is not None
-    if not known:
-        extras = _resolution_splits(labels, branches)
+    entry = decided.get(partition)
     splits = tau.splits
+    if entry is None:
+        extras = _resolution_splits(labels, branches)
+    else:
+        extras, on_vertex = entry[:3], entry[3:]
     unimodular = minor = None
     if smooth:
         coordinates = _isolating_coordinates(tau)
@@ -490,14 +509,15 @@ def _codim_one_report(
         signs = [sign for _, sign in coordinates]
         unimodular = abs(_minor_determinant(rows, columns, signs)) == 1
         minor = columns if unimodular else None
-    witness = _local_witness(splits, branches)
-    if known:
+    if entry is not None:
+        witness = tuple([1 if s.mask in on_vertex else 0 for s in splits])
         adjacent = tuple([AdjacentFacet(tau, s, 1) for s in extras])
         return BalancingReport(tau, adjacent, True, unimodular, witness, minor)
+    witness = _local_witness(splits, branches)
     report = _balance_at(tau, [(1, s) for s in extras], witness, unimodular, minor)
     # the coefficients are unique, so they equal the witness tried iff it passed
     if report.witness == witness:
-        decided[partition] = extras
+        decided[partition] = (*extras, *[s.mask for s, c in zip(splits, witness) if c == 1])
     return report
 
 
@@ -509,7 +529,7 @@ def _moduli_reports(n: int, smooth: bool = False) -> Iterator[BalancingReport]:
     partitions this run has decided (see ``_codim_one_report``)."""
     if n < 4:
         raise ValueError("the moduli fan needs n >= 4")
-    decided: Dict[int, Tuple[Split, ...]] = {}
+    decided: Dict[int, tuple] = {}
     return (_codim_one_report(tau, smooth, decided) for tau in _stream_types(n, n - 4))
 
 

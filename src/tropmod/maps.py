@@ -8,9 +8,9 @@ Labels keep their original names; ``relabel`` densifies on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ._value import Value, _set
 from .errors import TooFewLeaves
 from .moduli import ModuliPoint
 from .rationals import POS_INF, is_finite
@@ -87,8 +87,7 @@ def relabel(x: ModuliPoint, mapping: Optional[Mapping[int, int]] = None) -> Modu
     return ModuliPoint(ctype, tuple(lengths.items()))
 
 
-@dataclass(frozen=True)
-class BoundaryDecomposition:
+class BoundaryDecomposition(Value):
     """The components cut out by the infinite edges, with gluing data.
 
     Each cut edge contributes one fresh marker label to the component on
@@ -96,8 +95,15 @@ class BoundaryDecomposition:
     (component, marker)).
     """
 
-    components: Tuple[ModuliPoint, ...]
-    gluings: Tuple[Tuple[Tuple[int, int], Tuple[int, int]], ...]
+    __slots__ = ("components", "gluings")
+
+    def __init__(
+        self,
+        components: Tuple[ModuliPoint, ...],
+        gluings: Tuple[Tuple[Tuple[int, int], Tuple[int, int]], ...],
+    ):
+        _set(self, "components", components)
+        _set(self, "gluings", gluings)
 
 
 def decompose_boundary(x: ModuliPoint) -> BoundaryDecomposition:

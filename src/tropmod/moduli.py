@@ -10,12 +10,12 @@ embeds the space into R^N with N = 3 * C(n, 4).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ._value import Value, _set
 from .errors import IncompatibleSplit, NotInImage, _shown
 from .rationals import (
     NEG_INF,
@@ -28,8 +28,7 @@ from .rationals import (
 from .trees import CombinatorialType, Split, _as_labels, _stream_types, enumerate_types
 
 
-@dataclass(frozen=True)
-class RatioIndex:
+class RatioIndex(Value):
     """Two disjoint ordered pairs of labels, stored canonically.
 
     For the underlying four labels a < b < c < d the canonical forms are
@@ -37,20 +36,19 @@ class RatioIndex:
     flips the sign of the coordinate, so one representative suffices.
     """
 
-    first: Tuple[int, int]
-    second: Tuple[int, int]
+    __slots__ = ("first", "second")
 
-    def __post_init__(self):
-        i, j = self.first
-        k, l = self.second
+    def __init__(self, first: Tuple[int, int], second: Tuple[int, int]):
+        i, j = first
+        k, l = second
         if len({i, j, k, l}) != 4:
             raise ValueError("the two pairs must consist of four distinct labels")
         if not (i < j and k < l and i < k):
             raise ValueError(
                 "not canonical: need ascending pairs with the overall minimum first"
             )
-        object.__setattr__(self, "first", (int(i), int(j)))
-        object.__setattr__(self, "second", (int(k), int(l)))
+        _set(self, "first", (int(i), int(j)))
+        _set(self, "second", (int(k), int(l)))
 
     @classmethod
     def of(cls, first: Iterable[int], second: Iterable[int]) -> Tuple["RatioIndex", int]:
@@ -105,20 +103,20 @@ def _sigma(split: Split, r: RatioIndex) -> int:
     return 1 if si == sk else -1
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
+class ModuliPoint(Value):
     """A combinatorial type with a positive length on each of its splits.
 
     All lengths finite: a point of the open moduli space.  Any +inf length
     places the point in the boundary of the compactification.
     """
 
-    ctype: CombinatorialType
-    lengths: Tuple[Tuple[Split, ExtendedRational], ...]
+    __slots__ = ("ctype", "lengths")
 
-    def __post_init__(self):
+    def __init__(
+        self, ctype: CombinatorialType, lengths: Iterable[Tuple[Split, ExtendedRational]]
+    ):
         items = []
-        for split, raw in self.lengths:
+        for split, raw in lengths:
             value = parse_extended(raw)
             if isinstance(value, Infinity):
                 if value.sign < 0:
@@ -127,9 +125,10 @@ class ModuliPoint:
                 raise ValueError(f"edge lengths must be positive, got {value}")
             items.append((split, value))
         items.sort(key=lambda kv: kv[0].key)
-        if tuple(s for s, _ in items) != self.ctype.splits:
+        if tuple(s for s, _ in items) != ctype.splits:
             raise ValueError("lengths must be given exactly on the splits of the type")
-        object.__setattr__(self, "lengths", tuple(items))
+        _set(self, "ctype", ctype)
+        _set(self, "lengths", tuple(items))
 
     @classmethod
     def of(
@@ -183,23 +182,22 @@ def _check_coordinates(n: int, entries: Sequence) -> None:
         raise ValueError(f"expected {expected} coordinates for n = {n}")
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
+class EmbeddingVector(Value):
     """The image of a point: extended rationals in canonical coordinate order."""
 
-    n: int
-    entries: Tuple[ExtendedRational, ...]
+    __slots__ = ("n", "entries")
 
-    def __post_init__(self):
-        _check_coordinates(self.n, self.entries)
-        object.__setattr__(self, "entries", tuple(parse_extended(e) for e in self.entries))
+    def __init__(self, n: int, entries: Sequence):
+        _check_coordinates(n, entries)
+        _set(self, "n", n)
+        _set(self, "entries", tuple(parse_extended(e) for e in entries))
 
     @classmethod
     def _trusted(cls, n: int, entries: Tuple[ExtendedRational, ...]) -> "EmbeddingVector":
         """Build without checks, from parsed entries of the right length."""
         v = object.__new__(cls)
-        object.__setattr__(v, "n", n)
-        object.__setattr__(v, "entries", entries)
+        _set(v, "n", n)
+        _set(v, "entries", entries)
         return v
 
     @property
@@ -516,14 +514,22 @@ def reconstruct(v: Union[EmbeddingVector, Sequence], n: int) -> ModuliPoint:
     return point
 
 
-@dataclass(frozen=True)
-class LinkGraph:
+class LinkGraph(Value):
     """The link of the origin: rays as vertices, 2-dimensional cones as edges."""
 
-    n: int
-    vertices: Tuple[CombinatorialType, ...]
-    edges: Tuple[Tuple[int, int], ...]
-    quadrants: Tuple[CombinatorialType, ...]  # the 2-dimensional type of each edge
+    __slots__ = ("n", "vertices", "edges", "quadrants")
+
+    def __init__(
+        self,
+        n: int,
+        vertices: Tuple[CombinatorialType, ...],
+        edges: Tuple[Tuple[int, int], ...],
+        quadrants: Tuple[CombinatorialType, ...],  # the 2-dimensional type of each edge
+    ):
+        _set(self, "n", n)
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+        _set(self, "quadrants", quadrants)
 
     def degrees(self) -> Tuple[int, ...]:
         deg = [0] * len(self.vertices)

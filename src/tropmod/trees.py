@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
+from ._value import Value, _set
 from .errors import IncompatibleSplit, NotCodimensionOne, SplitAbsent
 
 Labels = FrozenSet[int]
@@ -55,27 +55,20 @@ def _as_labels(labels: Union[int, Iterable[int]]) -> Labels:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Split:
+class Split(Value):
     """A bipartition of the leaf set with both sides of size >= 2.
 
     The stored side is the one not containing the smallest label, which
     makes the representation unique; construction accepts either side.
     """
 
-    labels: Labels
-    side: Labels
     # key, text and mask, made on first use: types sort by the key, print
     # the text, and read their local structure off the masks
-    _key: Optional[Tuple[int, ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
-    _mask: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("labels", "side", "_key", "_text", "_mask")
 
-    def __post_init__(self):
-        labels = frozenset(self.labels)
-        side = frozenset(self.side)
+    def __init__(self, labels: Labels, side: Labels):
+        labels = frozenset(labels)
+        side = frozenset(side)
         if not side <= labels:
             raise ValueError("side must consist of leaf labels")
         anchor = min(labels)
@@ -83,8 +76,19 @@ class Split:
             side = labels - side
         if not 2 <= len(side) <= len(labels) - 2:
             raise ValueError("both sides of a split need at least two leaves")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "side", side)
+        _set(self, "labels", labels)
+        _set(self, "side", side)
+        _set(self, "_key", None)
+        _set(self, "_text", None)
+        _set(self, "_mask", None)
+
+    def __eq__(self, other):
+        # the base's comparison with the slots read directly, which is faster
+        # than its attrgetter: splits are compared in the fan reader's face
+        # lookups and in every type comparison
+        if other.__class__ is self.__class__:
+            return (self.labels, self.side) == (other.labels, other.side)
+        return NotImplemented
 
     def __hash__(self) -> int:
         # equal splits have equal sides, and a frozenset keeps its hash once made
@@ -106,7 +110,7 @@ class Split:
     def key(self) -> Tuple[int, ...]:
         """Canonical sort key: the sorted side."""
         if self._key is None:
-            object.__setattr__(self, "_key", tuple(sorted(self.side)))
+            _set(self, "_key", tuple(sorted(self.side)))
         return self._key
 
     @property
@@ -114,14 +118,14 @@ class Split:
         """Canonical textual form: the sorted side, e.g. "45" for 45|123."""
         if self._text is None:
             sep = "" if max(self.labels) <= 9 else ","
-            object.__setattr__(self, "_text", sep.join(map(str, self.key)))
+            _set(self, "_text", sep.join(map(str, self.key)))
         return self._text
 
     @property
     def mask(self) -> int:
         """The side as a bitmask: bit i for label i."""
         if self._mask is None:
-            object.__setattr__(self, "_mask", sum(1 << x for x in self.side))
+            _set(self, "_mask", sum(1 << x for x in self.side))
         return self._mask
 
     def compatible_with(self, other: "Split") -> bool:
@@ -143,22 +147,20 @@ _key = attrgetter("key")
 _mask = attrgetter("mask")
 
 
-@dataclass(frozen=True, slots=True)
-class CombinatorialType:
+class CombinatorialType(Value):
     """A pairwise-compatible set of splits; indexes one cone of the moduli fan.
 
     ``splits`` is a tuple in key order.  The constructor takes the splits in
     any order, with repeats, and stores them deduplicated and sorted.
     """
 
-    labels: Labels
-    splits: Tuple[Split, ...]
+    __slots__ = ("labels", "splits")
 
-    def __post_init__(self):
-        labels = frozenset(self.labels)
+    def __init__(self, labels: Labels, splits: Iterable[Split]):
+        labels = frozenset(labels)
         if len(labels) < 3:
             raise ValueError("at least three marked leaves are required")
-        splits = tuple(sorted(set(self.splits), key=_key))
+        splits = tuple(sorted(set(splits), key=_key))
         for s in splits:
             if s.labels != labels:
                 raise ValueError(f"{s!r} does not live on the type's leaf set")
@@ -166,8 +168,8 @@ class CombinatorialType:
             if not s.compatible_with(t):
                 # the first clashing pair in canonical order
                 raise IncompatibleSplit(f"{s!r} and {t!r} cannot coexist in one tree")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "splits", splits)
+        _set(self, "labels", labels)
+        _set(self, "splits", splits)
 
     @classmethod
     def of(
@@ -181,8 +183,8 @@ class CombinatorialType:
         """Build without the checks, for splits compatible by construction
         and already in key order."""
         t = object.__new__(cls)
-        object.__setattr__(t, "labels", labels)
-        object.__setattr__(t, "splits", splits)
+        _set(t, "labels", labels)
+        _set(t, "splits", splits)
         return t
 
     @property
@@ -210,20 +212,21 @@ class CombinatorialType:
         return f"CombinatorialType(n={self.n}, {self.text})"
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(Value):
     """One internal vertex: its directly attached leaves and incident splits."""
 
-    leaves: Labels
-    splits: FrozenSet[Split]
+    __slots__ = ("leaves", "splits")
+
+    def __init__(self, leaves: Labels, splits: FrozenSet[Split]):
+        _set(self, "leaves", leaves)
+        _set(self, "splits", splits)
 
     @property
     def valence(self) -> int:
         return len(self.leaves) + len(self.splits)
 
 
-@dataclass(frozen=True)
-class TreeRealization:
+class TreeRealization(Value):
     """The unique tree realizing a combinatorial type.
 
     ``edges`` lists the bounded edges as (split, parent index, child index),
@@ -231,8 +234,13 @@ class TreeRealization:
     implicit: each label hangs off the vertex whose ``leaves`` hold it.
     """
 
-    vertices: Tuple[TreeVertex, ...]
-    edges: Tuple[Tuple[Split, int, int], ...]
+    __slots__ = ("vertices", "edges")
+
+    def __init__(
+        self, vertices: Tuple[TreeVertex, ...], edges: Tuple[Tuple[Split, int, int], ...]
+    ):
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
 
     def valences(self) -> Tuple[int, ...]:
         return tuple(v.valence for v in self.vertices)

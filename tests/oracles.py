@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -44,6 +43,14 @@ from tropmod.moduli import (
 )
 from tropmod.rationals import ExtendedRational, is_finite
 from tropmod.trees import CombinatorialType, Split, to_tree
+
+
+def rebuilt(value, **changes):
+    """A copy of a value object with some fields changed, made through its
+    constructor: a name that is no constructor argument is refused there
+    with a ``TypeError``."""
+    fields = {name: getattr(value, name) for name in type(value).__match_args__}
+    return type(value)(**{**fields, **changes})
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +495,7 @@ def bareiss_smooth_report(
     adjacent = [(CombinatorialType(tau.labels, (*tau.splits, s)), 1, s) for s in extras]
     report, total = dense_balance_at(tau, adjacent, splits, coordinates)
     smooth = report.balanced and unimodular
-    return replace(report, smooth=smooth, minor=columns if unimodular else None), total
+    return rebuilt(report, smooth=smooth, minor=columns if unimodular else None), total
 
 
 # ---------------------------------------------------------------- lattices

@@ -488,6 +488,26 @@ def test_deterministic_across_processes():
     assert len(outputs) == 1 and outputs.pop().startswith("{")
 
 
+@pytest.mark.parametrize("fmt, n, first", [("text", "8", b"face {"), ("json", "7", b"{")])
+def test_closed_stdout_ends_quietly_with_exit_1(fmt, n, first):
+    # `tropmod check ... | head -1`: both outputs are far larger than a pipe
+    # buffer, so the command is still writing when the reader goes
+    import subprocess
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tropmod.cli", "check", "balancing", "--n", n, "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PATH": "", "PYTHONPATH": ":".join(sys.path)},
+    )
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    errors = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_USAGE
+    assert line.startswith(first) and errors == b""
+
+
 def test_thread_env_cap(monkeypatch):
     monkeypatch.setenv("TROPMOD_THREADS", "4")
     code, out = run(["check", "balancing", "--n", "5"])

@@ -190,27 +190,29 @@ def test_local_witness_off_by_one_on_the_vertex_is_solved_by_the_fallback(monkey
         assert len(solved) == reaches > 0
 
 
-def test_local_witness_off_by_one_off_the_vertex_is_caught_by_verify_witness(monkeypatch):
-    # a face whose partition this run has decided is reported with the
-    # coefficients _local_witness gives, unchecked: only the verifier sees
-    # a 1 on a split off the vertex there; the text report cannot show it
-    code, expected = run(["check", "balancing", "--n", "7"])
+def test_local_witness_off_by_one_off_the_vertex_is_an_equivalent_mutant(monkeypatch):
+    # an equivalent mutant: _local_witness is called only at the first face
+    # of each 4-partition, and a later face reads its coefficients off the
+    # masks kept with the partition; a 1 off the vertex would fail the packed
+    # equality and be solved past.  At n = 7 the first face of a partition
+    # never has x off its vertex, so the fault changes nothing
+    argvs = [["check", "balancing", "--n", "7", "--format", fmt] for fmt in ("text", "json")]
+    expected = [run(argv) for argv in argvs]
     x = Split.of(7, {6, 7})
     local_witness = divisors._local_witness
+    calls = []
 
     def planted(splits, branches, coefficient=1):
+        calls.append(splits)
         witness = local_witness(splits, branches, coefficient)
         return tuple(c + 1 if s == x and not c else c for s, c in zip(splits, witness))
 
     monkeypatch.setattr(divisors, "_local_witness", planted)
-    assert run(["check", "balancing", "--n", "7"]) == (code, expected)
+    for argv, clean in zip(argvs, expected):
+        calls.clear()
+        assert run(argv) == clean
+        assert len(calls) == 350  # S(7, 4): once per partition, not per face
     reports = list(divisors._moduli_reports(7))
-    wrong = [
-        rep.face
-        for rep in reports
-        if x in rep.face.splits
-        and rep.witness[rep.face.splits.index(x)] == 1
-        and not _on_vertex(rep.face, x)
-    ]
-    assert all(rep.balanced for rep in reports)
-    assert wrong and [rep.face for rep in reports if not verify_witness(rep)] == wrong
+    assert len(reports) == 1260
+    assert any(x in rep.face.splits and not _on_vertex(rep.face, x) for rep in reports)
+    assert all(rep.balanced and verify_witness(rep) for rep in reports)

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -34,6 +33,7 @@ from tropmod.trees import (
 )
 
 import oracles
+from oracles import rebuilt
 
 
 def face_directions(face):
@@ -131,43 +131,43 @@ def test_verifier_rejects_tampering():
     assert verify_witness(rep)
     coefficients = list(rep.witness)
     coefficients[0] += 1
-    assert not verify_witness(replace(rep, witness=tuple(coefficients)))
-    assert not verify_witness(replace(rep, witness=rep.witness[:-1]))
+    assert not verify_witness(rebuilt(rep, witness=tuple(coefficients)))
+    assert not verify_witness(rebuilt(rep, witness=rep.witness[:-1]))
     minor = list(rep.minor)
     minor[-1] = minor[0]  # a repeated column: determinant 0
-    assert not verify_witness(replace(rep, minor=tuple(minor)))
+    assert not verify_witness(rebuilt(rep, minor=tuple(minor)))
     rows = face_directions(tau) + [rec.direction for rec in rep.adjacent[:2]]
     blind = next(i for i in range(len(rows[0])) if not any(row[i] for row in rows))
     minor = list(rep.minor)
     minor[0] = blind  # a column every row vanishes on
-    assert not verify_witness(replace(rep, minor=tuple(minor)))
-    assert not verify_witness(replace(rep, minor=rep.minor[:-1]))
-    assert not verify_witness(replace(rep, minor=rep.minor[:-1] + (10**6,)))
+    assert not verify_witness(rebuilt(rep, minor=tuple(minor)))
+    assert not verify_witness(rebuilt(rep, minor=rep.minor[:-1]))
+    assert not verify_witness(rebuilt(rep, minor=rep.minor[:-1] + (10**6,)))
     # the sum and the directions are read off the splits, so no report
     # carries a sum or a direction to forge
     wrong_sum = (rep.weighted_sum[0] + 1,) + rep.weighted_sum[1:]
-    with pytest.raises(TypeError):
-        replace(rep, weighted_sum=wrong_sum)
+    with pytest.raises(TypeError, match="keyword argument 'weighted_sum'"):
+        rebuilt(rep, weighted_sum=wrong_sum)
     # a smooth verdict needs its minor
-    assert not verify_witness(replace(rep, minor=None))
+    assert not verify_witness(rebuilt(rep, minor=None))
     # forgeries: zero coefficients with no smoothness claim; zero directions
     # and a truncated sum, which no report can carry; facets of another face
-    zeroed = replace(rep, witness=(0,) * len(rep.witness), smooth=None, minor=None)
+    zeroed = rebuilt(rep, witness=(0,) * len(rep.witness), smooth=None, minor=None)
     assert not verify_witness(zeroed)
-    with pytest.raises(TypeError):
-        replace(rep.adjacent[0], direction=(0,) * len(rep.weighted_sum))
-    with pytest.raises(TypeError):
-        replace(rep, weighted_sum=(), smooth=None, minor=None)
+    with pytest.raises(TypeError, match="keyword argument 'direction'"):
+        rebuilt(rep.adjacent[0], direction=(0,) * len(rep.weighted_sum))
+    with pytest.raises(TypeError, match="keyword argument 'weighted_sum'"):
+        rebuilt(rep, weighted_sum=(), smooth=None, minor=None)
     unrelated = enumerate_types(6, 2)[-1]
     assert unrelated != tau
-    wrong_faces = tuple(replace(rec, face=unrelated) for rec in rep.adjacent)
-    assert not verify_witness(replace(rep, adjacent=wrong_faces))
+    wrong_faces = tuple(rebuilt(rec, face=unrelated) for rec in rep.adjacent)
+    assert not verify_witness(rebuilt(rep, adjacent=wrong_faces))
     # a smoothness report must list the three resolutions in key order
     for face in enumerate_types(6, 2):
         rep = check_smooth_local(6, face)
         assert verify_witness(rep)
-        assert not verify_witness(replace(rep, adjacent=rep.adjacent[::-1]))
-        assert not verify_witness(replace(rep, adjacent=rep.adjacent[:2]))
+        assert not verify_witness(rebuilt(rep, adjacent=rep.adjacent[::-1]))
+        assert not verify_witness(rebuilt(rep, adjacent=rep.adjacent[:2]))
 
 
 def test_weight_two_cone_fails_exactly_at_its_faces():
@@ -245,7 +245,7 @@ def test_packed_face_solve_matches_dense_oracle():
             dense = oracles.dense_balance_at(
                 tau, adjacent, tau.splits, _isolating_coordinates(tau)
             )
-            assert_matches_oracle([replace(rep, smooth=None, minor=None)], [dense])
+            assert_matches_oracle([rebuilt(rep, smooth=None, minor=None)], [dense])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

@@ -310,7 +310,8 @@ def _passed(report: divisors.BalancingReport) -> bool:
 def _cmd_check(args, out) -> int:
     _thread_cap()  # validated; the faces are solved serially, which meets any cap
     if args.n is not None:
-        _count_within_limit(args.n, args.n - 4)
+        # psi streams the codimension-2 types, the others codimension-1
+        _count_within_limit(args.n, args.n - 5 if args.what == "psi" else args.n - 4)
     if args.what == "balancing":
         if args.fan is not None:
             obj = _load_json(args.fan)

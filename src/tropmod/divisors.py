@@ -19,67 +19,64 @@ comparison are a few big-integer operations.  With W the sum of the adjacent
 weights and d the number of face splits, every entry of either vector is at
 most W * (d + 1) in size, and the fields are whole bytes wide enough to
 hold that.  Reports are built one face at a time, so the command line
-writes each as it is solved: ``_balance_at`` solves a face, and a moduli-fan
-face whose 4-partition this run has already decided is reported without a
-solve (see below).  A report keeps what the solve decided: extra splits,
-weights, coefficients and minor; each adjacent cone (the face plus its extra
-split), each direction and the weighted sum are read off the splits when
-asked for.  A face's splits are a tuple in key order, the order of its
-coefficients.
+writes each as it is solved: ``_balance_at`` solves a face, and a face
+whose partition this run has already decided is reported without a solve
+(see below).  A report keeps what the solve decided: extra splits,
+weights, coefficients and minor; each adjacent cone (the face plus its
+extra split), each direction and the weighted sum are read off the splits
+when asked for.  A face's splits are a tuple in key order, the order of
+its coefficients.
 
-The moduli fan itself is certified from its codimension-1 types, streamed
-one at a time with no facet table and no contraction
-(``_moduli_reports``).  A face's adjacent cones are its three resolutions,
-each of weight 1, and its witness has a closed form read off the 4-valent
-vertex (``_local_witness``): 1 on each face split incident to the vertex,
-0 on every other.  Quartet by quartet, for branches A, B, C, D: one leaf in
-each branch, and the resolution rays sum to 0 (M_{0,4} is the tripod); two
-in A and one in C and D, and only AB|CD and the split of A cut it two and
-two, with the same ray; two in A and two in C, and AB|CD, AD|BC and the
-splits of A and C all cut it with the same ray; three or more in one
-branch, and none cuts it.  One packed equality checks the witness, and if
-it failed the isolating coordinates would decide, so no verdict rests on
-the identity.  The smoothness minor is block lower-triangular: each face
-row is its sign on its own isolating column and 0 on the minor's other
-columns.  ``_minor_determinant`` checks that entry by entry and then takes
-the product of the signs times a 2x2 determinant on the quartet columns;
-otherwise Bareiss decides.  ``verify_witness`` re-checks with Bareiss.
+Every face of the moduli fan or of a psi divisor is decided at one vertex
+(``_vertex_report``): its adjacent cones, each of weight 1, join two of the
+blocks there, and its closed-form witness (``_local_witness``) is one
+coefficient on each face split incident to the vertex, 0 on every other.
+The moduli fan's faces are its codimension-1 types, streamed one at a time
+with no facet table and no contraction (``_moduli_reports``); the blocks
+are the four branches at the 4-valent vertex, whose joins are the three
+resolutions, and the coefficient is 1.  Quartet by quartet, for branches A,
+B, C, D: one leaf in each branch, and the resolution rays sum to 0 (M_{0,4}
+is the tripod); two in A and one in C and D, and only AB|CD and the split
+of A cut it two and two, with the same ray; two in A and two in C, and
+AB|CD, AD|BC and the splits of A and C all cut it with the same ray; three
+or more in one branch, and none cuts it.  One packed equality checks the
+witness, and if it failed the isolating coordinates would decide, so no
+verdict rests on the identity.  The smoothness minor is block
+lower-triangular: each face row is its sign on its own isolating column and
+0 on the minor's other columns.  ``_minor_determinant`` checks that entry by
+entry and then takes the product of the signs times a 2x2 determinant on
+the quartet columns; otherwise Bareiss decides.  ``verify_witness``
+re-checks with Bareiss.
 
-Near such a face the fan is the tripod M_{0,4} times R^{n-4}, and the
-tripod is fixed by the four branches: both sides of the packed equality
-depend on them alone.  The sum is that of the three resolutions, whose
-sides are the unions of two of the three branches away from the anchor,
-and the witness is nonzero only on the face splits whose side is one of
-those branches or the union of all three.
-So a run decides its faces once per partition of the leaves into four
-blocks (S(8, 4) = 1,701 against 17,325 faces at n = 8).  A dict kept by the
-run, keyed by one int packing the three branch masks away from the anchor,
-holds the resolution splits of each partition whose equality has passed
-with the local witness, and the masks of the face splits that had
-coefficient 1 in it.  Every face of the partition has those splits on its
-vertex (the branches of two or more leaves, and the complement of the
-anchor's branch when it has two or more), so a later face is balanced
-with 1 on those masks, the witness that passed, without a solve; its
-smoothness minor is still checked.  A partition whose equality fails is
-never stored, so each of its faces is solved, and the next run proves every
-partition again.
+A psi divisor's faces are codimension-2 types streamed in key order
+(``_psi_reports``).  Its cones are the codimension-1 types whose 4-valent
+vertex carries leaf k (Kerber-Markwig), so a face has leaf k at a 5-valent
+vertex, decided there with the four other branches as blocks (6 joins) and
+coefficient 2, or at a 4-valent vertex while another is 4-valent, decided at
+the other as a moduli-fan face.  Other types are skipped on the valence of
+leaf k's vertex alone.  Only a fan read from a file (``_face_reports``)
+still has its cones contracted at each split and its faces grouped.
 
-A psi divisor is certified the same way, from codimension-2 types streamed
-in key order (``_psi_reports``).  Its cones are the codimension-1 types
-whose 4-valent vertex carries leaf k (Kerber-Markwig), so its faces are the
-types with leaf k at a 5-valent vertex, whose 6 adjacent cones join two of
-the four other branches there, with witness 2 on each face split incident
-to that vertex; or with leaf k at a 4-valent vertex while another is
-4-valent, whose 3 adjacent cones resolve the other one, with that vertex's
-``_local_witness``.  Other types are skipped on the valence of leaf k's
-vertex alone.  Only a fan read from a file (``_face_reports``) still has
-its cones contracted at each split and its faces grouped.
+Both sides of the packed equality depend on the vertex's branches alone:
+the extra splits join blocks, and the witness is nonzero only on the face
+splits whose side is a branch away from the anchor or the union of all of
+them.  So a run decides its faces once per partition of the leaves at the
+vertex (S(8, 4) = 1,701 against 17,325 moduli-fan faces at n = 8).  A dict
+kept by the run, keyed by one int packing the branch masks, holds the extra
+splits of each partition whose equality has passed with the local witness,
+and the masks of the face splits with a nonzero coefficient in it; a key of
+five branches never equals one of four.  Every face of the partition has
+those splits on its vertex (the branches of two or more leaves, and the
+complement of the anchor's branch when it has two or more), so a later face
+is balanced with the coefficient on those masks, the witness that passed,
+without a solve; its smoothness minor is still checked.  A partition whose
+equality fails is never stored, so each of its faces is solved, and the
+next run proves every partition again.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -97,8 +94,6 @@ from .trees import (
     Split,
     _branch_masks,
     _branches_at,
-    _key,
-    _pooled_split,
     _resolution_splits,
     _stream_types,
     _vertices,
@@ -432,7 +427,8 @@ def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
     if tau.n != n:
         raise ValueError(f"type is for n = {tau.n}, not {n}")
     _require_standard_labels(tau.labels)
-    return _codim_one_report(tau, True, {})
+    branches = _branch_masks(tau)
+    return _vertex_report(tau, branches, branches, 1, {}, True)
 
 
 def _local_witness(
@@ -470,35 +466,35 @@ def _minor_determinant(
     return product * (a * d - b * c)
 
 
-def _codim_one_report(
-    tau: CombinatorialType, smooth: bool, decided: Dict[int, tuple]
+def _vertex_report(
+    tau: CombinatorialType,
+    branches: List[int],
+    blocks: List[int],
+    coefficient: int,
+    decided: Dict[int, tuple],
+    smooth: bool,
 ) -> BalancingReport:
-    """The report of the moduli fan at a codimension-1 type, or with
-    ``smooth`` that of ``check_smooth_local``, read off the 4-valent vertex.
-    The type is on labels 1..n.
-
-    The adjacent cones are the three resolutions, each of weight 1, in key
-    order, and the witness tried is ``_local_witness``.  ``decided`` maps
-    each 4-partition whose packed equality has passed with that witness to
-    its resolution splits followed by the masks of the face splits with
-    coefficient 1 in it, keyed by the three branch masks away from the
-    anchor packed into one int (the anchor's branch is the rest).  A face
-    with such a partition has the same splits on its vertex: its witness is
-    1 on those masks, balanced by the same equality, so it is not solved
-    again; its minor is still checked.  A partition is stored only once the
-    equality has passed.
+    """The report at a face on labels 1..n decided at one vertex, given the
+    vertex's branches as masks (by least label) and the blocks whose
+    pairwise joins are the extra splits, each of weight 1, in key order.
+    The witness tried is ``_local_witness`` with ``coefficient``; with
+    ``smooth`` the face is a codimension-1 type and the minor of
+    ``check_smooth_local`` is checked too.  ``decided`` is the run's memo
+    (see the module docstring): packed branch masks to the extra splits
+    followed by the masks with a nonzero coefficient, stored only once the
+    witness tried has passed.
     """
-    branches = _branch_masks(tau)
-    labels = tau.labels
-    n = len(labels)
-    _, b, c, d = branches
-    partition = b | c << (n + 1) | d << 2 * (n + 1)  # each mask fits in n + 1 bits
+    n = len(tau.labels)
+    shift = n + 1  # each mask fits in n + 1 bits
+    partition = 0
+    for m in branches:
+        partition = partition << shift | m
     entry = decided.get(partition)
     splits = tau.splits
     if entry is None:
-        extras = _resolution_splits(labels, branches)
+        extras = _resolution_splits(tau.labels, blocks)
     else:
-        extras, on_vertex = entry[:3], entry[3:]
+        extras, on_vertex = entry[0], entry[1:]
     unimodular = minor = None
     if smooth:
         coordinates = _isolating_coordinates(tau)
@@ -510,14 +506,14 @@ def _codim_one_report(
         unimodular = abs(_minor_determinant(rows, columns, signs)) == 1
         minor = columns if unimodular else None
     if entry is not None:
-        witness = tuple([1 if s.mask in on_vertex else 0 for s in splits])
+        witness = tuple([coefficient if s.mask in on_vertex else 0 for s in splits])
         adjacent = tuple([AdjacentFacet(tau, s, 1) for s in extras])
         return BalancingReport(tau, adjacent, True, unimodular, witness, minor)
-    witness = _local_witness(splits, branches)
+    witness = _local_witness(splits, branches, coefficient)
     report = _balance_at(tau, [(1, s) for s in extras], witness, unimodular, minor)
     # the coefficients are unique, so they equal the witness tried iff it passed
     if report.witness == witness:
-        decided[partition] = (*extras, *[s.mask for s, c in zip(splits, witness) if c == 1])
+        decided[partition] = (extras, *[s.mask for s, c in zip(splits, witness) if c])
     return report
 
 
@@ -525,12 +521,16 @@ def _moduli_reports(n: int, smooth: bool = False) -> Iterator[BalancingReport]:
     """The reports of ``check_balanced(moduli_fan(n))``, or with ``smooth``
     those of ``check_smooth_local`` over the codimension-1 types, in key
     order.  The faces of the moduli fan are its codimension-1 types, so
-    they are streamed, each solved as it is made, or read off the
-    partitions this run has decided (see ``_codim_one_report``)."""
+    they are streamed, each solved at its 4-valent vertex as it is made, or
+    read off the partitions this run has decided (``_vertex_report``)."""
     if n < 4:
         raise ValueError("the moduli fan needs n >= 4")
     decided: Dict[int, tuple] = {}
-    return (_codim_one_report(tau, smooth, decided) for tau in _stream_types(n, n - 4))
+    return (
+        _vertex_report(tau, branches, branches, 1, decided, smooth)
+        for tau in _stream_types(n, n - 4)
+        for branches in (_branch_masks(tau),)
+    )
 
 
 def verify_witness(report: BalancingReport) -> bool:
@@ -576,8 +576,8 @@ def verify_witness(report: BalancingReport) -> bool:
 
 
 def _check_leaf(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"leaf label k must lie in 1..{n}")
+    if type(k) is not int or not 1 <= k <= n:
+        raise ValueError(f"leaf label k must be an integer in 1..{n}, got {k!r}")
 
 
 def psi_divisor(n: int, k: int) -> WeightedFan:
@@ -589,17 +589,15 @@ def psi_divisor(n: int, k: int) -> WeightedFan:
     return WeightedFan(n=n, dim=n - 4, cones=tuple(cones))
 
 
-def _psi_report(tau: CombinatorialType, k: int) -> Optional[BalancingReport]:
+def _psi_report(
+    tau: CombinatorialType, k: int, decided: Dict[int, tuple]
+) -> Optional[BalancingReport]:
     """The report of ``psi_divisor(n, k)`` at a codimension-2 type on labels
-    1..n, or None when the type is no face of it, read off the vertex of
-    leaf k (the last vertex whose mask holds it).
-
-    With leaf k at a 5-valent vertex, the adjacent cones join two of the
-    four other branches there, and the witness is 2 on each face split
-    incident to the vertex.  With leaf k at a 4-valent vertex, they are the
-    resolutions of the other 4-valent vertex, and the witness is that
-    vertex's ``_local_witness``.  With leaf k at a 3-valent vertex, no psi
-    cone holds the type.
+    1..n, or None when the vertex of leaf k (the last vertex whose mask
+    holds it) is 3-valent and no psi cone holds the type.  At a 5-valent
+    vertex the face is decided there, the blocks being the four other
+    branches; at a 4-valent one, at the other 4-valent vertex as a
+    moduli-fan face.
     """
     masks, vals, parents = _vertices(tau)
     leaf = 1 << k
@@ -609,24 +607,14 @@ def _psi_report(tau: CombinatorialType, k: int) -> Optional[BalancingReport]:
     valence = vals[home]
     if valence == 3:
         return None
-    labels = tau.labels
     if valence == 5:
         branches = _branches_at(masks, parents, home)
-        others = [m for m in branches if m != leaf]
-        full = masks[0]
-        anchor = full & -full
-        # each stored side is the one without the anchor
-        joins = [a | b for a, b in combinations(others, 2)]
-        sides = [full ^ m if m & anchor else m for m in joins]
-        extras = sorted([_pooled_split(len(labels), m) for m in sides], key=_key)
-        coefficient = 2
+        blocks = [m for m in branches if m != leaf]
     else:
         other = next(v for v, val in enumerate(vals) if val == 4 and v != home)
-        branches = _branches_at(masks, parents, other)
-        extras = _resolution_splits(labels, branches)
-        coefficient = 1
-    witness = _local_witness(tau.splits, branches, coefficient)
-    return _balance_at(tau, [(1, s) for s in extras], witness)
+        branches = blocks = _branches_at(masks, parents, other)
+    # 2 at a 5-valent vertex, 1 at a 4-valent one
+    return _vertex_report(tau, branches, blocks, valence - 3, decided, False)
 
 
 def _psi_reports(n: int, k: int) -> Iterator[BalancingReport]:
@@ -634,12 +622,14 @@ def _psi_reports(n: int, k: int) -> Iterator[BalancingReport]:
 
     The faces of the psi divisor are the codimension-2 types with leaf k at
     a 5-valent vertex, or at a 4-valent vertex while another is 4-valent,
-    so they are streamed and each solved as it is made (``_psi_report``).
+    so they are streamed, each solved as it is made, or read off the
+    partitions this run has decided (``_psi_report``).
     """
     if n < 5:
         raise ValueError("psi balancing is a condition on faces; needs n >= 5")
     _check_leaf(n, k)
-    reports = (_psi_report(tau, k) for tau in _stream_types(n, n - 5))
+    decided: Dict[int, tuple] = {}
+    reports = (_psi_report(tau, k, decided) for tau in _stream_types(n, n - 5))
     return (rep for rep in reports if rep is not None)
 
 

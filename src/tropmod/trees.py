@@ -375,18 +375,21 @@ def _labels_mask(labels: Labels) -> int:
     return sum(1 << x for x in labels)
 
 
-def _resolution_splits(labels: Labels, branches: List[int]) -> Tuple[Split, ...]:
-    """The first branch joined with each other one, by key.
+def _resolution_splits(labels: Labels, blocks: List[int]) -> Tuple[Split, ...]:
+    """The splits joining two of these blocks (masks), each once, by key.
 
-    The first branch holds the smallest label, so each split's stored side
-    is the union of the other two branches.  On labels 1..n the splits come
-    from the n pool, so cache lookups on them take the identity fast path.
+    A split's stored side is the one without the smallest label.  At a
+    4-valent vertex the six joins of its branches are its three resolutions,
+    each with its complement.  On labels 1..n the splits come from the n
+    pool, so cache lookups on them take the identity fast path.
     """
-    _, b, c, d = branches
+    full = _labels_mask(labels)
+    low = full & -full
+    joins = (a | b for a, b in itertools.combinations(blocks, 2))
+    masks = {full ^ m if m & low else m for m in joins}
     n = len(labels)
-    masks = (c | d, b | d, b | c)
-    full = _leaf_set(n)
-    if labels is full or labels == full:
+    leaves = _leaf_set(n)
+    if labels is leaves or labels == leaves:
         out = [_pooled_split(n, m) for m in masks]
     else:
         out = [Split(labels, frozenset(x for x in labels if m >> x & 1)) for m in masks]

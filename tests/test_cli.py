@@ -81,7 +81,7 @@ def test_enumerate_writes_each_type_as_made(monkeypatch):
         (["enumerate", "--n", "24", "--dim", "1", "--format", "json"], 8388583),
         (["check", "balancing", "--n", "11"], 91891800),
         (["check", "smooth", "--n", "11", "--format", "json"], 91891800),
-        (["check", "psi", "--n", "11", "--k", "1"], 91891800),
+        (["check", "psi", "--n", "11", "--k", "1"], 94594500),
         (["export", "fan", "--n", "11"], 34459425),
         (["export", "link", "--n", "15"], 6896046),
     ],
@@ -229,13 +229,13 @@ def test_check_smooth_needs_four_leaves(capsys):
 def count_solved(monkeypatch):
     """Count, through the per-face function, the faces solved so far."""
     solved = []
-    report = divisors._codim_one_report
+    report = divisors._vertex_report
 
     def counted(*args, **kwargs):
         solved.append(args[0])
         return report(*args, **kwargs)
 
-    monkeypatch.setattr(divisors, "_codim_one_report", counted)
+    monkeypatch.setattr(divisors, "_vertex_report", counted)
     return solved
 
 

@@ -83,6 +83,40 @@ def test_flipped_sign_fails_exactly_the_partitions_that_use_the_split(monkeypatc
     assert out.splitlines() == lines
 
 
+def test_flipped_sign_fails_the_same_psi_faces_as_the_contract_listing(monkeypatch):
+    argv = ["check", "psi", "--n", "7", "--k", "3"]
+    # the clean run first: a partition it decided must not pass in the next run
+    code, expected = run(argv)
+    assert code == EXIT_OK
+    flipped = Split.of(7, {5, 6})
+    split_support = divisors._split_support
+
+    def planted(split):
+        support = split_support(split)
+        if split != flipped:
+            return support
+        (i, x), *rest = support
+        return ((i, -x), *rest)
+
+    monkeypatch.setattr(divisors, "_split_support", planted)
+    monkeypatch.setattr(divisors, "_packed", {})
+    code, out = run(argv)
+    assert code == EXIT_CERTIFICATE
+    # the listing contracts every psi cone and solves every face, with no
+    # memo, so a memo that hid the fault would differ from it
+    reports = list(divisors._psi_reports(7, 3))
+    assert reports == list(divisors._face_reports(divisors.psi_divisor(7, 3)))
+    verdicts = [rep.balanced for rep in reports]
+    assert True in verdicts and False in verdicts
+    lines = expected.splitlines()
+    for i, rep in enumerate(reports):
+        assert lines[i].startswith(f"face {rep.face.text}: ")
+        if not rep.balanced:
+            lines[i] = lines[i].replace(", balanced", ", UNBALANCED")
+    lines[-1] = "CERTIFICATE FAILED"
+    assert out.splitlines() == lines
+
+
 def test_field_one_byte_short_is_caught_by_the_dense_oracle(monkeypatch):
     # the fans bracket each field width's bound; with every field of more
     # than one byte made one byte short, the packed sums carry across fields

@@ -311,8 +311,8 @@ def test_wrong_local_witness_falls_back_to_the_isolating_solve(monkeypatch):
     isolating_coordinates = divisors._isolating_coordinates
     solved = []
 
-    def wrong(splits, branches):
-        witness = local_witness(splits, branches)
+    def wrong(splits, branches, coefficient=1):
+        witness = local_witness(splits, branches, coefficient)
         return witness and (1 - witness[0],) + witness[1:]
 
     def counted(*args):

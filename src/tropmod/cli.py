@@ -27,10 +27,11 @@ from decimal import Decimal
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _string
 from math import comb
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from . import divisors, maps, moduli, serialization, trees
 from .errors import TropmodError
+from .trees import _Ints
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,28 +81,33 @@ def _render(value, pad: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2)``, started on a line with
     newline-and-indentation ``pad``.
 
-    A list or tuple of plain ints is joined in C by ``_join_ints``.  A tuple
-    of at most ``_MEMO_LEN`` plain ints is rendered once per pad and then
-    taken from the memo ``_ints``: the serializers hand over as tuples only
-    what depends on one split alone, its side (``Split.key``) and its
-    direction, which a report or a type table repeats thousands of times,
-    and hand over as lists everything made for one face, type or edge
-    (sums, coefficients, minors, link edges).  The memo is bounded in
-    entries and in the length of each: ``_MEMO_SIZE`` texts of at most
-    ``_MEMO_LEN`` ints, so a run that writes more splits than it repeats
-    keeps only its latest texts, and a direction too long to be worth
-    keeping (n >= 10) is joined each time.  A value of a kind the
-    CLI does not write (a float, a subclass, a dict with non-string keys)
-    goes to ``json.dumps`` and is re-indented.
+    A list or tuple of plain ints is joined in C by ``_join_ints``.  What
+    depends on one split alone, its side (``Split.key``) and its direction,
+    comes as the split's own ``_Ints`` tuple, plain ints by construction: a
+    report or a type table repeats it thousands of times, so it is rendered
+    once per pad, without the exact-int check, and then taken from the memo
+    ``_ints``.  Only ``_Ints`` are kept, so neither a bool nor an int
+    subclass can read a memo entry.  A report's sum comes as a ``_Sum``
+    and is rendered once per set of adjacent facets (see ``_sum_text``).
+    Everything else made for one face, type or edge (coefficients, minors,
+    link edges) is rendered each time.  Both memos are bounded in entries
+    and in the length of each: a run that writes more than it repeats keeps
+    only its latest texts, and a direction or a sum too long to be worth
+    keeping (n >= 10) is joined each time.  A value of a kind the CLI does
+    not write (a float, another subclass, a dict with non-string keys) goes
+    to ``json.dumps`` and is re-indented.
     """
     kind = type(value)
+    if kind is _Ints:
+        if len(value) <= _MEMO_LEN:
+            return _ints(value, pad)
+        return _join_ints(value, pad)
+    if kind is _Sum:
+        return _sum_text(value.report, pad)
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        # checked before the lookup: (True, 2) == (1, 2), with equal hashes
         if set(map(type, value)) == {int}:
-            if kind is tuple and len(value) <= _MEMO_LEN:
-                return _ints(value, pad)
             return _join_ints(value, pad)
         inner = pad + "  "
         items = [_render(item, inner) for item in value]
@@ -134,9 +140,46 @@ def _join_ints(value, pad: str) -> str:
 # about 5 kB of text each, and a side has at most n - 2.  enumerate and
 # export link repeat a side only up to n = 14 (at n = 15 the 2-dimensional
 # types pass MAX_TYPES), where the 8,177 splits outnumber the entries.
+# Sums are kept apart, in ``_sums``, so they never push a split out.
 _MEMO_SIZE = 4096
 _MEMO_LEN = 512
 _ints = lru_cache(maxsize=_MEMO_SIZE)(_join_ints)
+
+
+class _Sum:
+    """A report's weighted sum, as the writer's ``"sum"``: rendered from
+    the memo ``_sums`` without being added up on a hit."""
+
+    __slots__ = ("report",)
+
+    def __init__(self, report: divisors.BalancingReport):
+        self.report = report
+
+
+# Rendered sums, least recently used first.  A sum is fixed by the leaf set
+# and the (weight, extra split) pairs of the adjacent facets, so a key of
+# the pad, the labels and those pairs by mask finds it for every face with
+# the same adjacent facets: the moduli fan repeats one on every face of a
+# 4-partition, and along the n = 9 stream 512 such sums, about 2 MB, serve
+# 89.5% of the faces.
+_SUMS_SIZE = 512
+_sums: Dict[tuple, str] = {}
+
+
+def _sum_text(report: divisors.BalancingReport, pad: str) -> str:
+    """``_render(report.weighted_sum, pad)``, from ``_sums`` when a face
+    with the same adjacent facets has been written at this pad."""
+    key = (pad, report.face.labels, *[(a.weight, a.extra_split.mask) for a in report.adjacent])
+    text = _sums.pop(key, None)
+    if text is None:
+        total = report.weighted_sum
+        text = _render(total, pad)
+        if len(total) > _MEMO_LEN:
+            return text
+        if len(_sums) >= _SUMS_SIZE:
+            del _sums[next(iter(_sums))]
+    _sums[key] = text
+    return text
 
 
 def _dump(obj, out) -> None:
@@ -340,7 +383,7 @@ def _cmd_check(args, out) -> int:
     if args.format == "json":
         payload = {
             "check": args.what,
-            "reports": map(serialization.report_to_json, tracked()),
+            "reports": (serialization._report_json(rep, _Sum(rep)) for rep in tracked()),
             # called once the reports are written
             "all_passed": lambda: ok,
         }

@@ -25,7 +25,7 @@ from .rationals import (
     is_finite,
     parse_extended,
 )
-from .trees import CombinatorialType, Split, _as_labels, _stream_types, enumerate_types
+from .trees import CombinatorialType, Split, _as_labels, _Ints, _stream_types, enumerate_types
 
 
 class RatioIndex(Value):
@@ -247,7 +247,7 @@ def _split_direction(split: Split) -> Tuple[int, ...]:
     entries = [0] * (3 * comb(split.n, 4))
     for i, x in _split_support(split):
         entries[i] = x
-    return tuple(entries)
+    return _Ints(entries)
 
 
 # A quartet's three coordinates under a split that pairs its smallest label

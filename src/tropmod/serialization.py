@@ -3,6 +3,12 @@
 Rationals travel as "p/q" strings (denominator 1 omitted), infinities as
 "inf" / "-inf"; no floats anywhere.  All emitted structures use canonical
 orderings so output is byte-for-byte reproducible.
+
+What depends on one split alone, its side and its direction, is handed
+over as the split's own tuple, which the CLI's writer renders once per
+split; a report's "sum" is a list, or in the CLI a stand-in that the writer
+renders once per set of adjacent facets.  Readers refuse a label list that
+repeats a label, and a fan is read onto the pooled splits of 1..n.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from .errors import MalformedInput, TropmodError, _shown
 from .maps import BoundaryDecomposition
 from .moduli import EmbeddingVector, ModuliPoint, _check_coordinates
 from .rationals import ExtendedRational, TooManyDigits, format_extended, parse_extended
-from .trees import CombinatorialType, Split, _as_labels
+from .trees import CombinatorialType, Split, _as_labels, _leaf_set, _pooled_split
 
 
 def split_to_json(split: Split) -> List[int]:
@@ -42,10 +48,18 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _integers(value, what: str) -> List[int]:
+def _labels(value, what: str) -> List[int]:
+    """A list of leaf labels: integers, none repeated."""
     if not isinstance(value, (list, tuple)):
         raise MalformedInput(f"{what} must be a list of integers, got {value!r}")
-    return [_integer(x, what) for x in value]
+    out = [_integer(x, what) for x in value]
+    if len(set(out)) < len(out):
+        seen = set()
+        for x in out:
+            if x in seen:
+                raise MalformedInput(f"{what} repeats label {x}")
+            seen.add(x)
+    return out
 
 
 def _extended(value, what: str) -> ExtendedRational:
@@ -62,14 +76,14 @@ def point_from_json(obj: dict) -> ModuliPoint:
     if not isinstance(obj, dict) or "n" not in obj or "splits" not in obj:
         raise MalformedInput('a point object needs keys "n" and "splits"')
     n = _integer(obj["n"], '"n"')
-    labels = _as_labels(_integers(obj["labels"], '"labels"') if "labels" in obj else n)
+    labels = _as_labels(_labels(obj["labels"], '"labels"') if "labels" in obj else n)
     if not isinstance(obj["splits"], list):
         raise MalformedInput('"splits" must be a list')
     lengths = {}
     for entry in obj["splits"]:
         if not isinstance(entry, dict) or not {"side", "length"} <= set(entry):
             raise MalformedInput(f'each split needs keys "side" and "length", got {entry!r}')
-        split = Split.of(labels, _integers(entry["side"], '"side"'))
+        split = Split.of(labels, _labels(entry["side"], '"side"'))
         if split in lengths:
             raise MalformedInput(f"duplicate split {split.text} in point")
         lengths[split] = _extended(entry["length"], '"length"')
@@ -122,7 +136,9 @@ def fan_from_json(obj: dict) -> WeightedFan:
 
     Every refusal is a ``MalformedInput``, including those of the types and
     the fan it builds (a label out of range, clashing splits, a cone of
-    another dimension, a repeated cone), which keep their messages.
+    another dimension, a repeated cone), which keep their messages.  Each
+    cone is built on the pooled splits of 1..n (see ``_pooled_cone``), so
+    the faces and directions of the certificate find them by identity.
     """
     if not isinstance(obj, dict) or not {"n", "dim", "cones"} <= set(obj):
         raise MalformedInput('a fan object needs keys "n", "dim" and "cones"')
@@ -137,12 +153,30 @@ def fan_from_json(obj: dict) -> WeightedFan:
                 raise MalformedInput(f'each cone needs a key "splits", got {entry!r}')
             if not isinstance(entry["splits"], (list, tuple)):
                 raise MalformedInput(f'"splits" must be a list of sides, got {entry["splits"]!r}')
-            sides = [_integers(side, '"side"') for side in entry["splits"]]
+            sides = [_labels(side, '"side"') for side in entry["splits"]]
             weight = _integer(entry.get("weight", 1), '"weight"')
-            cones.append((CombinatorialType.of(n, sides), weight))
+            cones.append((_pooled_cone(n, sides), weight))
         return WeightedFan(n=n, dim=dim, cones=tuple(cones))
     except (TropmodError, ValueError) as exc:
         raise MalformedInput(str(exc)) from None
+
+
+def _pooled_cone(n: int, sides: List[List[int]]) -> CombinatorialType:
+    """``CombinatorialType.of(n, sides)`` with the same refusals, on the
+    pooled splits: each side is checked as ``Split`` checks it and taken by
+    its mask away from leaf 1."""
+    if n < 3:
+        raise ValueError("at least three marked leaves are required")
+    full = (1 << (n + 1)) - 2  # the mask of 1..n
+    masks = set()
+    for side in sides:
+        if not all(0 < x <= n for x in side):
+            raise ValueError("side must consist of leaf labels")
+        if not 2 <= len(side) <= n - 2:
+            raise ValueError("both sides of a split need at least two leaves")
+        mask = sum(1 << x for x in side)
+        masks.add(full ^ mask if mask & 2 else mask)
+    return CombinatorialType(_leaf_set(n), [_pooled_split(n, m) for m in masks])
 
 
 def type_to_json(t: CombinatorialType) -> Tuple[Tuple[int, ...], ...]:
@@ -155,6 +189,12 @@ def report_to_json(report: BalancingReport) -> dict:
     """A report's JSON object.  Sides and directions are the splits' own
     tuples, as in ``type_to_json``; the sum, the coefficients and the minor,
     made for this face alone, are lists."""
+    return _report_json(report, list(report.weighted_sum))
+
+
+def _report_json(report: BalancingReport, weighted_sum) -> dict:
+    """``report_to_json`` with ``weighted_sum`` as its "sum": the CLI's
+    writer passes a stand-in that it renders from its memo of sums."""
     return {
         "face": type_to_json(report.face),
         "adjacent": [
@@ -166,7 +206,7 @@ def report_to_json(report: BalancingReport) -> dict:
             }
             for rec in report.adjacent
         ],
-        "sum": list(report.weighted_sum),
+        "sum": weighted_sum,
         "balanced": report.balanced,
         "smooth": report.smooth,
         "witness": _witness_to_json(report),

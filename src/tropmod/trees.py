@@ -55,6 +55,13 @@ def _as_labels(labels: Union[int, Iterable[int]]) -> Labels:
     return out
 
 
+class _Ints(tuple):
+    """A tuple of plain ints made by the package: a split's key or its
+    direction.  The JSON writer renders one without checking its entries."""
+
+    __slots__ = ()
+
+
 class Split(Value):
     """A bipartition of the leaf set with both sides of size >= 2.
 
@@ -110,7 +117,7 @@ class Split(Value):
     def key(self) -> Tuple[int, ...]:
         """Canonical sort key: the sorted side."""
         if self._key is None:
-            _set(self, "_key", tuple(sorted(self.side)))
+            _set(self, "_key", _Ints(sorted(self.side)))
         return self._key
 
     @property

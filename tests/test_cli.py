@@ -191,6 +191,25 @@ def test_fan_past_the_limit_is_refused_before_its_labels_are_made(tmp_path, monk
     assert err == f"error: {size} embedding coordinates at n = {n} exceed the limit of 5000000\n"
 
 
+def test_a_repeated_label_is_refused_and_named(tmp_path, capsys):
+    # each read as if the repeat were not there before: 45, a point on
+    # 1..5, and 23
+    point = {"n": 5, "splits": [{"side": [4, 5, 5], "length": "1"}]}
+    labelled = {"n": 5, "labels": [1, 2, 3, 4, 4, 5], "splits": [{"side": [4, 5], "length": "1"}]}
+    fan = {"n": 5, "dim": 1, "cones": [{"splits": [[2, 2, 3]]}]}
+    for obj, argv, message in (
+        (point, ["embed", "--point"], '"side" repeats label 5'),
+        (labelled, ["embed", "--point"], '"labels" repeats label 4'),
+        (labelled, ["forget", "--j", "2", "--point"], '"labels" repeats label 4'),
+        (fan, ["check", "balancing", "--fan"], '"side" repeats label 2'),
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        code, out = run(argv + [str(path)])
+        assert code == EXIT_USAGE and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_embed_and_reconstruct_roundtrip(tmp_path):
     point = ModuliPoint.of(5, {(4, 5): "3/2", (3, 4, 5): 7})
     path = write_point(tmp_path, point)

@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropmod import serialization
-from tropmod.divisors import check_balanced, check_smooth_local, moduli_fan
+from tropmod.divisors import WeightedFan, check_balanced, check_smooth_local, moduli_fan
 from tropmod.errors import MalformedInput, TropmodError
 from tropmod.maps import decompose_boundary, forget
 from tropmod.moduli import ModuliPoint, embed
@@ -14,7 +16,7 @@ from tropmod.rationals import (
     format_extended,
     parse_extended,
 )
-from tropmod.trees import enumerate_types
+from tropmod.trees import CombinatorialType, _leaf_set, _pooled_split, enumerate_types
 
 from conftest import random_point
 
@@ -150,6 +152,93 @@ def test_malformed_vectors_and_fans_raise_the_library_error():
             serialization.fan_from_json(fan)
     fan = serialization.fan_from_json({"n": 5, "dim": 2, "cones": [dict(cone, weight=2)]})
     assert fan.cones[0][1] == 2
+
+def test_a_repeated_label_is_refused_by_every_reader():
+    for read, obj, message in (
+        (serialization.point_from_json,
+         {"n": 5, "splits": [{"side": [4, 5, 5], "length": "1"}]}, '"side" repeats label 5'),
+        (serialization.point_from_json,
+         {"n": 5, "labels": [1, 2, 3, 4, 4, 5], "splits": []}, '"labels" repeats label 4'),
+        (serialization.point_from_json,
+         {"n": 5, "labels": [7, 1, 7, 3, 1], "splits": []}, '"labels" repeats label 7'),
+        (serialization.fan_from_json,
+         {"n": 5, "dim": 1, "cones": [{"splits": [[2, 2, 3]]}]}, '"side" repeats label 2'),
+        (serialization.fan_from_json,
+         {"n": 5, "dim": 2, "cones": [{"splits": [[4, 5], [3, 5, 4, 5]]}]}, '"side" repeats label 5'),
+    ):
+        with pytest.raises(MalformedInput) as caught:
+            read(obj)
+        assert str(caught.value) == message
+
+
+def _reference_fan(obj):
+    """What the fan reader gave before its splits were pooled: a checked
+    type per cone, or the message of the first refusal."""
+    try:
+        cones = [(CombinatorialType.of(obj["n"], c["splits"]), c["weight"]) for c in obj["cones"]]
+        return WeightedFan(n=obj["n"], dim=obj["dim"], cones=tuple(cones))
+    except (TropmodError, ValueError) as exc:
+        return str(exc)
+
+
+@st.composite
+def fan_files(draw):
+    """A moduli fan with its cones shuffled and its sides written either
+    way, then changed a few times."""
+    n = draw(st.sampled_from([4, 5, 6]))
+    labels = set(range(1, n + 1))
+    cones = [
+        {"splits": [sorted(s.side) for s in t.splits], "weight": 1}
+        for t in draw(st.permutations(enumerate_types(n, n - 3)))
+    ]
+    for cone in cones:
+        cone["splits"] = [
+            sorted(labels - set(side)) if draw(st.booleans()) else side for side in cone["splits"]
+        ]
+    for _ in range(draw(st.integers(0, 3))):
+        cone = cones[draw(st.integers(0, len(cones) - 1))]
+        sides = cone["splits"]
+        if not sides:  # all dropped
+            continue
+        i = draw(st.integers(0, len(sides) - 1))
+        change = draw(st.sampled_from(
+            ["out of range", "single leaf", "empty", "clash", "repeat split", "drop split",
+             "repeat cone", "weight"]
+        ))
+        if change == "out of range":
+            sides[i] = sorted({*sides[i][1:], draw(st.sampled_from([0, -1, n + 1, 10**20]))})
+        elif change == "single leaf":
+            sides[i] = [draw(st.integers(1, n))]
+        elif change == "empty":
+            sides[i] = []
+        elif change == "clash":
+            sides.append(sorted(draw(st.sets(st.integers(1, n), min_size=2, max_size=n - 2))))
+        elif change == "repeat split":
+            sides.append(sorted(labels - set(sides[i])))
+        elif change == "drop split":
+            del sides[i]
+        elif change == "repeat cone":
+            cones.append({"splits": [sorted(labels - set(s)) for s in sides], "weight": 1})
+        else:
+            cone["weight"] = draw(st.sampled_from([2, 3, 0]))
+    return {"n": n, "dim": n - 3, "cones": cones}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(fan_files())
+def test_pooled_fan_reader_matches_a_checked_type_per_cone(obj):
+    expected = _reference_fan(obj)
+    try:
+        fan = serialization.fan_from_json(obj)
+    except MalformedInput as exc:
+        assert str(exc) == expected
+        return
+    assert fan == expected
+    n = obj["n"]
+    for cone, _ in fan.cones:
+        assert cone.labels is _leaf_set(n)
+        assert all(s is _pooled_split(n, s.mask) for s in cone.splits)
+
 
 def test_report_json_witness():
     (rep,) = check_balanced(moduli_fan(4))

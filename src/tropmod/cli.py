@@ -158,10 +158,10 @@ class _Sum:
 
 # Rendered sums, least recently used first.  A sum is fixed by the leaf set
 # and the (weight, extra split) pairs of the adjacent facets, so a key of
-# the pad, the labels and those pairs by mask finds it for every face with
-# the same adjacent facets: the moduli fan repeats one on every face of a
-# 4-partition, and along the n = 9 stream 512 such sums, about 2 MB, serve
-# 89.5% of the faces.
+# the pad, the labels, the weights and the extra splits by mask finds it for
+# every face with the same adjacent facets: the moduli fan repeats one on
+# every face of a 4-partition, and along the n = 9 stream 512 such sums,
+# about 2 MB, serve 89.5% of the faces.
 _SUMS_SIZE = 512
 _sums: Dict[tuple, str] = {}
 
@@ -169,7 +169,7 @@ _sums: Dict[tuple, str] = {}
 def _sum_text(report: divisors.BalancingReport, pad: str) -> str:
     """``_render(report.weighted_sum, pad)``, from ``_sums`` when a face
     with the same adjacent facets has been written at this pad."""
-    key = (pad, report.face.labels, *[(a.weight, a.extra_split.mask) for a in report.adjacent])
+    key = (pad, report.face.labels, report._weights, *[s.mask for s in report._extras])
     text = _sums.pop(key, None)
     if text is None:
         total = report.weighted_sum
@@ -394,7 +394,7 @@ def _cmd_check(args, out) -> int:
             verdict = "balanced" if rep.balanced else "UNBALANCED"
             if rep.smooth is not None:
                 verdict += ", smooth" if rep.smooth else ", NOT SMOOTH"
-            out.write(f"{label} {rep.face.text}: {len(rep.adjacent)} adjacent, {verdict}\n")
+            out.write(f"{label} {rep.face.text}: {len(rep._extras)} adjacent, {verdict}\n")
         out.write(("all checks passed" if ok else "CERTIFICATE FAILED") + "\n")
     return EXIT_OK if ok else EXIT_CERTIFICATE
 

@@ -21,11 +21,11 @@ most W * (d + 1) in size, and the fields are whole bytes wide enough to
 hold that.  Reports are built one face at a time, so the command line
 writes each as it is solved: ``_balance_at`` solves a face, and a face
 whose partition this run has already decided is reported without a solve
-(see below).  A report keeps what the solve decided: extra splits,
-weights, coefficients and minor; each adjacent cone (the face plus its
-extra split), each direction and the weighted sum are read off the splits
-when asked for.  A face's splits are a tuple in key order, the order of
-its coefficients.
+(see below).  A report keeps what the solve decided: extra splits and
+weights as two tuples, coefficients and minor; its adjacent facets (built
+on first read, which neither writer does), each adjacent cone, direction
+and the weighted sum are read off the extra splits when asked for.  A
+face's splits are a tuple in key order, the order of its coefficients.
 
 Every face of the moduli fan or of a psi divisor is decided at one vertex
 (``_vertex_report``): its adjacent cones, each of weight 1, join two of the
@@ -69,14 +69,16 @@ five branches never equals one of four.  Every face of the partition has
 those splits on its vertex (the branches of two or more leaves, and the
 complement of the anchor's branch when it has two or more), so a later face
 is balanced with the coefficient on those masks, the witness that passed,
-without a solve; its smoothness minor is still checked.  A partition whose
-equality fails is never stored, so each of its faces is solved, and the
-next run proves every partition again.
+without a solve; its smoothness minor is still checked, and its report
+shares the memo's extra splits and one tuple of unit weights.  A partition
+whose equality fails is never stored, so each of its faces is solved, and
+the next run proves every partition again.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -157,7 +159,7 @@ class AdjacentFacet(Value):
         return _split_direction(self.extra_split)
 
 
-class BalancingReport(Value):
+class BalancingReport(Value, fields=("face", "adjacent", "balanced", "smooth", "witness", "minor")):
     """Verdict of the balancing (and optionally smoothness) check at one face.
 
     ``witness`` holds the coefficients of the face directions (face-split
@@ -165,9 +167,15 @@ class BalancingReport(Value):
     unbalanced.  ``minor``, for smoothness only, holds the columns on which
     the face directions and the first two adjacent directions form a minor
     of determinant +-1.
+
+    A report keeps the extra splits of its adjacent facets and their
+    weights as two tuples; ``adjacent`` is built from them on first read
+    and then kept (in the slot ``_adjacent``, None until then).
     """
 
-    __slots__ = ("face", "adjacent", "balanced", "smooth", "witness", "minor")
+    __slots__ = (
+        "face", "_extras", "_weights", "balanced", "smooth", "witness", "minor", "_adjacent"
+    )
 
     def __init__(
         self,
@@ -178,21 +186,47 @@ class BalancingReport(Value):
         witness: Optional[Tuple[int, ...]] = None,
         minor: Optional[Tuple[int, ...]] = None,
     ):
-        _set(self, "face", face)
-        _set(self, "adjacent", adjacent)
-        _set(self, "balanced", balanced)
-        _set(self, "smooth", smooth)
-        _set(self, "witness", witness)
-        _set(self, "minor", minor)
+        extras = tuple([rec.extra_split for rec in adjacent])
+        weights = tuple([rec.weight for rec in adjacent])
+        self.__setstate__((face, extras, weights, balanced, smooth, witness, minor, adjacent))
+
+    @classmethod
+    def _of(cls, face, extras, weights, balanced, smooth, witness, minor) -> "BalancingReport":
+        """Build from the extra splits and weights; ``adjacent`` waits for a read."""
+        report = object.__new__(cls)
+        _set(report, "face", face)
+        _set(report, "_extras", extras)
+        _set(report, "_weights", weights)
+        _set(report, "balanced", balanced)
+        _set(report, "smooth", smooth)
+        _set(report, "witness", witness)
+        _set(report, "minor", minor)
+        _set(report, "_adjacent", None)
+        return report
+
+    @property
+    def adjacent(self) -> Tuple[AdjacentFacet, ...]:
+        """The adjacent facets in key order, built on first read."""
+        adjacent = self._adjacent
+        if adjacent is None:
+            adjacent = tuple(map(AdjacentFacet, repeat(self.face), self._extras, self._weights))
+            _set(self, "_adjacent", adjacent)
+        return adjacent
 
     @property
     def weighted_sum(self) -> Tuple[int, ...]:
         """The weighted sum of the adjacent directions, added over their supports."""
         total = [0] * (3 * comb(self.face.n, 4))
-        for rec in self.adjacent:
-            for i, x in _split_support(rec.extra_split):
-                total[i] += rec.weight * x
+        for extra, weight in zip(self._extras, self._weights):
+            for i, x in _split_support(extra):
+                total[i] += weight * x
         return tuple(total)
+
+
+@lru_cache(maxsize=None)
+def _unit_weights(count: int) -> Tuple[int, ...]:
+    """Weight 1 on each of ``count`` facets: shared by the reports of decided partitions."""
+    return (1,) * count
 
 
 def moduli_fan(n: int) -> WeightedFan:
@@ -352,7 +386,7 @@ def _balance_at(
     none was given, the coefficients are read off the packed weighted sum
     at the isolating coordinates.  They are unique, so the verdict is the
     same.  The report keeps the extra splits, weights and coefficients; no
-    dense vector is unpacked.
+    dense vector is unpacked and no ``AdjacentFacet`` made.
 
     Let W be the sum of the adjacent weights and d the number of face
     splits.  Directions have entries in {-1, 0, 1}, so each sum entry is at
@@ -362,11 +396,11 @@ def _balance_at(
     bound, so the packed ints are equal iff the vectors are.
     """
     splits = face.splits
-    width = _field_width(sum(weight for weight, _ in adjacent) * (len(splits) + 1))
+    extras = tuple([extra for _, extra in adjacent])
+    weights = tuple([weight for weight, _ in adjacent])
+    width = _field_width(sum(weights) * (len(splits) + 1))
     total = 0
-    records = []
     for weight, extra in adjacent:
-        records.append(AdjacentFacet(face, extra, weight))
         total += weight * _packed_direction(extra, width)
     balanced = witness is not None and total == _recombine(splits, witness, width)
     if not balanced:
@@ -380,8 +414,8 @@ def _balance_at(
         balanced = total == _recombine(splits, witness, width)
     smooth = None if unimodular is None else balanced and unimodular
     # positional: keywords cost a measurable share of a moduli-fan face
-    return BalancingReport(
-        face, tuple(records), balanced, smooth, witness if balanced else None, minor
+    return BalancingReport._of(
+        face, extras, weights, balanced, smooth, witness if balanced else None, minor
     )
 
 
@@ -507,13 +541,13 @@ def _vertex_report(
         minor = columns if unimodular else None
     if entry is not None:
         witness = tuple([coefficient if s.mask in on_vertex else 0 for s in splits])
-        adjacent = tuple([AdjacentFacet(tau, s, 1) for s in extras])
-        return BalancingReport(tau, adjacent, True, unimodular, witness, minor)
+        weights = _unit_weights(len(extras))
+        return BalancingReport._of(tau, extras, weights, True, unimodular, witness, minor)
     witness = _local_witness(splits, branches, coefficient)
     report = _balance_at(tau, [(1, s) for s in extras], witness, unimodular, minor)
     # the coefficients are unique, so they equal the witness tried iff it passed
     if report.witness == witness:
-        decided[partition] = (extras, *[s.mask for s, c in zip(splits, witness) if c])
+        decided[partition] = (report._extras, *[s.mask for s, c in zip(splits, witness) if c])
     return report
 
 

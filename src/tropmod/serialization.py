@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .divisors import BalancingReport, WeightedFan
 from .errors import MalformedInput, TropmodError, _shown
 from .maps import BoundaryDecomposition
-from .moduli import EmbeddingVector, ModuliPoint, _check_coordinates
+from .moduli import EmbeddingVector, ModuliPoint, _check_coordinates, _split_direction
 from .rationals import ExtendedRational, TooManyDigits, format_extended, parse_extended
-from .trees import CombinatorialType, Split, _as_labels, _leaf_set, _pooled_split
+from .trees import CombinatorialType, Split, _as_labels, _leaf_set, _pooled_split, _with_split
 
 
 def split_to_json(split: Split) -> List[int]:
@@ -44,20 +44,20 @@ def point_to_json(x: ModuliPoint) -> dict:
 
 def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedInput(f"{what} must be an integer, got {value!r}")
+        raise MalformedInput(f"{what} must be an integer, got {_shown(value)}")
     return value
 
 
 def _labels(value, what: str) -> List[int]:
     """A list of leaf labels: integers, none repeated."""
     if not isinstance(value, (list, tuple)):
-        raise MalformedInput(f"{what} must be a list of integers, got {value!r}")
+        raise MalformedInput(f"{what} must be a list of integers, got {_shown(value)}")
     out = [_integer(x, what) for x in value]
     if len(set(out)) < len(out):
         seen = set()
         for x in out:
             if x in seen:
-                raise MalformedInput(f"{what} repeats label {x}")
+                raise MalformedInput(f"{what} repeats label {_shown(x)}")
             seen.add(x)
     return out
 
@@ -82,7 +82,7 @@ def point_from_json(obj: dict) -> ModuliPoint:
     lengths = {}
     for entry in obj["splits"]:
         if not isinstance(entry, dict) or not {"side", "length"} <= set(entry):
-            raise MalformedInput(f'each split needs keys "side" and "length", got {entry!r}')
+            raise MalformedInput(f'each split needs keys "side" and "length", got {_shown(entry)}')
         split = Split.of(labels, _labels(entry["side"], '"side"'))
         if split in lengths:
             raise MalformedInput(f"duplicate split {split.text} in point")
@@ -150,10 +150,11 @@ def fan_from_json(obj: dict) -> WeightedFan:
     try:
         for entry in obj["cones"]:
             if not isinstance(entry, dict) or "splits" not in entry:
-                raise MalformedInput(f'each cone needs a key "splits", got {entry!r}')
-            if not isinstance(entry["splits"], (list, tuple)):
-                raise MalformedInput(f'"splits" must be a list of sides, got {entry["splits"]!r}')
-            sides = [_labels(side, '"side"') for side in entry["splits"]]
+                raise MalformedInput(f'each cone needs a key "splits", got {_shown(entry)}')
+            splits = entry["splits"]
+            if not isinstance(splits, (list, tuple)):
+                raise MalformedInput(f'"splits" must be a list of sides, got {_shown(splits)}')
+            sides = [_labels(side, '"side"') for side in splits]
             weight = _integer(entry.get("weight", 1), '"weight"')
             cones.append((_pooled_cone(n, sides), weight))
         return WeightedFan(n=n, dim=dim, cones=tuple(cones))
@@ -194,17 +195,19 @@ def report_to_json(report: BalancingReport) -> dict:
 
 def _report_json(report: BalancingReport, weighted_sum) -> dict:
     """``report_to_json`` with ``weighted_sum`` as its "sum": the CLI's
-    writer passes a stand-in that it renders from its memo of sums."""
+    writer passes a stand-in that it renders from its memo of sums.  The
+    adjacent facets are written off the extra splits, none of them built."""
+    face = report.face
     return {
-        "face": type_to_json(report.face),
+        "face": type_to_json(face),
         "adjacent": [
             {
-                "cone": type_to_json(rec.cone),
-                "extra_split": rec.extra_split.key,
-                "weight": rec.weight,
-                "direction": rec.direction,
+                "cone": type_to_json(_with_split(face, extra)),
+                "extra_split": extra.key,
+                "weight": weight,
+                "direction": _split_direction(extra),
             }
-            for rec in report.adjacent
+            for extra, weight in zip(report._extras, report._weights)
         ],
         "sum": weighted_sum,
         "balanced": report.balanced,

@@ -250,3 +250,42 @@ def test_local_witness_off_by_one_off_the_vertex_is_an_equivalent_mutant(monkeyp
     assert len(reports) == 1260
     assert any(x in rep.face.splits and not _on_vertex(rep.face, x) for rep in reports)
     assert all(rep.balanced and verify_witness(rep) for rep in reports)
+
+
+@pytest.mark.parametrize("smooth", [False, True])
+def test_extras_of_another_partition_handed_to_a_face_fail_its_witness(smooth, monkeypatch):
+    # the memo hands the 100th face it serves the extra splits of the
+    # partition decided just before, with its own masks: the face is
+    # reported balanced on the kept coefficients, so verify_witness must
+    # see that its adjacent facets are not its own
+    vertex_report = divisors._vertex_report
+    entries, served, planted = [], [], []
+
+    class Swapping(dict):
+        def __setitem__(self, key, entry):
+            entries.append((key, entry))
+            super().__setitem__(key, entry)
+
+        def get(self, key):
+            entry = super().get(key)
+            if entry is not None:
+                served.append(key)
+                if len(served) == 100:
+                    other = next(e for k, e in reversed(entries) if k != key)
+                    planted.append(other[0])
+                    return (other[0], *entry[1:])
+            return entry
+
+    memo = Swapping()
+
+    def swapped(tau, branches, blocks, coefficient, decided, smooth):
+        report = vertex_report(tau, branches, blocks, coefficient, memo, smooth)
+        if len(planted) == 1 and len(served) == 100:
+            planted.append(report)
+        return report
+
+    monkeypatch.setattr(divisors, "_vertex_report", swapped)
+    reports = list(divisors._moduli_reports(7, smooth))
+    extras, report = planted
+    assert report._extras is extras and report.balanced
+    assert [rep for rep in reports if not verify_witness(rep)] == [report]

@@ -248,3 +248,39 @@ def test_report_json_witness():
     rep = check_smooth_local(5, tau)
     assert obj["witness"] == {"coefficients": list(rep.witness), "minor": list(rep.minor)}
 
+
+
+def test_refusals_show_a_value_by_at_most_its_first_40_characters():
+    read_point, read_fan = serialization.point_from_json, serialization.fan_from_json
+    long = "5" * 5000
+
+    def point(entry):
+        return {"n": 5, "splits": [entry]}
+
+    def fan(cone):
+        return {"n": 5, "dim": 2, "cones": [cone]}
+
+    # (reader, document with a short value, its message, the value made long)
+    for read, short, message, value in (
+        (read_point, point({"side": [4, "5"], "length": "1"}),
+         "\"side\" must be an integer, got '5'", lambda v: point({"side": [4, v], "length": "1"})),
+        (read_point, point({"side": "45", "length": "1"}),
+         "\"side\" must be a list of integers, got '45'", lambda v: point({"side": v, "length": "1"})),
+        (read_point, point({"side": [4, 5]}),
+         "each split needs keys \"side\" and \"length\", got {'side': [4, 5]}",
+         lambda v: point({"side": [4, 5], "note": v})),
+        (read_fan, fan({"weight": 1}),
+         "each cone needs a key \"splits\", got {'weight': 1}", lambda v: fan({"weight": v})),
+        (read_fan, fan({"splits": "45"}),
+         "\"splits\" must be a list of sides, got '45'", lambda v: fan({"splits": v})),
+        (read_fan, fan({"splits": [[4, "5"]]}),
+         "\"side\" must be an integer, got '5'", lambda v: fan({"splits": [[4, v]]})),
+    ):
+        with pytest.raises(MalformedInput) as caught:
+            read(short)
+        assert str(caught.value) == message
+        with pytest.raises(MalformedInput) as caught:
+            read(value(long))
+        text = str(caught.value)
+        assert len(text) < 150 and text.startswith(message.split(" got ")[0])
+        assert "5" * 41 not in text and "characters)" in text

@@ -10,9 +10,11 @@ Run with:  python3 demos/04_balancing_certificates.py
 """
 
 from tropmod import (
+    CombinatorialType,
     WeightedFan,
     check_balanced,
     check_smooth_local,
+    direction_vector,
     enumerate_types,
     moduli_fan,
     span_witness,
@@ -28,8 +30,10 @@ print()
 
 print("== one face in detail (the n=4 origin) ==")
 rep = check_balanced(moduli_fan(4))[0]
-for rec in rep.adjacent:
-    print(f"  facet {rec.cone.text}: weight {rec.weight}, direction {rec.direction}")
+face = rep.face
+for extra, weight in zip(rep.extra_splits, rep.weights):
+    cone = CombinatorialType(face.labels, (*face.splits, extra))
+    print(f"  facet {cone.text}: weight {weight}, direction {direction_vector(face, extra)}")
 print("  weighted sum:", rep.weighted_sum, "-> balanced:", rep.balanced)
 print()
 

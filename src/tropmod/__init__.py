@@ -55,7 +55,6 @@ from .moduli import (
     reconstruct,
 )
 from .divisors import (
-    AdjacentFacet,
     BalancingReport,
     WeightedFan,
     canonical_divisor,

@@ -4,12 +4,10 @@ A subclass lists its attributes in ``__slots__``, in constructor order.  The
 public ones are its fields: they are compared (only with an object of the
 same class), hashed and shown by ``repr`` as ``Name(field=value, ...)``.  A
 slot named with a leading underscore is a cache or private data, left out of
-all three.  A class names its fields, as ``class C(Value, fields=(...))``,
-when some are properties read off private slots rather than slots.
-Assigning or deleting any attribute raises ``AttributeError``, so a
-constructor sets its slots with ``_set``, ``object.__setattr__`` bound once.
-Pickle and copy carry every slot and restore it with ``_set``, without
-running the constructor again.
+all three.  Assigning or deleting any attribute raises ``AttributeError``,
+so a constructor sets its slots with ``_set``, ``object.__setattr__`` bound
+once.  Pickle and copy carry every slot and restore it with ``_set``,
+without running the constructor again.
 
 These are plain classes, not dataclasses: importing ``dataclasses`` pulls in
 ``inspect`` and ``ast``, and each decorator compiles its methods on every
@@ -24,9 +22,8 @@ _set = object.__setattr__
 class Value:
     __slots__ = ()
 
-    def __init_subclass__(cls, fields=None):
-        if fields is None:
-            fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+    def __init_subclass__(cls):
+        fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls.__match_args__ = fields
         # the field values as one tuple: every class has at least two fields
         cls._values = attrgetter(*fields)

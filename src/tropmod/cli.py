@@ -10,10 +10,7 @@ usage error.
 Exit codes: 0 on success, 1 on usage or input errors (a request for more
 than ``MAX_TYPES`` types or vector entries among them) or when a reader
 closes stdout early, 2 when a requested certificate fails.  Output ordering
-is canonical, so runs are byte-for-byte reproducible.  The TROPMOD_THREADS
-environment variable caps the number of worker threads for certificate
-checks and must be a positive integer; the checks run serially, which meets
-any cap.
+is canonical, so runs are byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -52,19 +49,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("TROPMOD_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"TROPMOD_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError(f"TROPMOD_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _load_json(path: str):
@@ -169,7 +153,7 @@ _sums: Dict[tuple, str] = {}
 def _sum_text(report: divisors.BalancingReport, pad: str) -> str:
     """``_render(report.weighted_sum, pad)``, from ``_sums`` when a face
     with the same adjacent facets has been written at this pad."""
-    key = (pad, report.face.labels, report._weights, *[s.mask for s in report._extras])
+    key = (pad, report.face.labels, report.weights, *[s.mask for s in report.extra_splits])
     text = _sums.pop(key, None)
     if text is None:
         total = report.weighted_sum
@@ -351,7 +335,6 @@ def _passed(report: divisors.BalancingReport) -> bool:
 
 
 def _cmd_check(args, out) -> int:
-    _thread_cap()  # validated; the faces are solved serially, which meets any cap
     if args.n is not None:
         # psi streams the codimension-2 types, the others codimension-1
         _count_within_limit(args.n, args.n - 5 if args.what == "psi" else args.n - 4)
@@ -394,7 +377,7 @@ def _cmd_check(args, out) -> int:
             verdict = "balanced" if rep.balanced else "UNBALANCED"
             if rep.smooth is not None:
                 verdict += ", smooth" if rep.smooth else ", NOT SMOOTH"
-            out.write(f"{label} {rep.face.text}: {len(rep._extras)} adjacent, {verdict}\n")
+            out.write(f"{label} {rep.face.text}: {len(rep.extra_splits)} adjacent, {verdict}\n")
         out.write(("all checks passed" if ok else "CERTIFICATE FAILED") + "\n")
     return EXIT_OK if ok else EXIT_CERTIFICATE
 

@@ -21,11 +21,12 @@ most W * (d + 1) in size, and the fields are whole bytes wide enough to
 hold that.  Reports are built one face at a time, so the command line
 writes each as it is solved: ``_balance_at`` solves a face, and a face
 whose partition this run has already decided is reported without a solve
-(see below).  A report keeps what the solve decided: extra splits and
-weights as two tuples, coefficients and minor; its adjacent facets (built
-on first read, which neither writer does), each adjacent cone, direction
-and the weighted sum are read off the extra splits when asked for.  A
-face's splits are a tuple in key order, the order of its coefficients.
+(see below).  A report keeps what the solve decided: the face, the extra
+split of each adjacent facet and its weight, coefficients and minor.  Each
+adjacent facet is the face plus its extra split, so each adjacent cone,
+direction and the weighted sum are read off the extra splits when asked
+for.  A face's splits are a tuple in key order, the order of its
+coefficients.
 
 Every face of the moduli fan or of a psi divisor is decided at one vertex
 (``_vertex_report``): its adjacent cones, each of weight 1, join two of the
@@ -78,7 +79,6 @@ the next run proves every partition again.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -99,7 +99,6 @@ from .trees import (
     _resolution_splits,
     _stream_types,
     _vertices,
-    _with_split,
     contract,
     to_tree,
 )
@@ -134,90 +133,48 @@ class WeightedFan(Value):
         return cls(n=n, dim=cones[0][0].dim if cones else 0, cones=cones)
 
 
-class AdjacentFacet(Value):
-    """One facet adjacent to a face: the face plus the extra split it adds.
-
-    ``cone`` refuses an extra split the face already has with a
-    ``ValueError``, since that adds no facet.
-    """
-
-    __slots__ = ("face", "extra_split", "weight")
-
-    def __init__(self, face: CombinatorialType, extra_split: Split, weight: int):
-        _set(self, "face", face)
-        _set(self, "extra_split", extra_split)
-        _set(self, "weight", weight)
-
-    @property
-    def cone(self) -> CombinatorialType:
-        """The facet: the face's splits and the extra split."""
-        return _with_split(self.face, self.extra_split)
-
-    @property
-    def direction(self) -> Tuple[int, ...]:
-        """The primitive direction the facet adds: that of its extra split."""
-        return _split_direction(self.extra_split)
-
-
-class BalancingReport(Value, fields=("face", "adjacent", "balanced", "smooth", "witness", "minor")):
+class BalancingReport(Value):
     """Verdict of the balancing (and optionally smoothness) check at one face.
+
+    Each adjacent facet is the face plus one extra split: ``extra_splits``
+    holds those splits in key order and ``weights`` the facets' weights, one
+    each.  The facet with extra split s is ``CombinatorialType(face.labels,
+    (*face.splits, s))`` and its primitive direction is
+    ``direction_vector(face, s)``.
 
     ``witness`` holds the coefficients of the face directions (face-split
     order) that recombine into ``weighted_sum``, None when the face is
     unbalanced.  ``minor``, for smoothness only, holds the columns on which
     the face directions and the first two adjacent directions form a minor
-    of determinant +-1.
-
-    A report keeps the extra splits of its adjacent facets and their
-    weights as two tuples; ``adjacent`` is built from them on first read
-    and then kept (in the slot ``_adjacent``, None until then).
+    of determinant +-1.  The constructor checks nothing: ``verify_witness``
+    does.
     """
 
-    __slots__ = (
-        "face", "_extras", "_weights", "balanced", "smooth", "witness", "minor", "_adjacent"
-    )
+    __slots__ = ("face", "extra_splits", "weights", "balanced", "smooth", "witness", "minor")
 
     def __init__(
         self,
         face: CombinatorialType,
-        adjacent: Tuple[AdjacentFacet, ...],
+        extra_splits: Tuple[Split, ...],
+        weights: Tuple[int, ...],
         balanced: bool,
         smooth: Optional[bool] = None,
         witness: Optional[Tuple[int, ...]] = None,
         minor: Optional[Tuple[int, ...]] = None,
     ):
-        extras = tuple([rec.extra_split for rec in adjacent])
-        weights = tuple([rec.weight for rec in adjacent])
-        self.__setstate__((face, extras, weights, balanced, smooth, witness, minor, adjacent))
-
-    @classmethod
-    def _of(cls, face, extras, weights, balanced, smooth, witness, minor) -> "BalancingReport":
-        """Build from the extra splits and weights; ``adjacent`` waits for a read."""
-        report = object.__new__(cls)
-        _set(report, "face", face)
-        _set(report, "_extras", extras)
-        _set(report, "_weights", weights)
-        _set(report, "balanced", balanced)
-        _set(report, "smooth", smooth)
-        _set(report, "witness", witness)
-        _set(report, "minor", minor)
-        _set(report, "_adjacent", None)
-        return report
-
-    @property
-    def adjacent(self) -> Tuple[AdjacentFacet, ...]:
-        """The adjacent facets in key order, built on first read."""
-        adjacent = self._adjacent
-        if adjacent is None:
-            adjacent = tuple(map(AdjacentFacet, repeat(self.face), self._extras, self._weights))
-            _set(self, "_adjacent", adjacent)
-        return adjacent
+        _set(self, "face", face)
+        _set(self, "extra_splits", extra_splits)
+        _set(self, "weights", weights)
+        _set(self, "balanced", balanced)
+        _set(self, "smooth", smooth)
+        _set(self, "witness", witness)
+        _set(self, "minor", minor)
 
     @property
     def weighted_sum(self) -> Tuple[int, ...]:
         """The weighted sum of the adjacent directions, added over their supports."""
         total = [0] * (3 * comb(self.face.n, 4))
-        for extra, weight in zip(self._extras, self._weights):
+        for extra, weight in zip(self.extra_splits, self.weights, strict=True):
             for i, x in _split_support(extra):
                 total[i] += weight * x
         return tuple(total)
@@ -225,7 +182,7 @@ class BalancingReport(Value, fields=("face", "adjacent", "balanced", "smooth", "
 
 @lru_cache(maxsize=None)
 def _unit_weights(count: int) -> Tuple[int, ...]:
-    """Weight 1 on each of ``count`` facets: shared by the reports of decided partitions."""
+    """Weight 1 on each of ``count`` facets: shared by every report decided at a vertex."""
     return (1,) * count
 
 
@@ -374,19 +331,20 @@ def _recombine(splits: Sequence[Split], coefficients: Sequence[int], width: int)
 
 def _balance_at(
     face: CombinatorialType,
-    adjacent: List[Tuple[int, Split]],
+    extras: Tuple[Split, ...],
+    weights: Tuple[int, ...],
     witness: Optional[Tuple[int, ...]] = None,
     unimodular: Optional[bool] = None,
     minor: Optional[Tuple[int, ...]] = None,
 ) -> BalancingReport:
-    """The report at a face, given its (weight, extra split) pairs by extra
-    split.  A smoothness check also passes whether its minor has
+    """The report at a face, given the extra splits of its adjacent facets in
+    key order and their weights.  A smoothness check also passes whether its minor has
     determinant +-1, and that minor (None when it has not).  A given
     witness, entries at most W in size, is tried first; if it fails, or
     none was given, the coefficients are read off the packed weighted sum
     at the isolating coordinates.  They are unique, so the verdict is the
     same.  The report keeps the extra splits, weights and coefficients; no
-    dense vector is unpacked and no ``AdjacentFacet`` made.
+    dense vector is unpacked.
 
     Let W be the sum of the adjacent weights and d the number of face
     splits.  Directions have entries in {-1, 0, 1}, so each sum entry is at
@@ -396,11 +354,9 @@ def _balance_at(
     bound, so the packed ints are equal iff the vectors are.
     """
     splits = face.splits
-    extras = tuple([extra for _, extra in adjacent])
-    weights = tuple([weight for weight, _ in adjacent])
     width = _field_width(sum(weights) * (len(splits) + 1))
     total = 0
-    for weight, extra in adjacent:
+    for extra, weight in zip(extras, weights):
         total += weight * _packed_direction(extra, width)
     balanced = witness is not None and total == _recombine(splits, witness, width)
     if not balanced:
@@ -414,7 +370,7 @@ def _balance_at(
         balanced = total == _recombine(splits, witness, width)
     smooth = None if unimodular is None else balanced and unimodular
     # positional: keywords cost a measurable share of a moduli-fan face
-    return BalancingReport._of(
+    return BalancingReport(
         face, extras, weights, balanced, smooth, witness if balanced else None, minor
     )
 
@@ -422,15 +378,15 @@ def _balance_at(
 def _face_reports(fan: WeightedFan) -> Iterator[BalancingReport]:
     """The reports of ``check_balanced`` in key order, each face solved as
     it is read."""
-    faces: Dict[CombinatorialType, List[Tuple[int, Split]]] = {}
+    faces: Dict[CombinatorialType, List[Tuple[Split, int]]] = {}
     for cone, weight in fan.cones:
         for s in cone.splits:
-            faces.setdefault(contract(cone, s), []).append((weight, s))
+            faces.setdefault(contract(cone, s), []).append((s, weight))
     for face in sorted(faces, key=lambda f: f.key):
         # every adjacent cone is the face plus its extra split, so this is
         # also the order of (cone.key, extra_split.key)
-        adjacent = sorted(faces[face], key=lambda ws: ws[1].key)
-        yield _balance_at(face, adjacent)
+        extras, weights = zip(*sorted(faces[face], key=lambda sw: sw[0].key))
+        yield _balance_at(face, extras, weights)
 
 
 def check_balanced(fan: WeightedFan) -> List[BalancingReport]:
@@ -539,15 +495,15 @@ def _vertex_report(
         signs = [sign for _, sign in coordinates]
         unimodular = abs(_minor_determinant(rows, columns, signs)) == 1
         minor = columns if unimodular else None
+    weights = _unit_weights(len(extras))
     if entry is not None:
         witness = tuple([coefficient if s.mask in on_vertex else 0 for s in splits])
-        weights = _unit_weights(len(extras))
-        return BalancingReport._of(tau, extras, weights, True, unimodular, witness, minor)
+        return BalancingReport(tau, extras, weights, True, unimodular, witness, minor)
     witness = _local_witness(splits, branches, coefficient)
-    report = _balance_at(tau, [(1, s) for s in extras], witness, unimodular, minor)
+    report = _balance_at(tau, extras, weights, witness, unimodular, minor)
     # the coefficients are unique, so they equal the witness tried iff it passed
     if report.witness == witness:
-        decided[partition] = (report._extras, *[s.mask for s, c in zip(splits, witness) if c])
+        decided[partition] = (report.extra_splits, *[s.mask for s, c in zip(splits, witness) if c])
     return report
 
 
@@ -570,40 +526,50 @@ def _moduli_reports(n: int, smooth: bool = False) -> Iterator[BalancingReport]:
 def verify_witness(report: BalancingReport) -> bool:
     """Check a report's witness exactly, independently of how it was found.
 
-    Each adjacent facet must be on the report's face, with an extra split
-    on its labels that the face lacks, and a smoothness report must list
-    the three resolutions in key order.  The
-    coefficients must recombine the face directions (face-split order) into
-    the weighted sum of the adjacent directions, both summed here on dense
-    vectors.  A minor, required for a smooth verdict, must pick columns
-    on which the face directions and the first two adjacent directions have
-    determinant +-1.  A report without a witness verifies as False.
+    The extra splits must be splits on the face's labels, strictly
+    increasing by key, none of them on the face and each compatible with
+    every face split, so that each names an adjacent cone; each must have a
+    weight, an ``int`` >= 1; and a smoothness report must list the three
+    resolutions.  The coefficients must recombine the face directions
+    (face-split order) into the weighted sum of the adjacent directions,
+    both summed here on dense vectors.  A minor, required for a smooth
+    verdict, must pick columns on which the face directions and the first
+    two adjacent directions have determinant +-1.  A report without a
+    witness verifies as False.
     """
     face = report.face
+    extras, weights = report.extra_splits, report.weights
     if report.witness is None or (report.smooth and report.minor is None):
         return False
-    for rec in report.adjacent:
-        extra = rec.extra_split
-        if rec.face != face or extra.labels != face.labels or extra in face.splits:
+    if len(extras) != len(weights) or not all(type(w) is int and w >= 1 for w in weights):
+        return False
+    for extra in extras:
+        if not isinstance(extra, Split) or extra.labels != face.labels or extra in face.splits:
             return False
+        if not all(extra.compatible_with(s) for s in face.splits):
+            return False
+    keys = [extra.key for extra in extras]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return False
     if report.smooth is not None:
         try:
             expected = _resolution_splits(face.labels, _branch_masks(face))
         except NotCodimensionOne:
             return False
-        if tuple(rec.extra_split for rec in report.adjacent) != expected:
+        if tuple(extras) != expected:
             return False
     directions = [_split_direction(s) for s in face.splits]
     if len(report.witness) != len(directions):
         return False
+    adjacent = [_split_direction(s) for s in extras]
     size = 3 * comb(face.n, 4)
-    total = [sum(rec.weight * rec.direction[i] for rec in report.adjacent) for i in range(size)]
+    total = [sum(w * d[i] for w, d in zip(weights, adjacent)) for i in range(size)]
     combo = [sum(c * d[i] for c, d in zip(report.witness, directions)) for i in range(size)]
     if total != combo:
         return False
     if report.minor is None:
         return True
-    rows = directions + [rec.direction for rec in report.adjacent[:2]]
+    rows = directions + adjacent[:2]
     if len(report.minor) != len(rows) or not all(0 <= c < size for c in report.minor):
         return False
     return abs(_determinant([[row[c] for c in report.minor] for row in rows])) == 1

@@ -195,8 +195,7 @@ def report_to_json(report: BalancingReport) -> dict:
 
 def _report_json(report: BalancingReport, weighted_sum) -> dict:
     """``report_to_json`` with ``weighted_sum`` as its "sum": the CLI's
-    writer passes a stand-in that it renders from its memo of sums.  The
-    adjacent facets are written off the extra splits, none of them built."""
+    writer passes a stand-in that it renders from its memo of sums."""
     face = report.face
     return {
         "face": type_to_json(face),
@@ -207,7 +206,7 @@ def _report_json(report: BalancingReport, weighted_sum) -> dict:
                 "weight": weight,
                 "direction": _split_direction(extra),
             }
-            for extra, weight in zip(report._extras, report._weights)
+            for extra, weight in zip(report.extra_splits, report.weights)
         ],
         "sum": weighted_sum,
         "balanced": report.balanced,

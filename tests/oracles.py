@@ -26,12 +26,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from tropmod.divisors import (
-    AdjacentFacet,
-    BalancingReport,
-    _determinant,
-    _isolating_coordinates,
-)
+from tropmod.divisors import BalancingReport, _determinant, _isolating_coordinates
 from tropmod.errors import DimensionMismatch, IncompatibleSplit, NotInImage, RankDeficient
 from tropmod.maps import BoundaryDecomposition
 from tropmod.moduli import (
@@ -448,10 +443,8 @@ def dense_balance_at(
     """
     adjacent = sorted(adjacent, key=lambda cw: cw[2].key)
     total = [0] * (3 * comb(face.n, 4))
-    records = []
     for cone, weight, extra in adjacent:
         assert frozenset(cone.splits) == frozenset(face.splits) | {extra}
-        records.append(AdjacentFacet(face=face, extra_split=extra, weight=weight))
         for i, x in enumerate(walked_split_direction(extra)):
             total[i] += weight * x
     residual = list(total)
@@ -464,7 +457,8 @@ def dense_balance_at(
     balanced = not any(residual)
     report = BalancingReport(
         face=face,
-        adjacent=tuple(records),
+        extra_splits=tuple(extra for _, _, extra in adjacent),
+        weights=tuple(weight for _, weight, _ in adjacent),
         balanced=balanced,
         witness=tuple(coefficients) if balanced else None,
     )

@@ -113,8 +113,9 @@ def test_05_balancing_and_smoothness_n4_to_n7():
         for tau in enumerate_types(n, n - 4):
             rep = check_smooth_local(n, tau)
             assert rep.balanced and rep.smooth
-            for rec in rep.adjacent:
-                assert primitive(rec.direction) == rec.direction
+            for extra in rep.extra_splits:
+                direction = direction_vector(tau, extra)
+                assert primitive(direction) == direction
     elapsed = time.time() - start
     assert elapsed < 120
     report(5, f"balancing + integral smoothness at every codim-1 type, n=4..7 ({elapsed:.1f}s)")

@@ -4,6 +4,7 @@ import json
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -527,13 +528,18 @@ def test_closed_stdout_ends_quietly_with_exit_1(fmt, n, first):
     assert line.startswith(first) and errors == b""
 
 
-def test_thread_env_cap(monkeypatch):
-    monkeypatch.setenv("TROPMOD_THREADS", "4")
-    code, out = run(["check", "balancing", "--n", "5"])
-    assert code == EXIT_OK and "all checks passed" in out
-    monkeypatch.setenv("TROPMOD_THREADS", "zero")
-    code, _ = run(["check", "balancing", "--n", "5"])
-    assert code == EXIT_USAGE
+def test_thread_env_is_ignored(monkeypatch):
+    fan = str(Path(__file__).with_name("fan_n6_weight2.json"))
+    for argv, code in (
+        (["check", "balancing", "--n", "5"], EXIT_OK),
+        (["check", "balancing", "--fan", fan, "--format", "json"], EXIT_CERTIFICATE),
+    ):
+        monkeypatch.delenv("TROPMOD_THREADS", raising=False)
+        expected = run(argv)
+        assert expected[0] == code
+        for value in ("zero", "0", "4"):
+            monkeypatch.setenv("TROPMOD_THREADS", value)
+            assert run(argv) == expected
 
 
 def test_missing_file_is_usage_error(tmp_path):

@@ -38,7 +38,7 @@ def test_m04_fan_balanced_with_zero_sum():
     assert rep.face.dim == 0
     assert rep.balanced
     assert not any(rep.weighted_sum)
-    directions = {rec.extra_split.key: rec.direction for rec in rep.adjacent}
+    directions = {s.key: direction_vector(rep.face, s) for s in rep.extra_splits}
     assert directions[(3, 4)] == (0, 1, 1)
     assert directions[(2, 4)] == (1, 0, -1)
     assert directions[(2, 3)] == (-1, -1, 0)

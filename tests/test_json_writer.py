@@ -223,10 +223,11 @@ def test_a_changed_weight_misses_the_memo(sums_added):
     sums_added.clear()
     assert _sum_text(report, SUM_PAD) == _dumped_sum(report)
     assert sums_added == [report]  # only the reference above
-    first, *rest = report.adjacent
+    first, *rest = report.weights
     heavier = divisors.BalancingReport(
         report.face,
-        (divisors.AdjacentFacet(first.face, first.extra_split, first.weight + 1), *rest),
+        report.extra_splits,
+        (first + 1, *rest),
         report.balanced,
         witness=report.witness,
     )
@@ -245,15 +246,11 @@ def test_the_same_masks_at_another_n_miss_the_memo(sums_added):
     face = trees.CombinatorialType.of(7, [s.side for s in report.face.splits])
     lifted = divisors.BalancingReport(
         face,
-        tuple(
-            divisors.AdjacentFacet(face, trees._pooled_split(7, a.extra_split.mask), a.weight)
-            for a in report.adjacent
-        ),
+        tuple(trees._pooled_split(7, s.mask) for s in report.extra_splits),
+        report.weights,
         True,
     )
-    assert [(a.weight, a.extra_split.mask) for a in lifted.adjacent] == [
-        (a.weight, a.extra_split.mask) for a in report.adjacent
-    ]
+    assert [s.mask for s in lifted.extra_splits] == [s.mask for s in report.extra_splits]
     sums_added.clear()
     text = _sum_text(lifted, SUM_PAD)
     assert sums_added == [lifted]
@@ -278,8 +275,8 @@ def test_sum_memo_is_bounded_in_entries_and_length(sums_added):
     assert sums_added == [report, first]
     # at n = 10 a sum has 630 entries: rendered each time, never kept
     face = trees.CombinatorialType.of(10, [(9, 10)])
-    extra = divisors.AdjacentFacet(face, trees._pooled_split(10, 0b11100000000), 1)
-    long = divisors.BalancingReport(face, (extra,), True)
+    extra = trees._pooled_split(10, 0b11100000000)
+    long = divisors.BalancingReport(face, (extra,), (1,), True)
     before = dict(_sums)
     assert _sum_text(long, SUM_PAD) == _dumped_sum(long)
     assert _sums == before

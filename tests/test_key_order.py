@@ -8,9 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from tropmod.divisors import AdjacentFacet, _face_reports, _moduli_reports, _psi_reports
+from tropmod.divisors import (
+    BalancingReport,
+    _face_reports,
+    _moduli_reports,
+    _psi_reports,
+    span_witness,
+    verify_witness,
+)
 from tropmod.maps import decompose_boundary, forget, forget_cone, relabel, section
-from tropmod.moduli import ModuliPoint, embed, reconstruct
+from tropmod.moduli import ModuliPoint, _split_direction, embed, reconstruct
 from tropmod.serialization import fan_from_json
 from tropmod.trees import (
     CombinatorialType,
@@ -40,10 +47,10 @@ def assert_point_in_key_order(x):
 
 def assert_cones_in_key_order(rep):
     assert_key_order(rep.face)
-    for rec in rep.adjacent:
-        cone = rec.cone
+    for extra in rep.extra_splits:
+        cone = _with_split(rep.face, extra)
         assert_key_order(cone)
-        assert cone == CombinatorialType(cone.labels, (rec.extra_split, *rep.face.splits))
+        assert cone == CombinatorialType(cone.labels, (extra, *rep.face.splits))
 
 
 def test_stream_contract_and_resolutions_keep_key_order():
@@ -77,8 +84,11 @@ def test_a_split_already_on_the_face_adds_no_facet():
             for extra in (s, Split(s.labels, s.complement)):
                 with pytest.raises(ValueError, match="already a split"):
                     _with_split(t, extra)
-                with pytest.raises(ValueError, match="already a split"):
-                    AdjacentFacet(t, extra, 1).cone
+                # nor does a report verify with it as an extra split, though
+                # its direction is in the face's span
+                witness, residual = span_witness(t, _split_direction(extra))
+                assert not any(residual)
+                assert not verify_witness(BalancingReport(t, (extra,), (1,), True, None, witness))
 
 
 def test_checked_constructor_sorts_and_dedupes_any_order():

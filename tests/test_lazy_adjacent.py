@@ -1,17 +1,15 @@
-"""A report keeps its extra splits and weights; its adjacent facets are
-built on first read, equal to the eagerly built ones, and never built by
-the command-line writers."""
+"""A report's extra splits and weights are those of the fan's cones at its
+face; the faces of one partition share its extra splits, and every face
+decided at a vertex one tuple of unit weights."""
 
-import io
 import json
 from pathlib import Path
 
 import pytest
 
 from oracles import bareiss_smooth_report
-from tropmod import cli, serialization
+from tropmod import serialization
 from tropmod.divisors import (
-    AdjacentFacet,
     _face_reports,
     _moduli_reports,
     _psi_reports,
@@ -28,17 +26,18 @@ def _fan():
 
 
 def _eager_adjacent(fan):
-    """Each face of the fan to its adjacent facets, built one by one from
-    the cones that hold it, in the order of their extra splits."""
+    """Each face of the fan to the extra splits and the weights of the
+    cones that hold it, read one by one, in the order of their extra
+    splits."""
     faces = {}
     for cone, weight in fan.cones:
         for s in cone.splits:
-            face = contract(cone, s)
-            faces.setdefault(face, []).append(AdjacentFacet(face, s, weight))
-    return {
-        face: tuple(sorted(recs, key=lambda rec: rec.extra_split.key))
-        for face, recs in faces.items()
-    }
+            faces.setdefault(contract(cone, s), []).append((s, weight))
+    out = {}
+    for face, pairs in faces.items():
+        pairs.sort(key=lambda sw: sw[0].key)
+        out[face] = (tuple(s for s, _ in pairs), tuple(w for _, w in pairs))
+    return out
 
 
 SOURCES = {
@@ -50,17 +49,15 @@ SOURCES = {
 
 
 @pytest.mark.parametrize("source", SOURCES)
-def test_adjacent_is_built_on_first_read_and_kept(source):
+def test_extra_splits_and_weights_are_the_fans_cones(source):
     reports, fan = SOURCES[source]
     fan = fan()
     eager = _eager_adjacent(fan)
     reports = list(reports())
     assert len(reports) == len(eager)
     for rep in reports:
-        assert rep._adjacent is None
-        adjacent = rep.adjacent
-        assert type(adjacent) is tuple and adjacent == eager[rep.face]
-        assert rep.adjacent is adjacent
+        assert type(rep.extra_splits) is tuple and type(rep.weights) is tuple
+        assert (rep.extra_splits, rep.weights) == eager[rep.face]
     if source == "smooth":
         listing = [bareiss_smooth_report(7, rep.face)[0] for rep in reports]
     else:
@@ -71,36 +68,9 @@ def test_adjacent_is_built_on_first_read_and_kept(source):
 
 def test_faces_of_a_decided_partition_share_its_extras_and_weights():
     reports = list(_moduli_reports(7))
-    extras = {id(rep._extras) for rep in reports}
-    weights = {id(rep._weights) for rep in reports}
+    extras = {id(rep.extra_splits) for rep in reports}
+    weights = {id(rep.weights) for rep in reports}
     # one tuple of extra splits per 4-partition, S(7, 4) = 350, and one
-    # tuple of unit weights for every face read off a partition
+    # tuple of unit weights for every face
     assert len(extras) == 350
-    assert len(weights) == 350 + 1
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["check", "balancing", "--n", "7"],
-        ["check", "smooth", "--n", "7"],
-        ["check", "psi", "--n", "7", "--k", "3"],
-        ["check", "balancing", "--fan", str(FAN_FILE)],
-    ],
-)
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_the_writers_build_no_adjacent_facet(argv, fmt, monkeypatch):
-    built = []
-    init = AdjacentFacet.__init__
-
-    def counted(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(AdjacentFacet, "__init__", counted)
-    code = cli.main(argv + ["--format", fmt], out=io.StringIO())
-    assert code in (cli.EXIT_OK, cli.EXIT_CERTIFICATE)
-    assert built == []
-    # the count is live: reading a report's facets builds them
-    next(_moduli_reports(5)).adjacent
-    assert len(built) == 3
+    assert len(weights) == 1

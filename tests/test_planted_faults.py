@@ -257,7 +257,7 @@ def test_extras_of_another_partition_handed_to_a_face_fail_its_witness(smooth, m
     # the memo hands the 100th face it serves the extra splits of the
     # partition decided just before, with its own masks: the face is
     # reported balanced on the kept coefficients, so verify_witness must
-    # see that its adjacent facets are not its own
+    # see that its extra splits are not its own
     vertex_report = divisors._vertex_report
     entries, served, planted = [], [], []
 
@@ -287,5 +287,5 @@ def test_extras_of_another_partition_handed_to_a_face_fail_its_witness(smooth, m
     monkeypatch.setattr(divisors, "_vertex_report", swapped)
     reports = list(divisors._moduli_reports(7, smooth))
     extras, report = planted
-    assert report._extras is extras and report.balanced
+    assert report.extra_splits is extras and report.balanced
     assert [rep for rep in reports if not verify_witness(rep)] == [report]

@@ -32,9 +32,9 @@ def test_streamed_psi_reports_match_the_contract_listing(n, k, monkeypatch):
     balance_at = divisors._balance_at
     tried = []
 
-    def recorded(face, adjacent, witness=None, *rest):
+    def recorded(face, extras, weights, witness=None, *rest):
         tried.append((face, witness))
-        return balance_at(face, adjacent, witness, *rest)
+        return balance_at(face, extras, weights, witness, *rest)
 
     monkeypatch.setattr(divisors, "_balance_at", recorded)
     assert list(_psi_reports(n, k)) == listing
@@ -43,7 +43,7 @@ def test_streamed_psi_reports_match_the_contract_listing(n, k, monkeypatch):
     solved = {rep.face: rep.witness for rep in listing}
     assert tried and all(witness == solved[face] for face, witness in tried)
     # leaf k at a 5-valent vertex, or at one of two 4-valent vertices
-    assert {len(rep.adjacent) for rep in listing} == ({6} if n == 5 else {3, 6})
+    assert {len(rep.extra_splits) for rep in listing} == ({6} if n == 5 else {3, 6})
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -79,13 +79,13 @@ def test_planted_wrong_extra_split_is_unbalanced_by_name(monkeypatch):
     balance_at = divisors._balance_at
     faces = []
 
-    def wrong_extra(face, adjacent, *rest):
+    def wrong_extra(face, extras, *rest):
         # at the 100th face solved, the first of its partition, the last
         # adjacent cone takes the first one's extra split
         faces.append(face)
         if len(faces) == 100:
-            adjacent = adjacent[:-1] + [(1, adjacent[0][1])]
-        return balance_at(face, adjacent, *rest)
+            extras = extras[:-1] + extras[:1]
+        return balance_at(face, extras, *rest)
 
     monkeypatch.setattr(divisors, "_balance_at", wrong_extra)
     code, out = run(argv)

@@ -296,8 +296,8 @@ def test_smoothness_at_n_40_makes_only_the_splits_it_touches(monkeypatch):
     # the three resolutions, not the 2^39 - 41 splits on 1..40
     assert set(trees._pools) == {n}
     pool = trees._pools[n]
-    assert sorted(pool) == sorted(rec.extra_split.mask for rec in report.adjacent)
-    assert all(pool[rec.extra_split.mask] is rec.extra_split for rec in report.adjacent)
+    assert sorted(pool) == sorted(s.mask for s in report.extra_splits)
+    assert all(pool[s.mask] is s for s in report.extra_splits)
 
 
 def test_resolutions_rejects_other_profiles():

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from tropmod import (
-    AdjacentFacet,
     BalancingReport,
     BoundaryDecomposition,
     CombinatorialType,
@@ -91,20 +90,11 @@ CASES = [
         None,
     ),
     (
-        AdjacentFacet,
-        lambda: report().adjacent[0],
-        "AdjacentFacet(face=CombinatorialType(n=4, {}), extra_split=Split(23), weight=1)",
-        None,
-    ),
-    (
         BalancingReport,
         report,
-        "BalancingReport(face=CombinatorialType(n=4, {}), adjacent=("
-        + ", ".join(
-            f"AdjacentFacet(face=CombinatorialType(n=4, {{}}), extra_split=Split({s}), weight=1)"
-            for s in (23, 24, 34)
-        )
-        + "), balanced=True, smooth=None, witness=(), minor=None)",
+        "BalancingReport(face=CombinatorialType(n=4, {}), "
+        "extra_splits=(Split(23), Split(24), Split(34)), weights=(1, 1, 1), "
+        "balanced=True, smooth=None, witness=(), minor=None)",
         None,
     ),
     (

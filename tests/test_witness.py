@@ -1,7 +1,9 @@
 """Closed-form witnesses against the general Hermite/Smith oracles."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from tropmod.divisors import (
     _minor_determinant,
     _moduli_reports,
     check_balanced,
+    check_psi_balanced,
     check_smooth_local,
     moduli_fan,
     psi_divisor,
@@ -21,7 +24,8 @@ from tropmod.divisors import (
     verify_witness,
 )
 from tropmod.errors import DimensionMismatch
-from tropmod.moduli import _split_direction, _split_support
+from tropmod.moduli import _split_direction, _split_support, direction_vector
+from tropmod.serialization import fan_from_json
 from tropmod.trees import (
     CombinatorialType,
     Split,
@@ -34,6 +38,8 @@ from tropmod.trees import (
 
 import oracles
 from oracles import rebuilt
+
+FAN_FILE = Path(__file__).with_name("fan_n6_weight2.json")
 
 
 def face_directions(face):
@@ -57,8 +63,8 @@ def assert_matches_oracle(reports, solved):
     for rep, (expected, total) in zip(reports, solved):
         assert rep == expected
         assert rep.weighted_sum == total
-        for rec in rep.adjacent:
-            assert rec.direction == oracles.walked_split_direction(rec.extra_split)
+        for extra in rep.extra_splits:
+            assert direction_vector(rep.face, extra) == oracles.walked_split_direction(extra)
 
 
 def test_split_support_is_the_dense_direction():
@@ -91,16 +97,17 @@ def test_balancing_witness_matches_oracles(n):
         assert rep.balanced and verify_witness(rep)
         # vectors off the span: each adjacent direction, alone and shifted
         # by an integer combination of the face directions
-        for rec in rep.adjacent:
+        for extra in rep.extra_splits:
+            direction = _split_direction(extra)
             combo = [rng.randint(-3, 3) for _ in rows]
             shifted = tuple(
                 x + sum(c * row[i] for c, row in zip(combo, rows))
-                for i, x in enumerate(rec.direction)
+                for i, x in enumerate(direction)
             )
-            for vector in (rec.direction, shifted):
+            for vector in (direction, shifted):
                 verdict = span_verdict(rep.face, vector)
                 assert oracle_verdicts(vector, rows) == (verdict, verdict) == (False, False)
-            on_span = tuple(s - d for s, d in zip(shifted, rec.direction))
+            on_span = tuple(s - d for s, d in zip(shifted, direction))
             coefficients, residual = span_witness(rep.face, on_span)
             assert coefficients == tuple(combo) and not any(residual)
             assert oracle_verdicts(on_span, rows) == (True, True)
@@ -111,7 +118,7 @@ def test_smoothness_witness_matches_oracles(n):
     for tau in enumerate_types(n, n - 4):
         rep = check_smooth_local(n, tau)
         rows = face_directions(tau)
-        first_two = [rec.direction for rec in rep.adjacent[:2]]
+        first_two = [_split_direction(s) for s in rep.extra_splits[:2]]
         in_lattice = oracles.in_integer_span(rep.weighted_sum, rows)
         saturated = oracles.is_saturated(rows + first_two)
         assert rep.smooth == (in_lattice and saturated) is True
@@ -136,7 +143,7 @@ def test_verifier_rejects_tampering():
     minor = list(rep.minor)
     minor[-1] = minor[0]  # a repeated column: determinant 0
     assert not verify_witness(rebuilt(rep, minor=tuple(minor)))
-    rows = face_directions(tau) + [rec.direction for rec in rep.adjacent[:2]]
+    rows = face_directions(tau) + [_split_direction(s) for s in rep.extra_splits[:2]]
     blind = next(i for i in range(len(rows[0])) if not any(row[i] for row in rows))
     minor = list(rep.minor)
     minor[0] = blind  # a column every row vanishes on
@@ -151,23 +158,67 @@ def test_verifier_rejects_tampering():
     # a smooth verdict needs its minor
     assert not verify_witness(rebuilt(rep, minor=None))
     # forgeries: zero coefficients with no smoothness claim; zero directions
-    # and a truncated sum, which no report can carry; facets of another face
+    # and a truncated sum, which no report can carry; the extra splits of
+    # another face, and these extra splits on another face
     zeroed = rebuilt(rep, witness=(0,) * len(rep.witness), smooth=None, minor=None)
     assert not verify_witness(zeroed)
     with pytest.raises(TypeError, match="keyword argument 'direction'"):
-        rebuilt(rep.adjacent[0], direction=(0,) * len(rep.weighted_sum))
+        rebuilt(rep, direction=(0,) * len(rep.weighted_sum))
     with pytest.raises(TypeError, match="keyword argument 'weighted_sum'"):
         rebuilt(rep, weighted_sum=(), smooth=None, minor=None)
     unrelated = enumerate_types(6, 2)[-1]
     assert unrelated != tau
-    wrong_faces = tuple(rebuilt(rec, face=unrelated) for rec in rep.adjacent)
-    assert not verify_witness(rebuilt(rep, adjacent=wrong_faces))
+    other = check_smooth_local(6, unrelated)
+    assert not verify_witness(rebuilt(rep, extra_splits=other.extra_splits))
+    assert not verify_witness(rebuilt(rep, face=unrelated))
     # a smoothness report must list the three resolutions in key order
     for face in enumerate_types(6, 2):
         rep = check_smooth_local(6, face)
         assert verify_witness(rep)
-        assert not verify_witness(rebuilt(rep, adjacent=rep.adjacent[::-1]))
-        assert not verify_witness(rebuilt(rep, adjacent=rep.adjacent[:2]))
+        assert not verify_witness(rebuilt(rep, extra_splits=rep.extra_splits[::-1]))
+        assert not verify_witness(
+            rebuilt(rep, extra_splits=rep.extra_splits[:2], weights=rep.weights[:2])
+        )
+
+
+def test_verifier_refuses_facets_that_name_no_cone_or_no_weight():
+    # 24 and 25 cross the face's 23, so no cone holds them, though the
+    # directions of 24, 25 and 345 sum to -1 times that of 23
+    face = CombinatorialType.of(5, [{2, 3}])
+    crossing = tuple(Split.of(5, side) for side in ({2, 4}, {2, 5}, {3, 4, 5}))
+    forged = divisors.BalancingReport(face, crossing, (1, 1, 1), True, None, (-1,))
+    assert forged.weighted_sum == tuple(-x for x in _split_direction(face.splits[0]))
+    assert not verify_witness(forged)
+    rep = check_balanced(moduli_fan(5))[0]
+    assert rep.face == face and verify_witness(rep)
+    extras, weights = rep.extra_splits, rep.weights
+    doubled = tuple(s for s in extras for _ in range(2))
+    forgeries = [
+        # weight 0 everywhere, and the sum and the witness are zero
+        rebuilt(rep, weights=(0, 0, 0), witness=(0,)),
+        # True adds as 1, but a weight is an int
+        rebuilt(rep, weights=(True, True, True)),
+        rebuilt(rep, weights=(1, 1, 1.0)),
+        # every facet twice, the witness doubled: extras must increase strictly
+        rebuilt(rep, extra_splits=doubled, weights=(1,) * 6, witness=(2 * rep.witness[0],)),
+        rebuilt(rep, extra_splits=extras[::-1]),
+        # the sides, not the splits
+        rebuilt(rep, extra_splits=tuple(s.key for s in extras)),
+        # one weight more, or one fewer, than there are facets
+        rebuilt(rep, weights=weights + (1,)),
+        rebuilt(rep, weights=weights[:2]),
+    ]
+    assert [verify_witness(f) for f in forgeries] == [False] * len(forgeries)
+    with pytest.raises(ValueError):
+        forgeries[-1].weighted_sum
+    # every genuine report still verifies
+    for n in range(4, 7):
+        assert all(verify_witness(rep) for rep in check_balanced(moduli_fan(n)))
+    for k in range(1, 8):
+        assert all(verify_witness(rep) for rep in check_psi_balanced(7, k))
+    reports = check_balanced(fan_from_json(json.loads(FAN_FILE.read_text())))
+    assert [verify_witness(rep) for rep in reports] == [rep.balanced for rep in reports]
+    assert {rep.balanced for rep in reports} == {True, False}
 
 
 def test_weight_two_cone_fails_exactly_at_its_faces():
@@ -278,7 +329,7 @@ def test_each_partition_is_solved_once_and_every_report_verifies(smooth, monkeyp
         assert len(solved) == len(set(solved)) == stirling
         assert len(reports) == len(enumerate_types(n, n - 4))
         assert all(verify_witness(rep) for rep in reports)
-        assert all(rec.face is rep.face for rep in reports for rec in rep.adjacent)
+        assert all(rep.weights == (1, 1, 1) for rep in reports)
     # at n = 7, 1,260 faces share 350 partitions: 910 reports are read off one
     assert (len(reports), len(solved)) == (1260, 350)
 
@@ -337,7 +388,7 @@ def test_forged_minor_row_is_not_unimodular():
         for tau in enumerate_types(n, n - 4):
             rep = check_smooth_local(n, tau)
             signs = [sign for _, sign in _isolating_coordinates(tau)]
-            rows = face_directions(tau) + [rec.direction for rec in rep.adjacent[:2]]
+            rows = face_directions(tau) + [_split_direction(s) for s in rep.extra_splits[:2]]
             assert abs(_minor_determinant(rows, rep.minor, signs)) == 1
             # face row 0 copies face row 1: nonzero on column 1, off the
             # block diagonal, and the minor is singular, not the product of
@@ -362,7 +413,11 @@ def test_adjacent_order_by_extra_split_is_cone_order():
             by_extra = sorted(adjacent, key=lambda cw: cw[2].key)
             assert by_extra == sorted(adjacent, key=lambda cw: (cw[0].key, cw[2].key))
         for rep in check_balanced(moduli_fan(n)):
-            keys = [(rec.cone.key, rec.extra_split.key) for rec in rep.adjacent]
+            face = rep.face
+            keys = [
+                (CombinatorialType(face.labels, (*face.splits, s)).key, s.key)
+                for s in rep.extra_splits
+            ]
             assert keys == sorted(keys)
 
 

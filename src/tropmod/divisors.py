@@ -83,7 +83,7 @@ from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._value import Value, _set
-from .errors import DimensionMismatch, NotCodimensionOne, NotPure
+from .errors import DimensionMismatch, NotCodimensionOne, NotPure, _shown
 from .moduli import (
     _quartet_coordinate,
     _quartet_bases,
@@ -120,7 +120,7 @@ class WeightedFan(Value):
             if ctype.dim != dim:
                 raise NotPure(f"cone {ctype!r} has dimension {ctype.dim}, fan has {dim}")
             if not isinstance(weight, int) or weight < 1:
-                raise ValueError(f"weights must be positive integers, got {weight!r}")
+                raise ValueError(f"weights must be positive integers, got {_shown(weight)}")
         if len({c for c, _ in cones}) != len(cones):
             raise ValueError("duplicate cones in fan")
         _set(self, "n", n)

@@ -1,10 +1,10 @@
 """Exception types shared across the package, and how their messages show a value."""
 
 
-def _shown(value) -> str:
-    """The repr of a value for an error message: at most its first 40
-    characters, then its length when it is longer."""
-    text = repr(value)
+def _shown(value, form=repr) -> str:
+    """The repr (or another ``form``) of a value for an error message: at
+    most its first 40 characters, then its length when it is longer."""
+    text = form(value)
     if len(text) > 40:
         text = f"{text[:40]}... ({len(text)} characters)"
     return text

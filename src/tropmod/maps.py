@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ._value import Value, _set
-from .errors import TooFewLeaves
+from .errors import TooFewLeaves, _shown
 from .moduli import ModuliPoint
 from .rationals import POS_INF, is_finite
 from .trees import CombinatorialType, Split
@@ -28,7 +28,7 @@ def _forget_split(s: Split, labels: frozenset, j: int) -> Optional[Split]:
 def forget_cone(t: CombinatorialType, j: int) -> CombinatorialType:
     """The combinatorial type of the forgetful image of any interior point."""
     if j not in t.labels:
-        raise ValueError(f"label {j} is not a leaf of {t!r}")
+        raise ValueError(f"label {_shown(j, str)} is not a leaf of {_shown(t)}")
     if t.n <= 3:
         raise TooFewLeaves("forgetting a leaf needs at least four marked leaves")
     labels = t.labels - {j}
@@ -39,7 +39,7 @@ def forget_cone(t: CombinatorialType, j: int) -> CombinatorialType:
 def forget(x: ModuliPoint, j: int) -> ModuliPoint:
     """Contract the leaf marked j; lengths of merging splits add."""
     if j not in x.labels:
-        raise ValueError(f"label {j} is not a leaf of {x!r}")
+        raise ValueError(f"label {_shown(j, str)} is not a leaf of {_shown(x)}")
     if x.n <= 3:
         raise TooFewLeaves("forgetting a leaf needs at least four marked leaves")
     labels = x.labels - {j}
@@ -60,7 +60,7 @@ def section(x: ModuliPoint, k: int) -> ModuliPoint:
     infinite length, so the image lies in the boundary.
     """
     if k not in x.labels:
-        raise ValueError(f"label {k} is not a leaf of {x!r}")
+        raise ValueError(f"label {_shown(k, str)} is not a leaf of {_shown(x)}")
     new = max(x.labels) + 1
     labels = x.labels | {new}
     lengths: Dict[Split, object] = {}

@@ -25,7 +25,15 @@ from .rationals import (
     is_finite,
     parse_extended,
 )
-from .trees import CombinatorialType, Split, _as_labels, _Ints, _stream_types, enumerate_types
+from .trees import (
+    CombinatorialType,
+    Split,
+    _as_labels,
+    _Ints,
+    _leaf_set,
+    _stream_types,
+    enumerate_types,
+)
 
 
 class RatioIndex(Value):
@@ -122,7 +130,7 @@ class ModuliPoint(Value):
                 if value.sign < 0:
                     raise ValueError("edge lengths must be positive (or +inf)")
             elif value <= 0:
-                raise ValueError(f"edge lengths must be positive, got {value}")
+                raise ValueError(f"edge lengths must be positive, got {_shown(value, str)}")
             items.append((split, value))
         items.sort(key=lambda kv: kv[0].key)
         if tuple(s for s, _ in items) != ctype.splits:
@@ -399,12 +407,13 @@ def _over_common_denominator(entries: Sequence[Fraction]) -> Tuple[int, List[int
     Each distinct entry object is converted once: parsed vectors share one
     object per distinct value.
     """
-    distinct = {id(e): e for e in entries}
+    ids = list(map(id, entries))
+    distinct = dict(zip(ids, entries))
     if any(isinstance(e, Infinity) for e in distinct.values()):
         raise ValueError("reconstruction is defined for finite vectors only")
     denominator = lcm(*{e.denominator for e in distinct.values()})
     scale = {k: e.numerator * (denominator // e.denominator) for k, e in distinct.items()}
-    return denominator, [scale[id(e)] for e in entries]
+    return denominator, list(map(scale.__getitem__, ids))
 
 
 def _recover_splits(scaled: Sequence[int], denominator: int, n: int) -> Dict[Tuple[int, ...], int]:
@@ -474,34 +483,58 @@ def _recover_splits(scaled: Sequence[int], denominator: int, n: int) -> Dict[Tup
     return good
 
 
-def reconstruct(v: Union[EmbeddingVector, Sequence], n: int) -> ModuliPoint:
-    """Invert the embedding on its image.
+def _candidate_splits(scaled: Sequence[int], n: int) -> Dict[Split, int]:
+    """The splits of the tree read off O(n^2) coordinates, each with its
+    length, in integers over the vector's common denominator.
 
-    The quartet topologies are read off the vanishing pattern.  A
-    bipartition is a split iff all its straddling quartets agree with it
-    (the four-point condition), and its length is the least straddling
-    absolute value.  The splits are grown leaf by leaf, checking at leaf m
-    only the quartets that contain m, which finds exactly the bipartitions
-    an exhaustive scan finds, for any vector.  The candidate point is
-    certified by re-embedding it and comparing with the vector, in integers
-    over the vector's common denominator.  NotInImage is raised when any
-    step fails.
+    With the leaf edges chosen so that d(1, j) = 0 and d(2, 3) = 0, the
+    leaf-to-leaf distance d(i, j) is -2g(i, j), where g(2, j) and g(3, j) are
+    the first and second coordinates of quartet {1,2,3,j} and g(i, j) is
+    g(2, i) plus the second coordinate of {1,2,i,j}.  On the image, g(i, j)
+    less its least value is the depth below leaf 1's vertex at which i and j
+    part, an integer: (max d - d(i, j))/2 needs no division.  So the leaves
+    that part from i at a level or deeper, with i, are the side of a split,
+    and the gap to the next level up is its length; the least level of each
+    row is leaf 1's vertex.  A side is read from its least leaf only.  Off
+    the image this reads some set of bipartitions, not always a type, and
+    ``_certified`` rejects it.
     """
-    if isinstance(v, EmbeddingVector) and v.n != n:
-        raise ValueError(f"vector is for n = {v.n}, not {n}")
-    if n < 4:
-        raise ValueError("reconstruction needs n >= 4")
-    if not isinstance(v, EmbeddingVector):
-        v = EmbeddingVector(n, tuple(v))
+    bases = _quartet_bases(n)
+    g = [[0] * (n + 1) for _ in range(n + 1)]
+    for j in range(4, n + 1):  # g(2, 3) = 0
+        g[2][j] = g[j][2] = scaled[bases[0b1110 | 1 << j]]
+    for i in range(3, n + 1):
+        gi, row = g[2][i], g[i]
+        for j in range(i + 1, n + 1):
+            row[j] = g[j][i] = gi + scaled[bases[0b110 | 1 << i | 1 << j] + 1]
+    labels = _leaf_set(n)
+    found: Dict[Split, int] = {}
+    for i in range(2, n + 1):
+        row = g[i]
+        deepest = sorted(((row[j], j) for j in range(2, n + 1) if j != i), reverse=True)
+        lower = (1 << i) - 1
+        mask = 1 << i
+        for k in range(len(deepest) - 1):
+            level, j = deepest[k]
+            mask |= 1 << j
+            if mask & lower:  # read from a lesser leaf, as is every side above
+                break
+            above = deepest[k + 1][0]
+            if above != level:
+                side = frozenset(x for x in range(i, n + 1) if mask >> x & 1)
+                found[Split(labels, side)] = level - above
+    return found
 
-    denominator, scaled = _over_common_denominator(v.entries)
-    labels = frozenset(range(1, n + 1))
-    splits = {
-        Split(labels, frozenset(side)): least
-        for side, least in _recover_splits(scaled, denominator, n).items()
-    }
+
+def _certified(
+    splits: Mapping[Split, int], scaled: Sequence[int], denominator: int, n: int
+) -> ModuliPoint:
+    """The point with these splits and lengths over ``denominator``, once its
+    type and lengths are accepted and its re-embedding, in integers, equals
+    ``scaled``.  Raises NotInImage (or ValueError on a length that is not
+    positive) otherwise."""
     try:
-        ctype = CombinatorialType(labels, splits)
+        ctype = CombinatorialType(_leaf_set(n), splits)
     except IncompatibleSplit as exc:
         raise NotInImage(f"recovered splits are incompatible: {exc}") from exc
     point = ModuliPoint(
@@ -512,6 +545,44 @@ def reconstruct(v: Union[EmbeddingVector, Sequence], n: int) -> ModuliPoint:
     if image != scaled:
         raise NotInImage("re-embedding the candidate point does not reproduce the vector")
     return point
+
+
+def reconstruct(v: Union[EmbeddingVector, Sequence], n: int) -> ModuliPoint:
+    """Invert the embedding on its image.
+
+    Everything is done in integers over the vector's common denominator.
+    A candidate tree is read off O(n^2) coordinates, the quartets {1,2,i,j}
+    (``_candidate_splits``), and returned once ``_certified`` accepts it:
+    its splits make a type, its lengths are positive, and re-embedding it
+    gives the vector back.  The embedding is injective, so that point is the
+    only preimage.  A vector whose candidate fails is decided by the search:
+    the quartet topologies are read off the vanishing pattern, a
+    bipartition is a split iff all its straddling quartets agree with it
+    (the four-point condition), and its length is the least straddling
+    absolute value.  The search grows the splits leaf by leaf, checking at
+    leaf m only the quartets that contain m, which finds exactly the
+    bipartitions an exhaustive scan finds, for any vector; its point is
+    certified the same way.  NotInImage is raised when any step of the
+    search fails, so a vector off the image gets the search's message.
+    """
+    if isinstance(v, EmbeddingVector) and v.n != n:
+        raise ValueError(f"vector is for n = {v.n}, not {n}")
+    if n < 4:
+        raise ValueError("reconstruction needs n >= 4")
+    if not isinstance(v, EmbeddingVector):
+        v = EmbeddingVector(n, tuple(v))
+
+    denominator, scaled = _over_common_denominator(v.entries)
+    try:
+        return _certified(_candidate_splits(scaled, n), scaled, denominator, n)
+    except (NotInImage, ValueError):
+        pass  # not certified: the search decides
+    labels = _leaf_set(n)
+    splits = {
+        Split(labels, frozenset(side)): least
+        for side, least in _recover_splits(scaled, denominator, n).items()
+    }
+    return _certified(splits, scaled, denominator, n)
 
 
 class LinkGraph(Value):

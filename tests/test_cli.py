@@ -721,3 +721,80 @@ def test_reconstruct_shows_a_long_entry_off_the_image_short(tmp_path, capsys):
         f"error: quartet (1, 2, 3, 4): coordinates ({shown}, Fraction(0, 1), Fraction(0, 1))"
         " are not of the form (0, m, +-m)\n"
     )
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="int-to-str conversion has no digit limit"
+)
+@pytest.mark.parametrize(
+    "argv, lengths",
+    [
+        (["section", "--k", "99"], {(7, 8): "1" * 4000, (6, 7, 8): "2" * 3999 + "/3"}),
+        (["forget", "--j", "99"], {(7, 8): "1" * 4000, (6, 7, 8): "2" * 3999 + "/3"}),
+        (["embed"], {(7, 8): "-" + "3" * 4000, (6, 7, 8): "1"}),
+    ],
+    ids=["section-bad-label", "forget-bad-label", "embed-negative-length"],
+)
+def test_error_lines_shorten_a_long_point_or_length(tmp_path, capsys, argv, lengths):
+    path = tmp_path / "long_point.json"
+    path.write_text(json.dumps({"n": 8, "splits": [
+        {"side": list(side), "length": length} for side, length in lengths.items()
+    ]}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run([argv[0], "--point", str(path), *argv[1:]])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 150 and "characters)" in err
+
+
+def test_error_lines_keep_a_short_point_or_length_as_it_was(tmp_path, capsys):
+    path = write_point(tmp_path, ModuliPoint.of(5, {(4, 5): "3/2"}))
+    for argv in (["section", "--k", "9"], ["forget", "--j", "9"]):
+        code, out = run([argv[0], "--point", path, *argv[1:]])
+        assert code == EXIT_USAGE and out == ""
+        assert capsys.readouterr().err == (
+            f"error: label 9 is not a leaf of ModuliPoint(n=5, {{45:3/2}})\n"
+        )
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"n": 5, "splits": [{"side": [4, 5], "length": "-3/2"}]}))
+    assert run(["embed", "--point", str(path)]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: edge lengths must be positive, got -3/2\n"
+
+
+def test_forget_cone_shortens_a_long_type_in_its_error():
+    from tropmod import maps
+
+    caterpillar = CombinatorialType.of(60, [range(k, 61) for k in range(3, 59)])
+    with pytest.raises(ValueError) as caught:
+        maps.forget_cone(caterpillar, 99)
+    assert len(f"error: {caught.value}\n".encode()) < 150
+    with pytest.raises(ValueError, match=r"^label 9 is not a leaf of CombinatorialType\(n=5, \{45\}\)$"):
+        maps.forget_cone(CombinatorialType.of(5, [(4, 5)]), 9)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="int-to-str conversion has no digit limit"
+)
+def test_fan_weight_error_shortens_a_long_weight(tmp_path, capsys):
+    fan = json.loads(Path(__file__).with_name("fan_n6_weight2.json").read_text())
+    path = tmp_path / "fan.json"
+    for weight, shown in ((-7, "-7"), (-int("9" * 4000), None)):
+        fan["cones"][0]["weight"] = weight
+        path.write_text(json.dumps(fan))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out = run(["check", "balancing", "--fan", str(path)])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and out == ""
+        if shown is not None:
+            assert err == f"error: weights must be positive integers, got {shown}\n"
+        else:
+            assert err.count("\n") == 1 and len(err.encode()) < 150

@@ -268,6 +268,74 @@ def test_leaf_by_leaf_recovery_matches_exhaustive_scan(rng):
                 )
 
 
+def test_candidate_tree_decides_every_image_vector(rng, monkeypatch):
+    """With the leaf-by-leaf search made to fail, every image vector still
+    comes back to its point: the candidate read off the quartets {1,2,i,j}
+    is certified on its own."""
+
+    def search(*args):
+        raise AssertionError("an image vector reached the leaf-by-leaf search")
+
+    monkeypatch.setattr(moduli, "_recover_splits", search)
+    points = [ModuliPoint.of(n, {}) for n in (4, 5, 9)]  # the zero vectors
+    points += [ray_point(4, side, Fraction(7, 2)) for side in ((3, 4), (2, 4), (2, 3))]
+    points += [  # a single split
+        ModuliPoint.of(n, {side: Fraction(5, 3)})
+        for n, side in ((5, (2, 3)), (6, (2, 5)), (9, (3, 4, 5, 6, 7)), (16, (15, 16)))
+    ]
+    for n in range(4, 17):
+        for i in range(6):  # fully trivalent, then partly contracted
+            dim = rng.randint(0, n - 4) if i % 2 else None
+            points.append(random_tree_point(rng, n, dim=dim))
+    for x in points:
+        assert reconstruct(embed(x), x.n) == x
+
+
+def _near_images(rng, image, n):
+    """One quartet's topology flipped, one zeroed, one's value shrunk."""
+    quartets = comb(n, 4)
+    cut = [q for q in range(quartets) if any(image[3 * q : 3 * q + 3])]
+    if not cut:
+        return []
+    q = rng.choice(cut)
+    triple = image[3 * q : 3 * q + 3]
+    size = max(abs(e) for e in triple)
+    ray = rng.choice([ray for ray in RAYS if ray.index(0) != triple.index(0)])
+    flipped = list(image)
+    flipped[3 * q : 3 * q + 3] = [size * e for e in ray]
+    zeroed = list(image)
+    q = rng.choice(cut)
+    zeroed[3 * q : 3 * q + 3] = [Fraction(0)] * 3
+    shrunk = list(image)
+    q = rng.choice(cut)
+    shrunk[3 * q : 3 * q + 3] = [e / rng.randint(2, 5) for e in image[3 * q : 3 * q + 3]]
+    return [flipped, zeroed, shrunk]
+
+
+def test_near_image_vectors_reach_the_search(rng, monkeypatch):
+    """A vector reaches the leaf-by-leaf search exactly when it is off the
+    image, and then gets the exhaustive scan's outcome."""
+    recover_splits = moduli._recover_splits
+    searched = []
+
+    def counted(*args):
+        searched.append(args)
+        return recover_splits(*args)
+
+    monkeypatch.setattr(moduli, "_recover_splits", counted)
+    off_image = 0
+    for n in (5, 6, 7, 8):
+        for _ in range(25):
+            image = list(embed(random_tree_point(rng, n, dim=rng.randint(0, n - 3))).entries)
+            for vector in [image, *_near_images(rng, image, n)]:
+                searched.clear()
+                outcome = _outcome(reconstruct, vector, n)
+                assert outcome == _outcome(oracles.exhaustive_reconstruct, vector, n)
+                assert bool(searched) == isinstance(outcome, str)
+                off_image += bool(searched)
+    assert off_image > 200
+
+
 def test_link_graph_is_petersen():
     graph = link_graph(5)
     assert len(graph.vertices) == 10

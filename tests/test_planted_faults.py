@@ -5,14 +5,18 @@ named fault, runs a command, and asserts which check catches it."""
 import inspect
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from conftest import random_tree_point
+from test_moduli import _near_images, _outcome
 from test_witness import assert_matches_oracle, dense_reports, fans_across_field_widths
-from tropmod import cli, divisors
+from tropmod import cli, divisors, moduli
 from tropmod.cli import EXIT_CERTIFICATE, EXIT_OK, main
 from tropmod.divisors import check_balanced, verify_witness
+from tropmod.moduli import ModuliPoint
 from tropmod.trees import Split, _branch_masks, _stream_types, enumerate_types, to_tree
 
 FAN = Path(__file__).with_name("fan_n6_weight2.json")
@@ -289,3 +293,89 @@ def test_extras_of_another_partition_handed_to_a_face_fail_its_witness(smooth, m
     extras, report = planted
     assert report.extra_splits is extras and report.balanced
     assert [rep for rep in reports if not verify_witness(rep)] == [report]
+
+
+def _dropped(found):
+    """A candidate reader's fault: its first split left out."""
+    return dict(list(found.items())[1:])
+
+
+def _moved(found):
+    """A candidate reader's fault: one length moved by 1/denominator, down
+    (to 0 when it was 1/denominator)."""
+    return {s: least - (i == 0) for i, (s, least) in enumerate(found.items())}
+
+
+def _crossed(found):
+    """A candidate reader's fault: a split added that crosses the first one
+    (one leaf of its side with one leaf off it)."""
+    if not found:
+        return found
+    split = next(iter(found))
+    a = min(split.side)
+    b = min(split.complement - {1})
+    return {**found, Split(split.labels, frozenset((a, b))): 1}
+
+
+def _reconstruct_outcomes(vectors):
+    return [_outcome(moduli.reconstruct, vector, n) for vector, n in vectors]
+
+
+def _images_and_near_images():
+    rng = random.Random(20261020)
+    # lengths of 1/denominator, which a length moved down makes 0
+    ones = [ModuliPoint.of(4, {(3, 4): 1}), ModuliPoint.of(6, {(5, 6): 1, (4, 5, 6): "1/3"})]
+    vectors = [(list(moduli.embed(x).entries), x.n) for x in ones]
+    for n in (4, 5, 6, 7, 8, 9):
+        for i in range(8):
+            x = random_tree_point(rng, n, dim=rng.randint(1, n - 3) if i % 2 else None)
+            image = list(moduli.embed(x).entries)
+            vectors += [(v, n) for v in [image, *_near_images(rng, image, n)]]
+    return vectors
+
+
+@pytest.mark.parametrize("fault", [_dropped, _moved, _crossed])
+def test_faulty_candidate_reader_leaves_every_outcome_unchanged(fault, monkeypatch):
+    # images come back as their points and near images keep the search's
+    # message: the certificate refuses each faulty candidate, and the search
+    # decides the vector
+    vectors = _images_and_near_images()
+    expected = _reconstruct_outcomes(vectors)
+    assert sum(isinstance(o, str) for o in expected) > 50
+    candidate_splits = moduli._candidate_splits
+    recover_splits = moduli._recover_splits
+    searched = []
+
+    def planted(scaled, n):
+        return fault(candidate_splits(scaled, n))
+
+    def counted(*args):
+        searched.append(args)
+        return recover_splits(*args)
+
+    monkeypatch.setattr(moduli, "_candidate_splits", planted)
+    monkeypatch.setattr(moduli, "_recover_splits", counted)
+    assert _reconstruct_outcomes(vectors) == expected
+    # the fault reaches every image with a split: each goes to the search
+    assert len(searched) == sum(isinstance(o, str) or bool(o.lengths) for o in expected)
+
+
+def test_candidate_accepted_without_its_re_embedding_is_caught(monkeypatch):
+    vectors = _images_and_near_images()
+    expected = _reconstruct_outcomes(vectors)
+    candidate_splits = moduli._candidate_splits
+    monkeypatch.setattr(
+        moduli, "_candidate_splits", lambda scaled, n: _dropped(candidate_splits(scaled, n))
+    )
+
+    def guard():
+        assert _reconstruct_outcomes(vectors) == expected
+
+    guard()
+    source = inspect.getsource(moduli._certified)
+    assert source.count("if image != scaled:") == 1
+    namespace = dict(vars(moduli))
+    exec(source.replace("if image != scaled:", "if False:"), namespace)
+    monkeypatch.setattr(moduli, "_certified", namespace["_certified"])
+    with pytest.raises(AssertionError):
+        guard()

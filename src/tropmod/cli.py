@@ -27,7 +27,7 @@ from math import comb
 from typing import Dict, Optional, Sequence
 
 from . import divisors, maps, moduli, serialization, trees
-from .errors import TropmodError
+from .errors import TropmodError, _shown
 from .trees import _Ints
 
 EXIT_OK = 0
@@ -37,8 +37,9 @@ EXIT_CERTIFICATE = 2
 # The most types a command may make, counted before any is made: at n = 10
 # the 4,729,725 codim-1 types pass, at n = 11 the 34,459,425 facets do not.
 # It also bounds the N = 3·C(n,4) entries of the dense vectors that embed,
-# export embed and check balancing --fan build, checked once the input is
-# read: at n = 81 the 4,991,220 pass, at n = 82 the 5,247,180 do not.
+# export embed and check balancing --fan build, checked on the file's "n"
+# before the rest is read: at n = 81 the 4,991,220 pass, at n = 82 the
+# 5,247,180 do not.
 MAX_TYPES = 5_000_000
 
 
@@ -194,13 +195,21 @@ def _dump(obj, out) -> None:
     out.write("\n}\n")
 
 
+def _int(text: str) -> int:
+    """argparse's ``type=int``, with a long value shortened in its message."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="tropmod", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list combinatorial types")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--dim", type=_int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("embed", help="embed a point (vector JSON to stdout)")
@@ -209,30 +218,30 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reconstruct", help="invert the embedding on a finite vector")
     p.add_argument("--vector", metavar="FILE", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
 
     p = sub.add_parser("check", help="run a certificate; exit 2 on failure")
     kinds = p.add_subparsers(dest="what", required=True)
     q = kinds.add_parser("balancing", help="balancing of the moduli fan or of a fan file")
     source = q.add_mutually_exclusive_group(required=True)
-    source.add_argument("--n", type=int)
+    source.add_argument("--n", type=_int)
     source.add_argument("--fan", metavar="FILE")
     q = kinds.add_parser("smooth", help="local smoothness at every codimension-1 type")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_int, required=True)
     q = kinds.add_parser("psi", help="balancing of the psi divisor of leaf k")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--n", type=_int, required=True)
+    q.add_argument("--k", type=_int, required=True)
     for q in kinds.choices.values():
         q.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("forget", help="apply a forgetful map to a point")
     p.add_argument("--point", metavar="FILE", required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=_int, required=True)
     p.add_argument("--relabel", action="store_true", help="relabel leaves densely to 1..n")
 
     p = sub.add_parser("section", help="apply the section of marking k to a point")
     p.add_argument("--point", metavar="FILE", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
 
     p = sub.add_parser("decompose", help="cut a boundary point along infinite edges")
     p.add_argument("--point", metavar="FILE", required=True)
@@ -240,10 +249,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("export", help="export the link graph, a fan, or an embedding")
     targets = p.add_subparsers(dest="target", required=True)
     q = targets.add_parser("link", help="the link of the origin")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_int, required=True)
     q.add_argument("--format", choices=("dot", "json"), default="dot")
     q = targets.add_parser("fan", help="the moduli fan as JSON")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_int, required=True)
     q = targets.add_parser("embed", help="the embedding vector of a point")
     q.add_argument("--point", metavar="FILE", required=True)
     for q in targets.choices.values():
@@ -281,11 +290,15 @@ def _refuse_types(prefix: str, count: int, n: int) -> None:
     )
 
 
-def _coordinates_within_limit(n: int) -> None:
-    """Refuse a dense vector on n leaves of more than ``MAX_TYPES`` entries."""
-    size = 3 * comb(n, 4)
+def _read_within_limit(path: str, read):
+    """Read a point or fan file, refusing first a dense vector on its n
+    leaves of more than ``MAX_TYPES`` entries: reading makes the n labels."""
+    obj = _load_json(path)
+    n = obj.get("n") if isinstance(obj, dict) else None
+    size = 3 * comb(n, 4) if type(n) is int and n >= 0 else 0
     if size > MAX_TYPES:
         raise UsageError(f"{size} embedding coordinates at n = {n} exceed the limit of {MAX_TYPES}")
+    return read(obj)
 
 
 def _cmd_enumerate(args, out) -> int:
@@ -309,8 +322,7 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_embed(args, out) -> int:
-    point = serialization.point_from_json(_load_json(args.point))
-    _coordinates_within_limit(point.n)
+    point = _read_within_limit(args.point, serialization.point_from_json)
     vector = moduli.embed(point)
     if args.format == "text":
         # every distinct entry is formatted before the first line is written,
@@ -340,12 +352,9 @@ def _cmd_check(args, out) -> int:
         _count_within_limit(args.n, args.n - 5 if args.what == "psi" else args.n - 4)
     if args.what == "balancing":
         if args.fan is not None:
-            obj = _load_json(args.fan)
-            n = obj.get("n") if isinstance(obj, dict) else None
-            if type(n) is int and n >= 0:
-                # before the fan is read, which makes the n labels
-                _coordinates_within_limit(n)
-            reports = divisors._face_reports(serialization.fan_from_json(obj))
+            reports = divisors._face_reports(
+                _read_within_limit(args.fan, serialization.fan_from_json)
+            )
         else:
             reports = divisors._moduli_reports(args.n)
     elif args.what == "psi":
@@ -432,8 +441,7 @@ def _cmd_export(args, out) -> int:
         _count_within_limit(args.n, args.n - 3)
         text = _render(serialization.fan_to_json(divisors.moduli_fan(args.n))) + "\n"
     else:  # embed
-        point = serialization.point_from_json(_load_json(args.point))
-        _coordinates_within_limit(point.n)
+        point = _read_within_limit(args.point, serialization.point_from_json)
         text = _render(serialization.vector_to_json(moduli.embed(point))) + "\n"
 
     if args.output:

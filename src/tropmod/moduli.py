@@ -416,73 +416,6 @@ def _over_common_denominator(entries: Sequence[Fraction]) -> Tuple[int, List[int
     return denominator, list(map(scale.__getitem__, ids))
 
 
-def _recover_splits(scaled: Sequence[int], denominator: int, n: int) -> Dict[Tuple[int, ...], int]:
-    """Every bipartition that all its straddling quartets agree with, as its
-    sorted side (the one without leaf 1) -> the least straddling |entry|.
-
-    ``scaled`` is a vector times ``denominator``.  Raises NotInImage when a
-    quartet's coordinates are not of the form (0, m, +-m).
-    """
-    # Per quartet with a nonzero coordinate: the pair holding its smallest
-    # label in the quartet's topology, and the common absolute value of its
-    # two nonzero coordinates, which bounds the length of any separating edge.
-    topology: Dict[int, Tuple[int, int]] = {}
-    for q, (quad, mask) in enumerate(_quartets(n)):
-        triple = scaled[3 * q : 3 * q + 3]
-        zeros = triple.count(0)
-        if zeros == 3:
-            continue
-        zero = triple.index(0) if zeros == 1 else 0
-        size = abs(triple[zero - 1])
-        if zeros != 1 or abs(triple[zero - 2]) != size:
-            # the tuple's repr, each integer shortened past 40 digits
-            shown = ", ".join(
-                f"Fraction({_shown(f.numerator)}, {_shown(f.denominator)})"
-                for f in (Fraction(t, denominator) for t in triple)
-            )
-            raise NotInImage(f"quartet {quad}: coordinates ({shown}) are not of the form (0, m, +-m)")
-        topology[mask] = ((1 << quad[0]) | (1 << quad[zero + 1]), size)
-
-    def least_straddling(nears: List[int], fars: List[int]) -> Optional[int]:
-        """The least size over the quartets near|far, or None when one of
-        them has another topology."""
-        least = None
-        for near in nears:
-            for far in fars:
-                seen = topology.get(near | far)
-                if seen is None or (seen[0] != near and seen[0] != far):
-                    return None
-                if least is None or seen[1] < least:
-                    least = seen[1]
-        return least
-
-    def pairs(labels: Sequence[int]) -> List[int]:
-        return [(1 << a) | (1 << b) for a, b in itertools.combinations(labels, 2)]
-
-    # Grown leaf by leaf: restricted to 1..m-1, a good bipartition of 1..m is
-    # good or trivial, so the candidates at m are each good side S of 1..m-1
-    # and S + {m}, the pairs {x, m} and {2..m-1}; the quartets without m were
-    # checked at an earlier step, so only those with m are checked here.
-    good: Dict[Tuple[int, ...], int] = {}
-    for m in range(4, n + 1):
-        bit = 1 << m
-        candidates: List[Tuple[Tuple[int, ...], Optional[int]]] = []
-        for side, least in good.items():
-            candidates += [(side, least), (side + (m,), least)]
-        candidates += [((x, m), None) for x in range(2, m)]
-        candidates.append((tuple(range(2, m)), None))
-        good = {}
-        for side, least in candidates:
-            rest = [x for x in range(1, m) if x not in side]
-            if side[-1] == m:  # quartets {m, b} | {c, d}
-                found = least_straddling([bit | (1 << b) for b in side[:-1]], pairs(rest))
-            else:  # quartets {a, b} | {m, d}
-                found = least_straddling(pairs(side), [bit | (1 << d) for d in rest])
-            if found is not None:
-                good[side] = found if least is None else min(least, found)
-    return good
-
-
 def _candidate_splits(scaled: Sequence[int], n: int) -> Dict[Split, int]:
     """The splits of the tree read off O(n^2) coordinates, each with its
     length, in integers over the vector's common denominator.
@@ -528,23 +461,39 @@ def _candidate_splits(scaled: Sequence[int], n: int) -> Dict[Split, int]:
 
 def _certified(
     splits: Mapping[Split, int], scaled: Sequence[int], denominator: int, n: int
-) -> ModuliPoint:
-    """The point with these splits and lengths over ``denominator``, once its
-    type and lengths are accepted and its re-embedding, in integers, equals
-    ``scaled``.  Raises NotInImage (or ValueError on a length that is not
-    positive) otherwise."""
+) -> Optional[ModuliPoint]:
+    """The point with these splits and positive lengths over ``denominator``
+    when the splits make a type and its re-embedding, in integers, equals
+    ``scaled``; None otherwise."""
     try:
         ctype = CombinatorialType(_leaf_set(n), splits)
-    except IncompatibleSplit as exc:
-        raise NotInImage(f"recovered splits are incompatible: {exc}") from exc
-    point = ModuliPoint(
-        ctype, tuple((s, Fraction(least, denominator)) for s, least in splits.items())
-    )
+    except IncompatibleSplit:
+        return None
     image = [0] * len(scaled)
     _spread(image, _quartet_totals(n, splits.items()), lambda t: (0, t, -t))
     if image != scaled:
-        raise NotInImage("re-embedding the candidate point does not reproduce the vector")
-    return point
+        return None
+    return ModuliPoint(
+        ctype, tuple((s, Fraction(least, denominator)) for s, least in splits.items())
+    )
+
+
+def _refusal(scaled: Sequence[int], denominator: int, n: int) -> NotInImage:
+    """Why a vector off the image is refused: its first quartet whose
+    coordinates are not of the form (0, m, +-m), else its re-embedding."""
+    for q, (quad, _) in enumerate(_quartets(n)):
+        triple = scaled[3 * q : 3 * q + 3]
+        low, mid, high = sorted(map(abs, triple))
+        if low or mid != high:
+            # the tuple's repr, each integer shortened past 40 digits
+            shown = ", ".join(
+                f"Fraction({_shown(f.numerator)}, {_shown(f.denominator)})"
+                for f in (Fraction(t, denominator) for t in triple)
+            )
+            return NotInImage(
+                f"quartet {quad}: coordinates ({shown}) are not of the form (0, m, +-m)"
+            )
+    return NotInImage("re-embedding the candidate point does not reproduce the vector")
 
 
 def reconstruct(v: Union[EmbeddingVector, Sequence], n: int) -> ModuliPoint:
@@ -553,17 +502,14 @@ def reconstruct(v: Union[EmbeddingVector, Sequence], n: int) -> ModuliPoint:
     Everything is done in integers over the vector's common denominator.
     A candidate tree is read off O(n^2) coordinates, the quartets {1,2,i,j}
     (``_candidate_splits``), and returned once ``_certified`` accepts it:
-    its splits make a type, its lengths are positive, and re-embedding it
-    gives the vector back.  The embedding is injective, so that point is the
-    only preimage.  A vector whose candidate fails is decided by the search:
-    the quartet topologies are read off the vanishing pattern, a
-    bipartition is a split iff all its straddling quartets agree with it
-    (the four-point condition), and its length is the least straddling
-    absolute value.  The search grows the splits leaf by leaf, checking at
-    leaf m only the quartets that contain m, which finds exactly the
-    bipartitions an exhaustive scan finds, for any vector; its point is
-    certified the same way.  NotInImage is raised when any step of the
-    search fails, so a vector off the image gets the search's message.
+    its splits make a type and re-embedding it gives the vector back.  The
+    embedding is injective, so that point is the only preimage.  On the
+    image the candidate is always accepted: the coordinates read are those
+    of a tree metric, whose clusters below leaf 1 are the point's splits and
+    whose level gaps are its lengths, so the candidate is the point itself.
+    Hence a refused candidate means a vector off the image, and NotInImage
+    names the first quartet whose coordinates are not of the form
+    (0, m, +-m), or, when every quartet has that form, the re-embedding.
     """
     if isinstance(v, EmbeddingVector) and v.n != n:
         raise ValueError(f"vector is for n = {v.n}, not {n}")
@@ -573,16 +519,10 @@ def reconstruct(v: Union[EmbeddingVector, Sequence], n: int) -> ModuliPoint:
         v = EmbeddingVector(n, tuple(v))
 
     denominator, scaled = _over_common_denominator(v.entries)
-    try:
-        return _certified(_candidate_splits(scaled, n), scaled, denominator, n)
-    except (NotInImage, ValueError):
-        pass  # not certified: the search decides
-    labels = _leaf_set(n)
-    splits = {
-        Split(labels, frozenset(side)): least
-        for side, least in _recover_splits(scaled, denominator, n).items()
-    }
-    return _certified(splits, scaled, denominator, n)
+    point = _certified(_candidate_splits(scaled, n), scaled, denominator, n)
+    if point is None:
+        raise _refusal(scaled, denominator, n)
+    return point
 
 
 class LinkGraph(Value):

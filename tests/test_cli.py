@@ -159,11 +159,15 @@ def test_huge_mid_range_requests_are_refused_on_a_lower_bound_at_once(monkeypatc
 def test_refuses_dense_vectors_past_the_limit_before_building_any(
     tmp_path, monkeypatch, capsys, argv, n, size
 ):
+    # refused on the file's "n", before the point or fan is read: reading
+    # makes the n labels
     def refuse(*args, **kwargs):
-        raise AssertionError("a dense vector was built")
+        raise AssertionError("the file was read or a dense vector was built")
 
     monkeypatch.setattr(moduli, "embed", refuse)
     monkeypatch.setattr(divisors, "_face_reports", refuse)
+    monkeypatch.setattr(serialization, "point_from_json", refuse)
+    monkeypatch.setattr(serialization, "fan_from_json", refuse)
     if argv[-1] == "--fan":
         path = tmp_path / "fan.json"
         path.write_text(json.dumps({"n": n, "dim": 1, "cones": [{"splits": [[2, 3]]}]}))
@@ -190,6 +194,42 @@ def test_fan_past_the_limit_is_refused_before_its_labels_are_made(tmp_path, monk
     assert code == EXIT_USAGE and out == ""
     size = 3 * comb(n, 4)
     assert err == f"error: {size} embedding coordinates at n = {n} exceed the limit of 5000000\n"
+
+
+POINT_N13 = str(Path(__file__).with_name("point_n13.json"))
+INT_FLAGS = [
+    ["section", "--point", POINT_N13, "--k"],
+    ["forget", "--point", POINT_N13, "--j"],
+    ["reconstruct", "--vector", POINT_N13, "--n"],
+    ["enumerate", "--dim", "2", "--n"],
+    ["enumerate", "--n", "5", "--dim"],
+    ["check", "psi", "--n", "5", "--k"],
+    ["export", "fan", "--n"],
+]
+INT_FLAG_IDS = ["section-k", "forget-j", "reconstruct-n", "enumerate-n", "enumerate-dim",
+                "psi-k", "export-n"]
+
+
+@pytest.mark.parametrize("argv", INT_FLAGS, ids=INT_FLAG_IDS)
+def test_a_long_int_flag_is_shortened_in_its_error(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # 5,000 digits are past it
+    try:
+        code, out = run(argv + ["7" * 5000])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: argument {argv[-1]}: invalid int value: '{'7' * 39}... (5002 characters)\n"
+    assert len(err.encode()) < 150
+
+
+@pytest.mark.parametrize("argv", INT_FLAGS, ids=INT_FLAG_IDS)
+def test_a_short_int_flag_keeps_its_error_as_it_was(capsys, argv):
+    for value in ("abc", "1.5", ""):
+        code, out = run(argv + [value])
+        assert code == EXIT_USAGE and out == ""
+        assert capsys.readouterr().err == f"error: argument {argv[-1]}: invalid int value: {value!r}\n"
 
 
 def test_a_repeated_label_is_refused_and_named(tmp_path, capsys):

@@ -6,7 +6,6 @@ from math import comb
 
 import pytest
 
-from tropmod import moduli
 from tropmod.errors import IncompatibleSplit, NotInImage
 from tropmod.moduli import (
     EmbeddingVector,
@@ -226,57 +225,14 @@ def _outcome(recover, vector, n):
         return f"NotInImage: {exc}"
 
 
-def _leaf_by_leaf_splits(vector, n):
-    denominator, scaled = moduli._over_common_denominator(vector)
-    found = moduli._recover_splits(scaled, denominator, n)
-    return {side: Fraction(least, denominator) for side, least in found.items()}
-
-
 RAYS = ((0, 1, 1), (1, 0, -1), (-1, -1, 0))  # the rays of M_{0,4}
+REFUSED = "NotInImage: re-embedding the candidate point does not reproduce the vector"
 
 
-def test_leaf_by_leaf_recovery_matches_exhaustive_scan(rng):
-    """Same splits and lengths as scanning every bipartition, or the same
-    NotInImage, on images and on vectors just outside the image: one
-    quartet's topology flipped, zeroed or its value shrunk."""
-    for n in (5, 6, 7, 8):
-        quartets = comb(n, 4)
-        for _ in range(25):
-            image = list(embed(random_tree_point(rng, n, dim=rng.randint(0, n - 3))).entries)
-            vectors = [image]
-            cut = [q for q in range(quartets) if any(image[3 * q : 3 * q + 3])]
-            if cut:
-                q = rng.choice(cut)
-                triple = image[3 * q : 3 * q + 3]
-                size = max(abs(e) for e in triple)
-                ray = rng.choice([ray for ray in RAYS if ray.index(0) != triple.index(0)])
-                flipped = list(image)
-                flipped[3 * q : 3 * q + 3] = [size * e for e in ray]
-                zeroed = list(image)
-                q = rng.choice(cut)
-                zeroed[3 * q : 3 * q + 3] = [Fraction(0)] * 3
-                shrunk = list(image)  # a smaller least straddling value
-                q = rng.choice(cut)
-                shrunk[3 * q : 3 * q + 3] = [e / rng.randint(2, 5) for e in image[3 * q : 3 * q + 3]]
-                vectors += [flipped, zeroed, shrunk]
-            for vector in vectors:
-                assert _outcome(_leaf_by_leaf_splits, vector, n) == _outcome(
-                    oracles.exhaustive_splits, vector, n
-                )
-                assert _outcome(reconstruct, vector, n) == _outcome(
-                    oracles.exhaustive_reconstruct, vector, n
-                )
-
-
-def test_candidate_tree_decides_every_image_vector(rng, monkeypatch):
-    """With the leaf-by-leaf search made to fail, every image vector still
-    comes back to its point: the candidate read off the quartets {1,2,i,j}
-    is certified on its own."""
-
-    def search(*args):
-        raise AssertionError("an image vector reached the leaf-by-leaf search")
-
-    monkeypatch.setattr(moduli, "_recover_splits", search)
+def test_candidate_tree_decides_every_image_vector(rng):
+    """Every image vector comes back to its point: reconstruct has no other
+    path, so the candidate read off the quartets {1,2,i,j} is certified on
+    its own."""
     points = [ModuliPoint.of(n, {}) for n in (4, 5, 9)]  # the zero vectors
     points += [ray_point(4, side, Fraction(7, 2)) for side in ((3, 4), (2, 4), (2, 3))]
     points += [  # a single split
@@ -312,28 +268,38 @@ def _near_images(rng, image, n):
     return [flipped, zeroed, shrunk]
 
 
-def test_near_image_vectors_reach_the_search(rng, monkeypatch):
-    """A vector reaches the leaf-by-leaf search exactly when it is off the
-    image, and then gets the exhaustive scan's outcome."""
-    recover_splits = moduli._recover_splits
-    searched = []
-
-    def counted(*args):
-        searched.append(args)
-        return recover_splits(*args)
-
-    monkeypatch.setattr(moduli, "_recover_splits", counted)
-    off_image = 0
-    for n in (5, 6, 7, 8):
+def test_reconstruct_matches_exhaustive_scan_near_the_image(rng):
+    """The same point, or the same NotInImage, as scanning every
+    bipartition, on images and on vectors just outside the image; off the
+    image the message names a quartet not of the form (0, m, +-m) or the
+    re-embedding, and both occur."""
+    refusals = []
+    for n in range(4, 10):
         for _ in range(25):
             image = list(embed(random_tree_point(rng, n, dim=rng.randint(0, n - 3))).entries)
             for vector in [image, *_near_images(rng, image, n)]:
-                searched.clear()
                 outcome = _outcome(reconstruct, vector, n)
                 assert outcome == _outcome(oracles.exhaustive_reconstruct, vector, n)
-                assert bool(searched) == isinstance(outcome, str)
-                off_image += bool(searched)
-    assert off_image > 200
+                if isinstance(outcome, str):
+                    refusals.append(outcome if outcome == REFUSED else outcome[:21])
+    assert len(refusals) > 200
+    assert set(refusals) == {REFUSED, "NotInImage: quartet ("}
+
+
+def test_reconstruct_names_the_first_quartet_not_of_the_form():
+    """Two quartets not of the form (0, m, +-m), either one first: the vector
+    is refused at the first in coordinate order, with the exhaustive scan's
+    message.  No zero, two zeros and unequal sizes each break the form."""
+    image = list(embed(ModuliPoint.of(6, {(5, 6): 1, (4, 5, 6): Fraction(1, 3)})).entries)
+    quartets = list(itertools.combinations(range(1, 7), 4))
+    for bad in ((1, 1, 1), (0, 0, 2), (0, 1, 2), (-3, 0, 1)):
+        for q, r in ((2, 11), (11, 2)):
+            vector = list(image)
+            vector[3 * q : 3 * q + 3] = map(Fraction, bad)
+            vector[3 * r : 3 * r + 3] = map(Fraction, (2, -2, 2))
+            outcome = _outcome(reconstruct, vector, 6)
+            assert outcome.startswith(f"NotInImage: quartet {quartets[2]}: ")
+            assert outcome == _outcome(oracles.exhaustive_reconstruct, vector, 6)
 
 
 def test_link_graph_is_petersen():

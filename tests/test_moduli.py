@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from tropmod import moduli
 from tropmod.errors import IncompatibleSplit, NotInImage
 from tropmod.moduli import (
     EmbeddingVector,
@@ -268,19 +269,52 @@ def _near_images(rng, image, n):
     return [flipped, zeroed, shrunk]
 
 
-def test_reconstruct_matches_exhaustive_scan_near_the_image(rng):
-    """The same point, or the same NotInImage, as scanning every
-    bipartition, on images and on vectors just outside the image; off the
-    image the message names a quartet not of the form (0, m, +-m) or the
+def _candidate_outcome(vector, n):
+    """The candidate's sides (without leaf 1) and lengths, as the oracle's."""
+    denominator, scaled = moduli._over_common_denominator(vector)
+    found = moduli._candidate_splits(scaled, n)
+    return {tuple(sorted(s.side)): Fraction(least, denominator) for s, least in found.items()}
+
+
+def test_leaf_by_leaf_recovery_matches_exhaustive_scan(rng):
+    """The splits read leaf by leaf off the quartets {1,2,i,j} are those of
+    scanning every bipartition, with the same lengths, on images; and
+    reconstruct gives the same point, or the same NotInImage, as the scan on
+    images and on vectors just outside the image: one quartet's topology
+    flipped, zeroed or its value shrunk."""
+    for n in range(4, 10):
+        for _ in range(25):
+            image = list(embed(random_tree_point(rng, n, dim=rng.randint(0, n - 3))).entries)
+            assert _candidate_outcome(image, n) == oracles.exhaustive_splits(image, n)
+            for vector in [image, *_near_images(rng, image, n)]:
+                assert _outcome(reconstruct, vector, n) == _outcome(
+                    oracles.exhaustive_reconstruct, vector, n
+                )
+
+
+def test_near_image_vectors_reach_the_search(rng, monkeypatch):
+    """A vector reaches the search for its refusal (``_refusal``) exactly
+    when it is off the image, and then gets the exhaustive scan's outcome;
+    the message names a quartet not of the form (0, m, +-m) or the
     re-embedding, and both occur."""
+    refusal = moduli._refusal
+    searched = []
+
+    def counted(*args):
+        searched.append(args)
+        return refusal(*args)
+
+    monkeypatch.setattr(moduli, "_refusal", counted)
     refusals = []
     for n in range(4, 10):
         for _ in range(25):
             image = list(embed(random_tree_point(rng, n, dim=rng.randint(0, n - 3))).entries)
             for vector in [image, *_near_images(rng, image, n)]:
+                searched.clear()
                 outcome = _outcome(reconstruct, vector, n)
                 assert outcome == _outcome(oracles.exhaustive_reconstruct, vector, n)
-                if isinstance(outcome, str):
+                assert bool(searched) == isinstance(outcome, str)
+                if searched:
                     refusals.append(outcome if outcome == REFUSED else outcome[:21])
     assert len(refusals) > 200
     assert set(refusals) == {REFUSED, "NotInImage: quartet ("}

@@ -14,7 +14,6 @@ from .errors import (
     NotCodimensionOne,
     NotInImage,
     NotPure,
-    RankDeficient,
     SplitAbsent,
     TooFewLeaves,
     TropmodError,

@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from decimal import Decimal
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _string
 from math import comb
@@ -39,7 +38,8 @@ EXIT_CERTIFICATE = 2
 # It also bounds the N = 3·C(n,4) entries of the dense vectors that embed,
 # export embed and check balancing --fan build, checked on the file's "n"
 # before the rest is read: at n = 81 the 4,991,220 pass, at n = 82 the
-# 5,247,180 do not.
+# 5,247,180 do not.  forget, section and decompose, which build no vector,
+# refuse on "n" a point of more labels than that.
 MAX_TYPES = 5_000_000
 
 
@@ -273,31 +273,30 @@ def _count_within_limit(n: int, *dims: int) -> int:
     """
     floor = sum(comb(n - 3, dim) for dim in dims if 0 <= dim <= n - 3)
     if floor > MAX_TYPES:
-        _refuse_types("at least ", floor, n)
+        _refuse("at least ", floor, "combinatorial types", n)
     count = sum(trees._count_types(n, dim) for dim in dims)
     if count > MAX_TYPES:
-        _refuse_types("", count, n)
+        _refuse("", count, "combinatorial types", n)
     return count
 
 
-def _refuse_types(prefix: str, count: int, n: int) -> None:
-    try:
-        text = str(count)
-    except ValueError:  # more digits than int-to-str conversion allows
-        text = f"a {Decimal(count).adjusted() + 1}-digit number of"
+def _refuse(prefix: str, count: int, what: str, n: int) -> None:
     raise UsageError(
-        f"{prefix}{text} combinatorial types at n = {n} exceed the limit of {MAX_TYPES}"
+        f"{prefix}{_shown(count, str)} {what} at n = {_shown(n, str)}"
+        f" exceed the limit of {MAX_TYPES}"
     )
 
 
-def _read_within_limit(path: str, read):
-    """Read a point or fan file, refusing first a dense vector on its n
-    leaves of more than ``MAX_TYPES`` entries: reading makes the n labels."""
+def _read_within_limit(path: str, read, dense: bool = False):
+    """Read a point or fan file, refusing first on its "n" what a command
+    builds from it past ``MAX_TYPES``: reading makes the n labels, and a
+    ``dense`` vector on them has 3·C(n,4) entries."""
     obj = _load_json(path)
     n = obj.get("n") if isinstance(obj, dict) else None
-    size = 3 * comb(n, 4) if type(n) is int and n >= 0 else 0
-    if size > MAX_TYPES:
-        raise UsageError(f"{size} embedding coordinates at n = {n} exceed the limit of {MAX_TYPES}")
+    if type(n) is int and n >= 0:
+        size, what = (3 * comb(n, 4), "embedding coordinates") if dense else (n, "labels")
+        if size > MAX_TYPES:
+            _refuse("", size, what, n)
     return read(obj)
 
 
@@ -322,7 +321,7 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_embed(args, out) -> int:
-    point = _read_within_limit(args.point, serialization.point_from_json)
+    point = _read_within_limit(args.point, serialization.point_from_json, dense=True)
     vector = moduli.embed(point)
     if args.format == "text":
         # every distinct entry is formatted before the first line is written,
@@ -353,7 +352,7 @@ def _cmd_check(args, out) -> int:
     if args.what == "balancing":
         if args.fan is not None:
             reports = divisors._face_reports(
-                _read_within_limit(args.fan, serialization.fan_from_json)
+                _read_within_limit(args.fan, serialization.fan_from_json, dense=True)
             )
         else:
             reports = divisors._moduli_reports(args.n)
@@ -392,7 +391,7 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_forget(args, out) -> int:
-    point = serialization.point_from_json(_load_json(args.point))
+    point = _read_within_limit(args.point, serialization.point_from_json)
     image = maps.forget(point, args.j)
     if args.relabel:
         image = maps.relabel(image)
@@ -401,13 +400,13 @@ def _cmd_forget(args, out) -> int:
 
 
 def _cmd_section(args, out) -> int:
-    point = serialization.point_from_json(_load_json(args.point))
+    point = _read_within_limit(args.point, serialization.point_from_json)
     _dump(serialization.point_to_json(maps.section(point, args.k)), out)
     return EXIT_OK
 
 
 def _cmd_decompose(args, out) -> int:
-    point = serialization.point_from_json(_load_json(args.point))
+    point = _read_within_limit(args.point, serialization.point_from_json)
     _dump(serialization.decomposition_to_json(maps.decompose_boundary(point)), out)
     return EXIT_OK
 
@@ -441,7 +440,7 @@ def _cmd_export(args, out) -> int:
         _count_within_limit(args.n, args.n - 3)
         text = _render(serialization.fan_to_json(divisors.moduli_fan(args.n))) + "\n"
     else:  # embed
-        point = _read_within_limit(args.point, serialization.point_from_json)
+        point = _read_within_limit(args.point, serialization.point_from_json, dense=True)
         text = _render(serialization.vector_to_json(moduli.embed(point))) + "\n"
 
     if args.output:

@@ -18,11 +18,13 @@ field per coordinate, so the weighted sum, the recombination and their
 comparison are a few big-integer operations.  With W the sum of the adjacent
 weights and d the number of face splits, every entry of either vector is at
 most W * (d + 1) in size, and the fields are whole bytes wide enough to
-hold that.  Reports are built one face at a time, so the command line
-writes each as it is solved: ``_balance_at`` solves a face, and a face
-whose partition this run has already decided is reported without a solve
-(see below).  A report keeps what the solve decided: the face, the extra
-split of each adjacent facet and its weight, coefficients and minor.  Each
+hold that; each split's packed direction is made once per width.  One
+function, ``_balance_at``, decides a face's coefficients (None when it is
+unbalanced), and each stream builds its reports from them one face at a
+time, so the command line writes each as it is solved; a face whose
+partition this run has already decided is reported without a solve (see
+below).  A report keeps what was decided: the face, the extra split of
+each adjacent facet and its weight, coefficients and minor.  Each
 adjacent facet is the face plus its extra split, so each adjacent cone,
 direction and the weighted sum are read off the extra splits when asked
 for.  A face's splits are a tuple in key order, the order of its
@@ -285,27 +287,9 @@ def _field_width(bound: int) -> int:
     return -(-(bound.bit_length() + 1) // 8) * 8  # 2^(width-1) > bound
 
 
-# packed directions by (n, field width), then by side mask
-_packed: Dict[Tuple[int, int], Dict[int, int]] = {}
-
-
+@lru_cache(maxsize=None)
 def _packed_direction(split: Split, width: int) -> int:
-    """The direction of a split as sum(entry_i << (width * i)).
-
-    Cached under ints, so a lookup hashes no ``Split``.
-    """
-    key = (len(split.labels), width)
-    table = _packed.get(key)
-    if table is None:
-        table = _packed[key] = {}
-    mask = split.mask
-    packed = table.get(mask)
-    if packed is None:
-        packed = table[mask] = _pack(split, width)
-    return packed
-
-
-def _pack(split: Split, width: int) -> int:
+    """The direction of a split as sum(entry_i << (width * i))."""
     step = width // 8
     plus = bytearray(3 * comb(split.n, 4) * step)
     minus = bytearray(len(plus))
@@ -334,17 +318,15 @@ def _balance_at(
     extras: Tuple[Split, ...],
     weights: Tuple[int, ...],
     witness: Optional[Tuple[int, ...]] = None,
-    unimodular: Optional[bool] = None,
-    minor: Optional[Tuple[int, ...]] = None,
-) -> BalancingReport:
-    """The report at a face, given the extra splits of its adjacent facets in
-    key order and their weights.  A smoothness check also passes whether its minor has
-    determinant +-1, and that minor (None when it has not).  A given
-    witness, entries at most W in size, is tried first; if it fails, or
-    none was given, the coefficients are read off the packed weighted sum
-    at the isolating coordinates.  They are unique, so the verdict is the
-    same.  The report keeps the extra splits, weights and coefficients; no
-    dense vector is unpacked.
+) -> Optional[Tuple[int, ...]]:
+    """The coefficients (face-split order) that recombine the face's
+    directions into the weighted sum of its adjacent directions, given the
+    extra splits of its adjacent facets in key order and their weights, or
+    None when the face is unbalanced.  A given witness, entries at most W
+    in size, is tried first; if it fails, or none was given, the
+    coefficients are read off the packed weighted sum at the isolating
+    coordinates.  They are unique, so the verdict is the same.  No dense
+    vector is unpacked.
 
     Let W be the sum of the adjacent weights and d the number of face
     splits.  Directions have entries in {-1, 0, 1}, so each sum entry is at
@@ -358,21 +340,16 @@ def _balance_at(
     total = 0
     for extra, weight in zip(extras, weights):
         total += weight * _packed_direction(extra, width)
-    balanced = witness is not None and total == _recombine(splits, witness, width)
-    if not balanced:
-        # biased, every field is a digit in [0, 2^width): no borrow crosses one
-        biased = total + _field_bias(width, 3 * comb(face.n, 4))
-        field, half = (1 << width) - 1, 1 << (width - 1)
-        witness = tuple(
-            sign * (((biased >> (width * i)) & field) - half)
-            for i, sign in _isolating_coordinates(face)
-        )
-        balanced = total == _recombine(splits, witness, width)
-    smooth = None if unimodular is None else balanced and unimodular
-    # positional: keywords cost a measurable share of a moduli-fan face
-    return BalancingReport(
-        face, extras, weights, balanced, smooth, witness if balanced else None, minor
+    if witness is not None and total == _recombine(splits, witness, width):
+        return witness
+    # biased, every field is a digit in [0, 2^width): no borrow crosses one
+    biased = total + _field_bias(width, 3 * comb(face.n, 4))
+    field, half = (1 << width) - 1, 1 << (width - 1)
+    witness = tuple(
+        sign * (((biased >> (width * i)) & field) - half)
+        for i, sign in _isolating_coordinates(face)
     )
+    return witness if total == _recombine(splits, witness, width) else None
 
 
 def _face_reports(fan: WeightedFan) -> Iterator[BalancingReport]:
@@ -386,7 +363,8 @@ def _face_reports(fan: WeightedFan) -> Iterator[BalancingReport]:
         # every adjacent cone is the face plus its extra split, so this is
         # also the order of (cone.key, extra_split.key)
         extras, weights = zip(*sorted(faces[face], key=lambda sw: sw[0].key))
-        yield _balance_at(face, extras, weights)
+        witness = _balance_at(face, extras, weights)
+        yield BalancingReport(face, extras, weights, witness is not None, None, witness)
 
 
 def check_balanced(fan: WeightedFan) -> List[BalancingReport]:
@@ -483,9 +461,15 @@ def _vertex_report(
     splits = tau.splits
     if entry is None:
         extras = _resolution_splits(tau.labels, blocks)
+        tried = _local_witness(splits, branches, coefficient)
+        witness = _balance_at(tau, extras, _unit_weights(len(extras)), tried)
+        # the coefficients are unique, so they equal the witness tried iff it passed
+        if witness == tried:
+            decided[partition] = (extras, *[s.mask for s, c in zip(splits, tried) if c])
     else:
         extras, on_vertex = entry[0], entry[1:]
-    unimodular = minor = None
+        witness = tuple([coefficient if s.mask in on_vertex else 0 for s in splits])
+    verdict = minor = None
     if smooth:
         coordinates = _isolating_coordinates(tau)
         base = _quartet_bases(n)[sum(m & -m for m in branches)]
@@ -493,18 +477,13 @@ def _vertex_report(
         # the first two adjacent directions: the extras are in key order
         rows = [_split_direction(s) for s in (*splits, *extras[:2])]
         signs = [sign for _, sign in coordinates]
-        unimodular = abs(_minor_determinant(rows, columns, signs)) == 1
-        minor = columns if unimodular else None
-    weights = _unit_weights(len(extras))
-    if entry is not None:
-        witness = tuple([coefficient if s.mask in on_vertex else 0 for s in splits])
-        return BalancingReport(tau, extras, weights, True, unimodular, witness, minor)
-    witness = _local_witness(splits, branches, coefficient)
-    report = _balance_at(tau, extras, weights, witness, unimodular, minor)
-    # the coefficients are unique, so they equal the witness tried iff it passed
-    if report.witness == witness:
-        decided[partition] = (report.extra_splits, *[s.mask for s, c in zip(splits, witness) if c])
-    return report
+        if abs(_minor_determinant(rows, columns, signs)) == 1:
+            minor = columns
+        verdict = witness is not None and minor is not None
+    # positional: keywords cost a measurable share of a moduli-fan face
+    return BalancingReport(
+        tau, extras, _unit_weights(len(extras)), witness is not None, verdict, witness, minor
+    )
 
 
 def _moduli_reports(n: int, smooth: bool = False) -> Iterator[BalancingReport]:

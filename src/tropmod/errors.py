@@ -1,10 +1,17 @@
 """Exception types shared across the package, and how their messages show a value."""
 
+from decimal import Decimal
+
 
 def _shown(value, form=repr) -> str:
     """The repr (or another ``form``) of a value for an error message: at
-    most its first 40 characters, then its length when it is longer."""
-    text = form(value)
+    most its first 40 characters, then its length when it is longer.  An
+    int with more digits than int-to-str conversion allows is written out
+    by ``Decimal``, so it is shown the same way."""
+    try:
+        text = form(value)
+    except ValueError:
+        text = str(Decimal(value))
     if len(text) > 40:
         text = f"{text[:40]}... ({len(text)} characters)"
     return text
@@ -20,10 +27,6 @@ class ZeroVector(TropmodError):
 
 class DimensionMismatch(TropmodError):
     """Vector / matrix dimensions do not agree."""
-
-
-class RankDeficient(TropmodError):
-    """Matrix rows are linearly dependent where independence is required."""
 
 
 class SplitAbsent(TropmodError):

@@ -187,7 +187,7 @@ class ModuliPoint(Value):
 def _check_coordinates(n: int, entries: Sequence) -> None:
     expected = 3 * comb(n, 4)
     if len(entries) != expected:
-        raise ValueError(f"expected {expected} coordinates for n = {n}")
+        raise ValueError(f"expected {_shown(expected, str)} coordinates for n = {_shown(n, str)}")
 
 
 class EmbeddingVector(Value):

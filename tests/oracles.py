@@ -27,7 +27,7 @@ from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from tropmod.divisors import BalancingReport, _determinant, _isolating_coordinates
-from tropmod.errors import DimensionMismatch, IncompatibleSplit, NotInImage, RankDeficient
+from tropmod.errors import DimensionMismatch, IncompatibleSplit, NotInImage, TropmodError
 from tropmod.maps import BoundaryDecomposition
 from tropmod.moduli import (
     ModuliPoint,
@@ -497,6 +497,11 @@ def bareiss_smooth_report(
 # Matrices are sequences of equal-length integer rows.  Everything runs over
 # Python's arbitrary-precision integers; pivoting always picks a smallest
 # nonzero entry to keep intermediate growth down.
+
+
+class RankDeficient(TropmodError):
+    """Matrix rows are linearly dependent where independence is required."""
+
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 

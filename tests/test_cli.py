@@ -104,6 +104,7 @@ def test_refuses_more_types_than_the_limit_before_making_any(monkeypatch, capsys
 )
 def test_type_limit_names_an_unprintable_count_by_its_digits(capsys):
     count = trees._count_types(300, 296)
+    digits = str(count)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -115,7 +116,7 @@ def test_type_limit_names_an_unprintable_count_by_its_digits(capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE and out == ""
     assert err == (
-        f"error: a {len(str(count))}-digit number of combinatorial types at n = 300"
+        f"error: {digits[:40]}... ({len(digits)} characters) combinatorial types at n = 300"
         " exceed the limit of 5000000\n"
     )
 
@@ -131,11 +132,13 @@ def test_huge_mid_range_requests_are_refused_on_a_lower_bound_at_once(monkeypatc
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code == EXIT_USAGE and out == "" and elapsed < 0.2
+    floor = str(floor)
     assert err == (
-        f"error: at least {floor} combinatorial types at n = 2000 exceed the limit of 5000000\n"
+        f"error: at least {floor[:40]}... ({len(floor)} characters) combinatorial types"
+        " at n = 2000 exceed the limit of 5000000\n"
     )
     if hasattr(sys, "set_int_max_str_digits"):
-        digits = len(str(comb(3997, 2000)))
+        digits = str(comb(3997, 2000))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
@@ -143,9 +146,9 @@ def test_huge_mid_range_requests_are_refused_on_a_lower_bound_at_once(monkeypatc
         finally:
             sys.set_int_max_str_digits(limit)
         err = capsys.readouterr().err
-        assert code == EXIT_USAGE and out == "" and digits > 640
+        assert code == EXIT_USAGE and out == "" and len(digits) > 640
         assert err == (
-            f"error: at least a {digits}-digit number of combinatorial types"
+            f"error: at least {digits[:40]}... ({len(digits)} characters) combinatorial types"
             " at n = 4000 exceed the limit of 5000000\n"
         )
 
@@ -192,8 +195,81 @@ def test_fan_past_the_limit_is_refused_before_its_labels_are_made(tmp_path, monk
     code, out = run(["check", "balancing", "--fan", str(path)])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE and out == ""
-    size = 3 * comb(n, 4)
-    assert err == f"error: {size} embedding coordinates at n = {n} exceed the limit of 5000000\n"
+    size = str(3 * comb(n, 4))
+    assert err == (
+        f"error: {size[:40]}... ({len(size)} characters) embedding coordinates at n = {n}"
+        " exceed the limit of 5000000\n"
+    )
+
+
+def _cut(value):
+    """An int as an error line shows it: in full up to 40 characters, else
+    its first 40 and its length, printed here past the int-to-str limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+@pytest.mark.parametrize("n", [10**12, int("7" * 1100)], ids=["n-10^12", "n-1100-digits"])
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["forget", "--j", "2", "--point"], lambda n: n),
+        (["section", "--k", "2", "--point"], lambda n: n),
+        (["decompose", "--point"], lambda n: n),
+        (["embed", "--point"], lambda n: 3 * comb(n, 4)),
+    ],
+    ids=["forget", "section", "decompose", "embed"],
+)
+def test_a_point_past_the_limit_is_refused_on_its_n_in_one_short_line(
+    tmp_path, monkeypatch, capsys, argv, size, n
+):
+    # reading the point makes its n labels, so every command refuses it on
+    # its "n" first: the maps on the n labels, embed on the 3·C(n,4)
+    # coordinates, which at 1,100 digits of n are past the int-to-str limit
+    def refuse(*args, **kwargs):
+        raise AssertionError("the point was read")
+
+    monkeypatch.setattr(serialization, "point_from_json", refuse)
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"n": n, "splits": []}))
+    code, out = run(argv + [str(path)])
+    err = capsys.readouterr().err
+    what = "labels" if argv[0] != "embed" else "embedding coordinates"
+    assert code == EXIT_USAGE and out == ""
+    assert err == (
+        f"error: {_cut(size(n))} {what} at n = {_cut(n)} exceed the limit of 5000000\n"
+    )
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--dim", "1", "--n"],
+        ["check", "balancing", "--n"],
+        ["check", "psi", "--k", "1", "--n"],
+        ["export", "link", "--n"],
+        ["reconstruct", "--vector", str(Path(__file__).with_name("vector_n6_off.json")), "--n"],
+    ],
+    ids=["enumerate", "check-balancing", "check-psi", "export-link", "reconstruct"],
+)
+@pytest.mark.parametrize("digits", [300, 1200])
+def test_a_long_n_and_the_counts_made_from_it_are_shortened(capsys, argv, digits):
+    # the counts made from n have up to 4 * 1,200 digits, past the
+    # int-to-str limit, and are shown as an int of 40 digits would be
+    n = int("7" * digits)
+    code, out = run(argv + [str(n)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+    assert f"n = {'7' * 40}... ({digits} characters)" in err
+    if argv[0] == "reconstruct":
+        assert err == f"error: expected {_cut(3 * comb(n, 4))} coordinates for n = {_cut(n)}\n"
 
 
 POINT_N13 = str(Path(__file__).with_name("point_n13.json"))

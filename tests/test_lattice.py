@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from tropmod.errors import DimensionMismatch, RankDeficient, ZeroVector
+from tropmod.errors import DimensionMismatch, ZeroVector
 from tropmod.lattice import primitive
 
 import oracles
 from oracles import (
+    RankDeficient,
     hermite_normal_form,
     in_integer_span,
     in_rational_span,

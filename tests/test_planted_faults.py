@@ -49,7 +49,17 @@ def test_minor_of_determinant_two_is_not_smooth(monkeypatch):
     assert out.splitlines() == lines
 
 
-def test_flipped_sign_fails_exactly_the_partitions_that_use_the_split(monkeypatch):
+@pytest.fixture
+def fresh_packed():
+    """Packed directions are cached by split: a test that plants a fault in
+    a direction clears the cache so the fault reaches the solve, and the
+    cache is cleared again when the test ends, so no faulty entry outlives it."""
+    divisors._packed_direction.cache_clear()
+    yield
+    divisors._packed_direction.cache_clear()
+
+
+def test_flipped_sign_fails_exactly_the_partitions_that_use_the_split(monkeypatch, fresh_packed):
     argv = ["check", "balancing", "--n", "7"]
     # the clean run first: a partition it decided must not pass in the next run
     code, expected = run(argv)
@@ -65,9 +75,9 @@ def test_flipped_sign_fails_exactly_the_partitions_that_use_the_split(monkeypatc
         return ((i, -x), *rest)
 
     monkeypatch.setattr(divisors, "_split_support", planted)
-    # packed directions are cached by mask: start from none, so the fault
-    # reaches the solve; the clean cache comes back when the test ends
-    monkeypatch.setattr(divisors, "_packed", {})
+    # the clean run cached every direction: start from none, so the fault
+    # reaches the solve
+    divisors._packed_direction.cache_clear()
     code, out = run(argv)
     assert code == EXIT_CERTIFICATE
     # a partition uses the split when its side is a union of blocks other
@@ -87,7 +97,9 @@ def test_flipped_sign_fails_exactly_the_partitions_that_use_the_split(monkeypatc
     assert out.splitlines() == lines
 
 
-def test_flipped_sign_fails_the_same_psi_faces_as_the_contract_listing(monkeypatch):
+def test_flipped_sign_fails_the_same_psi_faces_as_the_contract_listing(
+    monkeypatch, fresh_packed
+):
     argv = ["check", "psi", "--n", "7", "--k", "3"]
     # the clean run first: a partition it decided must not pass in the next run
     code, expected = run(argv)
@@ -103,7 +115,7 @@ def test_flipped_sign_fails_the_same_psi_faces_as_the_contract_listing(monkeypat
         return ((i, -x), *rest)
 
     monkeypatch.setattr(divisors, "_split_support", planted)
-    monkeypatch.setattr(divisors, "_packed", {})
+    divisors._packed_direction.cache_clear()
     code, out = run(argv)
     assert code == EXIT_CERTIFICATE
     # the listing contracts every psi cone and solves every face, with no
@@ -119,6 +131,41 @@ def test_flipped_sign_fails_the_same_psi_faces_as_the_contract_listing(monkeypat
             lines[i] = lines[i].replace(", balanced", ", UNBALANCED")
     lines[-1] = "CERTIFICATE FAILED"
     assert out.splitlines() == lines
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_planted_wrong_extra_split_is_unbalanced_and_not_smooth(monkeypatch, fmt):
+    argv = ["check", "smooth", "--n", "6", "--format", fmt]
+    code, expected = run(argv)
+    assert code == EXIT_OK
+    balance_at = divisors._balance_at
+    planted = []
+
+    def wrong_extra(face, extras, *rest):
+        # at face {23,56}, the first of its partition, the last adjacent
+        # cone takes the first one's extra split; its minor stays unimodular
+        if face.text == "{23,56}":
+            planted.append(face)
+            extras = extras[:-1] + extras[:1]
+        return balance_at(face, extras, *rest)
+
+    monkeypatch.setattr(divisors, "_balance_at", wrong_extra)
+    code, out = run(argv)
+    assert code == EXIT_CERTIFICATE and len(planted) == 1
+    if fmt == "text":
+        lines = expected.splitlines()
+        at = lines.index("codim-1 type {23,56}: 3 adjacent, balanced, smooth")
+        lines[at] = "codim-1 type {23,56}: 3 adjacent, UNBALANCED, NOT SMOOTH"
+        lines[-1] = "CERTIFICATE FAILED"
+        assert out.splitlines() == lines
+    else:
+        before, after = json.loads(expected), json.loads(out)
+        faces = [rep["face"] for rep in before["reports"]]
+        at = faces.index([[2, 3], [5, 6]])
+        assert before["reports"][at]["smooth"] is True
+        before["reports"][at].update(balanced=False, smooth=False, witness=None)
+        before["all_passed"] = False
+        assert after == before
 
 
 def test_field_one_byte_short_is_caught_by_the_dense_oracle(monkeypatch):

@@ -4,13 +4,15 @@ Each kind of check and each export target takes only the flags it reads,
 written after it: check balancing (--n N | --fan FILE), check smooth --n N
 and check psi --n N --k K, each with [--format text|json]; export link --n N
 [--format dot|json], export fan --n N and export embed --point FILE, each
-with [--output FILE].  A missing flag, or one the kind does not read, is a
-usage error.
+with [--output FILE], which only picks where the bytes go and is opened once
+the request is checked and read.  A missing flag, or one the kind does not
+read, is a usage error.
 
 Exit codes: 0 on success, 1 on usage or input errors (a request for more
 than ``MAX_TYPES`` types or vector entries among them) or when a reader
-closes stdout early, 2 when a requested certificate fails.  Output ordering
-is canonical, so runs are byte-for-byte reproducible.
+closes stdout early, 2 when a requested certificate fails.  Every command
+writes the types and cones it makes as it makes them and keeps none of
+them, in canonical order, so runs are byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _string
 from math import comb
 from typing import Dict, Optional, Sequence
@@ -267,11 +269,16 @@ def build_parser() -> _Parser:
 def _count_within_limit(n: int, *dims: int) -> int:
     """The number of types on {1..n} of these dimensions, refused past ``MAX_TYPES``.
 
-    Every set of ``dim`` splits of one facet is a type, so comb(n - 3, dim)
-    bounds the count from below.  It is checked first, because the exact
-    count takes O(n * dim) big-integer products.
+    Lower bounds come first, as the exact count takes O(n * dim) big-integer
+    products: every set of ``dim`` splits of one facet is a type, so
+    comb(n - 3, dim); and past 2^12 labels, where neither is cheap, each type
+    of d >= 1 splits holds d of the 2^(n-1) - n - 1 >= 2^(n-2) rays, each ray
+    lies in one, so 2^(n-2) / d >= 2^(n - 2 - d.bit_length()), past 2^4000.
     """
-    floor = sum(comb(n - 3, dim) for dim in dims if 0 <= dim <= n - 3)
+    dims = [dim for dim in dims if 0 <= dim <= n - 3]
+    if n > 2**12 and any(dims):
+        _refuse("at least 2^", n - 2 - max(dims).bit_length(), "combinatorial types", n)
+    floor = sum(comb(n - 3, dim) for dim in dims)
     if floor > MAX_TYPES:
         _refuse("at least ", floor, "combinatorial types", n)
     count = sum(trees._count_types(n, dim) for dim in dims)
@@ -411,14 +418,12 @@ def _cmd_decompose(args, out) -> int:
     return EXIT_OK
 
 
-def _link_dot(graph: moduli.LinkGraph) -> str:
-    names = [ray.splits[0].text for ray in graph.vertices]
-    lines = [f"graph link_n{graph.n} {{"]
-    lines += [f'  "{name}";' for name in names]
-    for (a, b), quadrant in zip(graph.edges, graph.quadrants):
-        lines.append(f'  "{names[a]}" -- "{names[b]}"; // {quadrant.text}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _write_dot(n: int, rays, edges, out) -> None:
+    names = [ray.splits[0].text for ray in rays]
+    out.write(f"graph link_n{n} {{\n" + "".join(f'  "{name}";\n' for name in names))
+    for (a, b), quadrant in edges:
+        out.write(f'  "{names[a]}" -- "{names[b]}"; // {quadrant.text}\n')
+    out.write("}\n")
 
 
 def _cmd_export(args, out) -> int:
@@ -426,31 +431,32 @@ def _cmd_export(args, out) -> int:
         if args.n < 5:
             raise UsageError("export link needs --n >= 5")
         _count_within_limit(args.n, 1, 2)
-        graph = moduli.link_graph(args.n)
+        rays = trees.enumerate_types(args.n, 1)
+        edges = moduli._link_edges(args.n, rays)
         if args.format == "dot":
-            text = _link_dot(graph)
+            write = partial(_write_dot, args.n, rays, edges)
         else:
-            payload = {
-                "n": args.n,
-                "vertices": [serialization.type_to_json(t) for t in graph.vertices],
-                "edges": [list(edge) for edge in graph.edges],
-            }
-            text = _render(payload) + "\n"
+            vertices = map(serialization.type_to_json, rays)
+            edges = (edge for edge, _ in edges)
+            write = partial(_dump, {"n": args.n, "vertices": vertices, "edges": edges})
     elif args.target == "fan":
+        if args.n < 4:
+            raise UsageError("the moduli fan needs n >= 4")
         _count_within_limit(args.n, args.n - 3)
-        text = _render(serialization.fan_to_json(divisors.moduli_fan(args.n))) + "\n"
-    else:  # embed
+        cones = (serialization._cone_json(t, 1) for t in trees._stream_types(args.n, args.n - 3))
+        write = partial(_dump, {"n": args.n, "dim": args.n - 3, "cones": cones})
+    else:  # embed's JSON branch
         point = _read_within_limit(args.point, serialization.point_from_json, dense=True)
-        text = _render(serialization.vector_to_json(moduli.embed(point))) + "\n"
+        write = partial(_dump, serialization.vector_to_json(moduli.embed(point)))
 
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                write(handle)
         except OSError as exc:
             raise UsageError(f"cannot write {args.output}: {exc}")
     else:
-        out.write(text)
+        write(out)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._value import Value, _set
 from .errors import IncompatibleSplit, NotInImage, _shown
@@ -550,13 +550,18 @@ class LinkGraph(Value):
         return tuple(deg)
 
 
+def _link_edges(n: int, rays: Sequence[CombinatorialType]) -> Iterator[tuple]:
+    """Each two-split type on 1..n in stream order, with its rays' positions in ``rays``."""
+    position = {ray.key[0]: i for i, ray in enumerate(rays)}
+    for quadrant in _stream_types(n, 2):
+        yield tuple(position[k] for k in quadrant.key), quadrant
+
+
 def link_graph(n: int) -> LinkGraph:
     """Vertices: one-split types; edges: two-split types, in stream order,
     each joining its two splits' rays (so in key order, as the rays are)."""
     if n < 5:
         raise ValueError("the link graph needs n >= 5")
     rays = enumerate_types(n, 1)
-    position = {ray.key[0]: i for i, ray in enumerate(rays)}
-    quadrants = tuple(_stream_types(n, 2))
-    edges = tuple(tuple(position[k] for k in quadrant.key) for quadrant in quadrants)
+    edges, quadrants = zip(*_link_edges(n, rays))
     return LinkGraph(n=n, vertices=rays, edges=edges, quadrants=quadrants)

@@ -127,8 +127,12 @@ def fan_to_json(fan: WeightedFan) -> dict:
     return {
         "n": fan.n,
         "dim": fan.dim,
-        "cones": [{"splits": type_to_json(c), "weight": w} for c, w in fan.cones],
+        "cones": [_cone_json(c, w) for c, w in fan.cones],
     }
+
+
+def _cone_json(cone: CombinatorialType, weight: int) -> dict:
+    return {"splits": type_to_json(cone), "weight": weight}
 
 
 def fan_from_json(obj: dict) -> WeightedFan:

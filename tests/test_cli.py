@@ -153,6 +153,40 @@ def test_huge_mid_range_requests_are_refused_on_a_lower_bound_at_once(monkeypatc
         )
 
 
+@pytest.mark.parametrize(
+    "argv, power, n",
+    [
+        (["enumerate", "--n", "2000000", "--dim", "1000000"], 1999978, 2000000),
+        (["enumerate", "--n", "1000000", "--dim", "1"], 999997, 1000000),
+        (["check", "balancing", "--n", "5000000"], 4999975, 5000000),
+    ],
+    ids=["enumerate-mid-dim", "enumerate-rays", "check-balancing"],
+)
+def test_many_labels_are_refused_on_the_ray_bound_at_once(monkeypatch, capsys, argv, power, n):
+    # each floor comb(n - 3, dim) or exact count here once ran past 10 s
+    def refuse(*args):
+        raise AssertionError("the exact count was taken")
+
+    monkeypatch.setattr(trees, "_count_types", refuse)
+    start = time.perf_counter()
+    code, out = run(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == "" and elapsed < 1
+    assert err == (
+        f"error: at least 2^{power} combinatorial types at n = {n} exceed the limit of 5000000\n"
+    )
+    assert len(err.encode()) < 200
+
+
+def test_the_ray_bound_is_a_lower_bound():
+    # c(n, d) >= (2^(n-1) - n - 1) / d >= 2^(n - 2 - d.bit_length()) for n >= 5
+    for n in range(5, 40):
+        for d in range(1, n - 2):
+            assert trees._count_types(n, d) >= 2 ** (n - 2 - d.bit_length())
+            assert trees._count_types(n, d) * d >= 2 ** (n - 1) - n - 1
+
+
 @pytest.mark.parametrize("n, size", [(82, 5247180), (200, 194054850)])
 @pytest.mark.parametrize(
     "argv",
@@ -529,6 +563,76 @@ def test_export_to_file(tmp_path):
     assert target.read_text().startswith("graph link_n5 {")
 
 
+def test_export_builds_no_fan_or_link_graph_and_writes_as_it_goes(monkeypatch):
+    # export streams its cones and edges as enumerate streams its types:
+    # no whole fan, link graph or output text is held
+    def refused(*args):
+        raise AssertionError("export built the whole fan or link graph")
+
+    monkeypatch.setattr(divisors, "moduli_fan", refused)
+    monkeypatch.setattr(serialization, "fan_to_json", refused)
+    monkeypatch.setattr(moduli, "link_graph", refused)
+
+    class Out(io.StringIO):
+        longest = 0
+
+        def write(self, text):
+            self.longest = max(self.longest, len(text))
+            return super().write(text)
+
+    for argv in (["fan", "--n", "7"], ["link", "--n", "7"], ["link", "--n", "7", "--format", "json"]):
+        out = Out()
+        assert main(["export", *argv], out=out) == EXIT_OK
+        assert out.longest * 20 < len(out.getvalue())
+    payload = json.loads(run(["export", "fan", "--n", "6"])[1])
+    assert (payload["n"], payload["dim"], len(payload["cones"])) == (6, 3, 105)
+    payload = json.loads(run(["export", "link", "--n", "6", "--format", "json"])[1])
+    assert (len(payload["vertices"]), len(payload["edges"])) == (25, 105)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fan", "--n", "6"], ["link", "--n", "6"], ["link", "--n", "6", "--format", "json"], ["embed"]],
+    ids=["fan", "link-dot", "link-json", "embed"],
+)
+def test_export_output_file_holds_the_bytes_of_stdout(tmp_path, argv):
+    if argv == ["embed"]:
+        argv = ["embed", "--point", write_point(tmp_path, ModuliPoint.of(6, {(4, 5): "3/2"}))]
+    code, out = run(["export", *argv])
+    assert code == EXIT_OK and out
+    target = tmp_path / "out.txt"
+    assert run(["export", *argv, "--output", str(target)]) == (EXIT_OK, "")
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fan", "--n", "11"], ["link", "--n", "4"], ["fan", "--n", "3"], ["embed", "--point", "absent"]],
+    ids=["fan-past-the-limit", "link-too-small", "fan-too-small", "embed-missing-point"],
+)
+def test_a_refused_export_creates_no_output_file(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a == "absent" else a for a in argv]
+    target = tmp_path / "out.txt"
+    code, out = run(["export", *argv, "--output", str(target)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == "" and not target.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_unwritable_output_is_one_cannot_write_line(tmp_path, capsys):
+    target = tmp_path / "absent" / "link.dot"
+    code, out = run(["export", "link", "--n", "5", "--output", str(target)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_export_embed_writes_the_bytes_of_embed(tmp_path):
+    path = write_point(tmp_path, ModuliPoint.of(7, {(4, 5): "3/2", (3, 4, 5): "inf"}))
+    code, out = run(["export", "embed", "--point", path])
+    assert code == EXIT_OK and (code, out) == run(["embed", "--point", path])
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -624,14 +728,23 @@ def test_deterministic_across_processes():
     assert len(outputs) == 1 and outputs.pop().startswith("{")
 
 
-@pytest.mark.parametrize("fmt, n, first", [("text", "8", b"face {"), ("json", "7", b"{")])
-def test_closed_stdout_ends_quietly_with_exit_1(fmt, n, first):
-    # `tropmod check ... | head -1`: both outputs are far larger than a pipe
-    # buffer, so the command is still writing when the reader goes
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        ("check balancing --n 8 --format text", b"face {"),
+        ("check balancing --n 7 --format json", b"{"),
+        ("export fan --n 8", b"{"),
+        ("export link --n 9", b"graph link_n9 {"),
+    ],
+    ids=["text-8-face {", "json-7-{", "export-fan-8", "export-link-9"],
+)
+def test_closed_stdout_ends_quietly_with_exit_1(argv, first):
+    # `tropmod ... | head -1`: every output is far larger than a pipe buffer,
+    # so the command is still writing when the reader goes
     import subprocess
 
     proc = subprocess.Popen(
-        [sys.executable, "-m", "tropmod.cli", "check", "balancing", "--n", n, "--format", fmt],
+        [sys.executable, "-m", "tropmod.cli", *argv.split()],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={"PATH": "", "PYTHONPATH": ":".join(sys.path)},

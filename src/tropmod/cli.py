@@ -274,10 +274,13 @@ def _count_within_limit(n: int, *dims: int) -> int:
     comb(n - 3, dim); and past 2^12 labels, where neither is cheap, each type
     of d >= 1 splits holds d of the 2^(n-1) - n - 1 >= 2^(n-2) rays, each ray
     lies in one, so 2^(n-2) / d >= 2^(n - 2 - d.bit_length()), past 2^4000.
+    Past ``MAX_TYPES`` labels, the one type of dimension 0 is refused too.
     """
     dims = [dim for dim in dims if 0 <= dim <= n - 3]
     if n > 2**12 and any(dims):
         _refuse("at least 2^", n - 2 - max(dims).bit_length(), "combinatorial types", n)
+    if n > MAX_TYPES:  # every type is made on the n labels
+        _refuse("", n, "labels", n)
     floor = sum(comb(n - 3, dim) for dim in dims)
     if floor > MAX_TYPES:
         _refuse("at least ", floor, "combinatorial types", n)

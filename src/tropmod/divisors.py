@@ -8,9 +8,10 @@ product structure of the moduli fan near such a face.
 
 Both are decided by closed-form witnesses.  Every split of a face has a
 quartet coordinate on which its direction is +-1 and every other face
-direction is 0, so the coefficients of any combination are forced and are
-integers: a vector is in the span (rational or integer alike) iff it equals
-the recombination with those coefficients.  Saturation is witnessed by a
+direction is 0, read off the face's vertices (``_isolating_coordinates``),
+so the coefficients of any combination are forced and are integers: a
+vector is in the span (rational or integer alike) iff it equals the
+recombination with those coefficients.  Saturation is witnessed by a
 square minor of determinant +-1.
 
 A face is solved on packed vectors: each direction is one int with a signed
@@ -46,10 +47,10 @@ or more in one branch, and none cuts it.  One packed equality checks the
 witness, and if it failed the isolating coordinates would decide, so no
 verdict rests on the identity.  The smoothness minor is block
 lower-triangular: each face row is its sign on its own isolating column and
-0 on the minor's other columns.  ``_minor_determinant`` checks that entry by
-entry and then takes the product of the signs times a 2x2 determinant on
-the quartet columns; otherwise Bareiss decides.  ``verify_witness``
-re-checks with Bareiss.
+0 on the minor's other columns.  ``_minor_determinant`` checks that on the
+split masks and takes the product of the signs times a 2x2 determinant on
+the quartet columns, each read off a ray; otherwise Bareiss decides on dense
+rows.  ``verify_witness`` re-checks with Bareiss.
 
 A psi divisor's faces are codimension-2 types streamed in key order
 (``_psi_reports``).  Its cones are the codimension-1 types whose 4-valent
@@ -87,8 +88,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from ._value import Value, _set
 from .errors import DimensionMismatch, NotCodimensionOne, NotPure, _shown
 from .moduli import (
-    _quartet_coordinate,
+    _RAYS,
     _quartet_bases,
+    _quartet_ray,
+    _quartets,
     _require_standard_labels,
     _split_direction,
     _split_support,
@@ -195,46 +198,38 @@ def moduli_fan(n: int) -> WeightedFan:
     return WeightedFan.of(n, tuple((t, 1) for t in _stream_types(n, n - 3)))
 
 
-def _isolating_coordinates(face: CombinatorialType) -> List[Tuple[int, int]]:
+def _isolating_coordinates(
+    face: CombinatorialType, vertices: Optional[tuple] = None
+) -> List[Tuple[int, int]]:
     """(index, sign) per face split: its direction is sign there, every
-    other face split's 0.
+    other face split's 0.  ``vertices``, when given, are ``_vertices(face)``.
 
-    Two leaves from different branches at each end of the edge of a split
-    form a quartet whose inner path is that edge alone.  At the end inside
-    the side: its smallest leaf a, and a leaf b outside the largest smaller
-    side holding a.  At the other end: the anchor c (smallest label, never in
-    a side), and a leaf d of the smallest larger side (or of all labels)
-    that is neither in the side nor c.  Sides are compared as bitmasks.
+    The split of vertex v is the only edge on the inner path of a quartet
+    ab|cd, so no other face split cuts it two and two: a the least leaf of
+    the side, b the least outside v's child holding a (or outside a, when a
+    hangs off v), c the anchor (the least label, in no side), and d the
+    least of the parent's side (of all labels at the root) outside the side
+    and not c.  The anchor is paired with d, and the coordinate is the first
+    nonzero entry of that ray (``_RAYS``).
     """
-    labels = face.labels
-    n = len(labels)
-    c = min(labels)
-    full = sum(1 << x for x in labels) & ~(1 << c)
-    sides = [(u.mask, len(u.side)) for u in face.splits]
-    out = []
-    for s in face.splits:
-        m = s.mask
-        low = m & -m  # the bit of a
-        branch, branch_size = low, 1
-        cluster, cluster_size = full, n
-        for other, size in sides:
-            if other & m == other:
-                if other != m and other & low and size > branch_size:
-                    branch, branch_size = other, size
-            elif other & m == m and size < cluster_size:
-                cluster, cluster_size = other, size
-        b = m & ~branch
-        d = cluster & ~m
-        out.append(
-            _quartet_coordinate(
-                n,
-                low.bit_length() - 1,
-                (b & -b).bit_length() - 1,
-                c,
-                (d & -d).bit_length() - 1,
-            )
-        )
-    return out
+    masks, _, parents = vertices or _vertices(face)
+    bases = _quartet_bases(len(face.labels))
+    anchor = masks[0] & -masks[0]
+    held = {}  # each vertex's child holding its least leaf
+    by_mask = {}
+    for v in range(len(masks) - 1, 0, -1):  # each child before its parent
+        m, up = masks[v], masks[parents[v]]
+        if m & up & -up:
+            held[parents[v]] = m
+        a = m & -m
+        rest = m & ~held.get(v, a)
+        beyond = up & ~m & ~anchor
+        d = beyond & -beyond
+        quartet = a | (rest & -rest) | anchor | d
+        rank = (quartet & (d - 1)).bit_count() - 1  # of d among a, b and d
+        first = 0 if rank else 1
+        by_mask[m] = (bases[quartet] + first, _RAYS[rank][first])
+    return [by_mask[s.mask] for s in face.splits]
 
 
 def span_witness(
@@ -248,6 +243,7 @@ def span_witness(
     span of the face directions iff the residual is zero, and then it lies in
     the integer span too.
     """
+    _require_standard_labels(face.labels)
     size = 3 * comb(face.n, 4)
     if len(vector) != size:
         raise DimensionMismatch(f"expected {size} coordinates for n = {face.n}")
@@ -395,8 +391,9 @@ def check_smooth_local(n: int, tau: CombinatorialType) -> BalancingReport:
     if tau.n != n:
         raise ValueError(f"type is for n = {tau.n}, not {n}")
     _require_standard_labels(tau.labels)
-    branches = _branch_masks(tau)
-    return _vertex_report(tau, branches, branches, 1, {}, True)
+    vertices = _vertices(tau)
+    branches = _branch_masks(tau, vertices)
+    return _vertex_report(tau, branches, branches, 1, {}, vertices)
 
 
 def _local_witness(
@@ -414,24 +411,32 @@ def _local_witness(
     return tuple([coefficient if s.mask in on_vertex else 0 for s in splits])
 
 
-def _minor_determinant(
-    rows: Sequence[Sequence[int]], columns: Sequence[int], signs: Sequence[int]
-) -> int:
-    """The determinant of ``rows`` on ``columns``, the first ``len(signs)``
-    rows being face directions and their columns' isolating coordinates.
+def _minor_determinant(rows: Sequence[Split], columns: Sequence[int]) -> int:
+    """The determinant of the directions of ``rows`` on ``columns``, the
+    face splits on their isolating columns, then two extras on two more.
 
-    When, entry by entry, face row i is ``signs[i]`` on column i and 0 on
-    every other column, the minor is block lower-triangular, and its
-    determinant is the product of the signs times the 2x2 determinant of
-    the last two rows on the last two columns.  Otherwise Bareiss decides.
+    A direction is nonzero on a quartet only when its side holds two of the
+    quartet's labels.  When the last two columns are of one quartet and
+    each face split does so for its own column's quartet alone, the minor
+    is block lower-triangular: its determinant is the product of the face
+    rows' own entries times the 2x2 determinant of the last two rows and
+    columns, each entry read off a ray.  Otherwise Bareiss decides on dense
+    rows.
     """
-    product = 1
-    for i, (row, sign) in enumerate(zip(rows, signs)):
-        if any(row[c] != (sign if i == j else 0) for j, c in enumerate(columns)):
-            return _determinant([[row[c] for c in columns] for row in rows])
-        product *= sign
-    (a, b), (c, d) = ([row[k] for k in columns[-2:]] for row in rows[-2:])
-    return product * (a * d - b * c)
+    quartets = _quartets(len(rows[0].labels))
+    cutting = [quartets[c // 3][1] for c in columns[:-1]]
+    if columns[-1] // 3 == columns[-2] // 3:
+        product = 1
+        for i, s in enumerate(rows[:-2]):
+            m, own = s.mask, cutting[i]
+            if [q for q in cutting if (m & q).bit_count() == 2] != [own]:
+                break
+            product *= _quartet_ray(m, own)[columns[i] % 3]
+        else:
+            upper, lower = (_quartet_ray(s.mask, cutting[-1]) for s in rows[-2:])
+            k, l = columns[-2] % 3, columns[-1] % 3
+            return product * (upper[k] * lower[l] - upper[l] * lower[k])
+    return _determinant([[d[c] for c in columns] for d in map(_split_direction, rows)])
 
 
 def _vertex_report(
@@ -440,17 +445,17 @@ def _vertex_report(
     blocks: List[int],
     coefficient: int,
     decided: Dict[int, tuple],
-    smooth: bool,
+    vertices: Optional[tuple],
 ) -> BalancingReport:
     """The report at a face on labels 1..n decided at one vertex, given the
     vertex's branches as masks (by least label) and the blocks whose
     pairwise joins are the extra splits, each of weight 1, in key order.
-    The witness tried is ``_local_witness`` with ``coefficient``; with
-    ``smooth`` the face is a codimension-1 type and the minor of
-    ``check_smooth_local`` is checked too.  ``decided`` is the run's memo
-    (see the module docstring): packed branch masks to the extra splits
-    followed by the masks with a nonzero coefficient, stored only once the
-    witness tried has passed.
+    The witness tried is ``_local_witness`` with ``coefficient``; given
+    its ``vertices`` (``_vertices``), the face is a codimension-1 type and
+    the minor of ``check_smooth_local`` is checked too.  ``decided`` is the
+    run's memo (see the module docstring): packed branch masks to the extra
+    splits followed by the masks with a nonzero coefficient, stored only
+    once the witness tried has passed.
     """
     n = len(tau.labels)
     shift = n + 1  # each mask fits in n + 1 bits
@@ -470,14 +475,11 @@ def _vertex_report(
         extras, on_vertex = entry[0], entry[1:]
         witness = tuple([coefficient if s.mask in on_vertex else 0 for s in splits])
     verdict = minor = None
-    if smooth:
-        coordinates = _isolating_coordinates(tau)
+    if vertices is not None:
         base = _quartet_bases(n)[sum(m & -m for m in branches)]
-        columns = tuple(i for i, _ in coordinates) + (base, base + 1)
+        columns = tuple(i for i, _ in _isolating_coordinates(tau, vertices)) + (base, base + 1)
         # the first two adjacent directions: the extras are in key order
-        rows = [_split_direction(s) for s in (*splits, *extras[:2])]
-        signs = [sign for _, sign in coordinates]
-        if abs(_minor_determinant(rows, columns, signs)) == 1:
+        if abs(_minor_determinant((*splits, *extras[:2]), columns)) == 1:
             minor = columns
         verdict = witness is not None and minor is not None
     # positional: keywords cost a measurable share of a moduli-fan face
@@ -496,9 +498,10 @@ def _moduli_reports(n: int, smooth: bool = False) -> Iterator[BalancingReport]:
         raise ValueError("the moduli fan needs n >= 4")
     decided: Dict[int, tuple] = {}
     return (
-        _vertex_report(tau, branches, branches, 1, decided, smooth)
+        _vertex_report(tau, branches, branches, 1, decided, vertices if smooth else None)
         for tau in _stream_types(n, n - 4)
-        for branches in (_branch_masks(tau),)
+        for vertices in (_vertices(tau),)
+        for branches in (_branch_masks(tau, vertices),)
     )
 
 
@@ -593,7 +596,7 @@ def _psi_report(
         other = next(v for v, val in enumerate(vals) if val == 4 and v != home)
         branches = blocks = _branches_at(masks, parents, other)
     # 2 at a 5-valent vertex, 1 at a 4-valent one
-    return _vertex_report(tau, branches, blocks, valence - 3, decided, False)
+    return _vertex_report(tau, branches, blocks, valence - 3, decided, None)
 
 
 def _psi_reports(n: int, k: int) -> Iterator[BalancingReport]:

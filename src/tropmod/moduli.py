@@ -262,32 +262,21 @@ def _split_direction(split: Split) -> Tuple[int, ...]:
 # with the label at position 1, 2 or 3, indexed by that position less one
 # (the coordinate that vanishes, as keyed by ``_quartet_totals``): the rays of
 # M_{0,4}.  The first nonzero entry is the coordinate that isolates the split
-# (see ``_quartet_coordinate``).
+# (see ``divisors._isolating_coordinates``).
 _RAYS = ((0, 1, 1), (1, 0, -1), (-1, -1, 0))
 
 
-def _ray_entries(totals: Mapping[int, int]) -> List[Tuple[int, int]]:
-    """The nonzero (index, sign) entries of the rays that quartet keys name."""
-    return [
-        (key - key % 3 + off, sign)
-        for key in totals
-        for off, sign in enumerate(_RAYS[key % 3])
-        if sign
-    ]
-
-
-@lru_cache(maxsize=None)
-def _quartet_coordinate(n: int, a: int, b: int, c: int, d: int) -> Tuple[int, int]:
-    """A coordinate that sees exactly the inner path of the quartet ab|cd.
-
-    Returns (index, sign): every split that separates {a, b} from {c, d} has
-    entry ``sign`` there, and every split that does not cut the quartet two
-    and two has entry 0 (a split cutting it otherwise is incompatible with
-    ab|cd).  When a single edge of a tree is the inner path of ab|cd, this
-    coordinate isolates it among the tree's splits.
-    """
-    quartet = Split(frozenset((a, b, c, d)), frozenset((a, b)))
-    return _ray_entries(_quartet_totals(n, [(quartet, 1)]))[0]
+def _quartet_ray(side: int, quartet: int) -> Tuple[int, int, int]:
+    """The entries of a split's direction on a quartet's three coordinates,
+    the side and the quartet given as label bitmasks: the ray that pairs the
+    quartet's least label with its partner, or zeros unless the side holds
+    two of the quartet's labels."""
+    cut = side & quartet
+    if cut.bit_count() != 2:
+        return (0, 0, 0)
+    least = quartet & -quartet
+    partner = (cut if cut & least else quartet ^ cut) ^ least
+    return _RAYS[(quartet & (partner - 1)).bit_count() - 1]
 
 
 @lru_cache(maxsize=None)
@@ -298,7 +287,9 @@ def _split_support(split: Split) -> Tuple[Tuple[int, int], ...]:
     2 * C(a,2) * C(b,2) entries for sides of sizes a and b.
     """
     n = _require_standard_labels(split.labels)
-    return tuple(sorted(_ray_entries(_quartet_totals(n, [(split, 1)]))))
+    keys = _quartet_totals(n, [(split, 1)])
+    rays = ((key - key % 3, _RAYS[key % 3]) for key in keys)
+    return tuple(sorted((base + i, x) for base, ray in rays for i, x in enumerate(ray) if x))
 
 
 def direction_vector(t: CombinatorialType, s: Split) -> Tuple[int, ...]:

@@ -25,7 +25,8 @@ internal vertices off its side masks, as masks, valences and parents, and
 ``_branch_masks`` reads the 4-valent vertex of a codimension-1 type with
 them, and resolutions and psi divisors are read off its four branches; the
 psi faces read the vertex of leaf k and the other vertex that is not
-trivalent.
+trivalent; and each split's isolating quartet is read off its vertex, the
+parent and the child holding its least leaf.
 """
 
 from __future__ import annotations
@@ -344,10 +345,11 @@ def _vertices(t: CombinatorialType) -> Tuple[List[int], List[int], List[int]]:
     return masks, vals, parents
 
 
-def _branch_masks(t: CombinatorialType) -> List[int]:
+def _branch_masks(t: CombinatorialType, vertices: Optional[tuple] = None) -> List[int]:
     """The branches at the unique 4-valent vertex as masks, ordered by least
-    label; the one codimension-1 test."""
-    masks, vals, parents = _vertices(t)
+    label; the one codimension-1 test.  ``vertices``, when given, are
+    ``_vertices(t)``."""
+    masks, vals, parents = vertices or _vertices(t)
     if vals.count(3) != len(vals) - 1 or 4 not in vals:
         raise NotCodimensionOne(
             f"valence profile {tuple(sorted(vals))} has no unique 4-valent vertex"

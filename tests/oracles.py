@@ -13,7 +13,9 @@ and the directions and weighted sum a report reads off its splits are checked,
 and a smoothness minor by Bareiss elimination on branches read off the
 realized tree, against which the closed-form minor is checked.  A split
 direction is walked coordinate by coordinate, against which the scattered
-direction is checked.
+direction is checked.  A face's isolating quartets are found by scanning
+every pair of its sides, against which the quartets read off its vertices
+are checked.
 """
 
 from __future__ import annotations
@@ -305,6 +307,60 @@ def graph_decompose_boundary(x: ModuliPoint) -> BoundaryDecomposition:
 def walked_split_direction(split: Split) -> Tuple[int, ...]:
     """The direction of a split, one canonical coordinate at a time."""
     return tuple(_sigma(split, r) for r in canonical_coordinates(split.n))
+
+
+def scanned_isolating_coordinates(face: CombinatorialType) -> List[Tuple[int, int]]:
+    """(index, sign) per face split, found by scanning every pair of face
+    sides: the quartet ab|cd whose inner path is the split's edge alone.
+
+    At the end inside the side: its smallest leaf a, and a leaf b outside
+    the largest smaller side holding a.  At the other end: the anchor c
+    (smallest label, never in a side), and a leaf d of the smallest larger
+    side (or of all labels) that is neither in the side nor c.  Sides are
+    compared as bitmasks.
+    """
+    labels = face.labels
+    n = len(labels)
+    c = min(labels)
+    full = sum(1 << x for x in labels) & ~(1 << c)
+    sides = [(u.mask, len(u.side)) for u in face.splits]
+    out = []
+    for s in face.splits:
+        m = s.mask
+        low = m & -m  # the bit of a
+        branch, branch_size = low, 1
+        cluster, cluster_size = full, n
+        for other, size in sides:
+            if other & m == other:
+                if other != m and other & low and size > branch_size:
+                    branch, branch_size = other, size
+            elif other & m == m and size < cluster_size:
+                cluster, cluster_size = other, size
+        b = m & ~branch
+        d = cluster & ~m
+        out.append(
+            sigma_quartet_coordinate(
+                n,
+                low.bit_length() - 1,
+                (b & -b).bit_length() - 1,
+                c,
+                (d & -d).bit_length() - 1,
+            )
+        )
+    return out
+
+
+@lru_cache(maxsize=None)
+def sigma_quartet_coordinate(n: int, a: int, b: int, c: int, d: int) -> Tuple[int, int]:
+    """The first of the quartet's three canonical coordinates on which the
+    split ab|cd is nonzero, with that entry, each taken by ``_sigma``."""
+    quartet = Split(frozenset((a, b, c, d)), frozenset((a, b)))
+    base = _quartet_bases(n)[sum(1 << x for x in (a, b, c, d))]
+    for offset, r in enumerate(canonical_coordinates(n)[base : base + 3]):
+        sign = _sigma(quartet, r)
+        if sign:
+            return base + offset, sign
+    raise AssertionError("a split cutting a quartet two and two is nonzero on it")
 
 
 def dense_embed(x: ModuliPoint) -> Tuple[ExtendedRational, ...]:

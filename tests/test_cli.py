@@ -179,6 +179,22 @@ def test_many_labels_are_refused_on_the_ray_bound_at_once(monkeypatch, capsys, a
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_labels_past_the_limit_are_refused_at_dim_zero(monkeypatch, capsys, fmt):
+    # the one type of dimension 0 passes every count, but is made on the n labels
+    def refuse(*args):
+        raise AssertionError("a type was counted or made")
+
+    monkeypatch.setattr(trees, "_count_types", refuse)
+    monkeypatch.setattr(trees, "_search", refuse)
+    start = time.perf_counter()
+    code, out = run(["enumerate", "--n", "10000000", "--dim", "0", "--format", fmt])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == "" and elapsed < 1
+    assert err == "error: 10000000 labels at n = 10000000 exceed the limit of 5000000\n"
+
+
 def test_the_ray_bound_is_a_lower_bound():
     # c(n, d) >= (2^(n-1) - n - 1) / d >= 2^(n - 2 - d.bit_length()) for n >= 5
     for n in range(5, 40):

@@ -3,11 +3,12 @@
 import itertools
 import json
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from tropmod import divisors
+from tropmod import divisors, moduli
 from tropmod.divisors import (
     WeightedFan,
     _determinant,
@@ -24,13 +25,20 @@ from tropmod.divisors import (
     verify_witness,
 )
 from tropmod.errors import DimensionMismatch
-from tropmod.moduli import _split_direction, _split_support, direction_vector
+from tropmod.moduli import (
+    _quartet_ray,
+    _quartets,
+    _split_direction,
+    _split_support,
+    direction_vector,
+)
 from tropmod.serialization import fan_from_json
 from tropmod.trees import (
     CombinatorialType,
     Split,
     _branch_masks,
     _resolution_splits,
+    _stream_types,
     contract,
     enumerate_types,
     to_tree,
@@ -76,6 +84,13 @@ def test_split_support_is_the_dense_direction():
                 dense = _split_direction(s)
                 assert dense == oracles.walked_split_direction(s)
                 assert _split_support(s) == tuple((i, x) for i, x in enumerate(dense) if x)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_isolating_coordinates_match_the_scan_oracle(n):
+    for dim in range(n - 2):
+        for t in _stream_types(n, dim):
+            assert _isolating_coordinates(t) == oracles.scanned_isolating_coordinates(t)
 
 
 def test_isolating_coordinates_on_every_type():
@@ -382,25 +397,90 @@ def test_wrong_local_witness_falls_back_to_the_isolating_solve(monkeypatch):
         assert_matches_oracle(smooth, [oracles.bareiss_smooth_report(n, tau) for tau in taus])
 
 
-def test_forged_minor_row_is_not_unimodular():
+def test_forged_minor_row_is_not_unimodular(monkeypatch):
+    bareiss = []
+
+    def counted(rows):
+        bareiss.append(rows)
+        return _determinant(rows)
+
+    monkeypatch.setattr(divisors, "_determinant", counted)
     rng = random.Random(12)
     for n in (6, 7):
+        size = 3 * comb(n, 4)
         for tau in enumerate_types(n, n - 4):
             rep = check_smooth_local(n, tau)
-            signs = [sign for _, sign in _isolating_coordinates(tau)]
-            rows = face_directions(tau) + [_split_direction(s) for s in rep.extra_splits[:2]]
-            assert abs(_minor_determinant(rows, rep.minor, signs)) == 1
-            # face row 0 copies face row 1: nonzero on column 1, off the
-            # block diagonal, and the minor is singular, not the product of
-            # the signs times the 2x2 block
-            forged = [rows[1]] + rows[1:]
-            assert _minor_determinant(forged, rep.minor, signs) == 0
-            # one face entry changed on a column of the minor: Bareiss decides
-            forged = [list(row) for row in rows]
-            i = rng.randrange(len(tau.splits))
-            forged[i][rng.choice(rep.minor)] += rng.choice((-2, -1, 1, 2))
-            minor = [[row[c] for c in rep.minor] for row in forged]
-            assert _minor_determinant(forged, rep.minor, signs) == _determinant(minor)
+            rows = (*tau.splits, *rep.extra_splits[:2])
+            bareiss.clear()
+            assert abs(_minor_determinant(rows, rep.minor)) == 1 and not bareiss
+            # face split 0 repeats face split 1: it cuts column 1's quartet,
+            # off the block diagonal, and the minor is singular, not the
+            # product of the diagonal entries times the 2x2 block
+            assert _minor_determinant((rows[1], *rows[1:]), rep.minor) == 0 and bareiss
+            # a wrong quartet planted in one face column: either the mask
+            # test fails and Bareiss decides on the dense minor, or the
+            # closed form holds; the determinant is the dense minor's alike
+            columns = list(rep.minor)
+            columns[rng.randrange(len(tau.splits))] = rng.randrange(size)
+            dense = [[_split_direction(s)[c] for c in columns] for s in rows]
+            assert _minor_determinant(rows, columns) == _determinant(dense)
+            # two face columns swapped: each face split cuts the other's
+            # quartet, so Bareiss decides, and the sign flips
+            columns = list(rep.minor)
+            columns[0], columns[1] = columns[1], columns[0]
+            bareiss.clear()
+            dense = [[_split_direction(s)[c] for c in columns] for s in rows]
+            assert _minor_determinant(rows, columns) == _determinant(dense) == -_minor_determinant(
+                rows, rep.minor
+            )
+            assert len(bareiss) == 1
+            # the last column moved to another quartet: the 2x2 block is no
+            # longer one quartet's, so Bareiss decides
+            columns = list(rep.minor)
+            columns[-1] = (columns[-1] + 3 * rng.randrange(1, size // 3)) % size
+            bareiss.clear()
+            dense = [[_split_direction(s)[c] for c in columns] for s in rows]
+            assert _minor_determinant(rows, columns) == _determinant(dense) and bareiss
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_minor_mask_test_agrees_with_the_dense_zero_pattern(monkeypatch, n):
+    def refused(rows):
+        raise AssertionError("a moduli-fan minor fell to Bareiss")
+
+    monkeypatch.setattr(divisors, "_determinant", refused)
+    for tau in enumerate_types(n, n - 4):
+        rep = check_smooth_local(n, tau)
+        rows = (*tau.splits, *rep.extra_splits[:2])
+        quartets = [_quartets(n)[c // 3][1] for c in rep.minor]
+        dense = [[_split_direction(s)[c] for c in rep.minor] for s in rows]
+        # each face split cuts its own column's quartet two and two, and no
+        # other, and its row is nonzero on its own column alone
+        diagonal = [[i == j for j in range(len(rep.minor))] for i in range(len(tau.splits))]
+        cuts = [[(s.mask & q).bit_count() == 2 for q in quartets] for s in rows]
+        assert cuts[: len(tau.splits)] == diagonal
+        assert [[x != 0 for x in row] for row in dense[: len(tau.splits)]] == diagonal
+        # every entry of the minor read off a ray is the dense one
+        columns = list(zip(quartets, rep.minor))
+        assert [[_quartet_ray(s.mask, q)[c % 3] for q, c in columns] for s in rows] == dense
+        assert _minor_determinant(rows, rep.minor) == _determinant(dense)
+
+
+def test_smooth_at_n40_builds_no_dense_row(monkeypatch):
+    def refused(split):
+        raise AssertionError("a dense row was built")
+
+    monkeypatch.setattr(divisors, "_split_direction", refused)
+    monkeypatch.setattr(moduli, "_split_direction", refused)
+    n = 40
+    # a caterpillar with its middle split dropped: 36 face splits
+    face = CombinatorialType.of(n, [range(k, n + 1) for k in range(3, n) if k != 20])
+    try:
+        rep = check_smooth_local(n, face)
+        assert rep.smooth and len(rep.minor) == n - 2
+    finally:
+        divisors._packed_direction.cache_clear()
+        _split_support.cache_clear()
 
 
 def test_adjacent_order_by_extra_split_is_cone_order():
@@ -439,4 +519,11 @@ def test_span_witness_input_checks():
     with pytest.raises(TypeError):
         span_witness(face, (True,) + (0,) * 14)
     assert span_witness(face, (0,) * 15) == ((0,), (0,) * 15)
+    # labels other than 1..n have no coordinates, as in ``direction_vector``
+    for labels in ([2, 3, 4, 5, 6], [1, 2, 3, 4, 9]):
+        with pytest.raises(ValueError) as refused:
+            span_witness(CombinatorialType.of(labels, [labels[-2:]]), (0,) * 15)
+        assert str(refused.value) == (
+            "embedding coordinates are defined for leaf labels 1..n; relabel first"
+        )
 

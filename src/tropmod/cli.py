@@ -345,6 +345,8 @@ def _cmd_embed(args, out) -> int:
 
 
 def _cmd_reconstruct(args, out) -> int:
+    if args.n < 4:
+        raise UsageError("reconstruction needs n >= 4")
     vector = serialization.vector_from_json(_load_json(args.vector), args.n)
     point = moduli.reconstruct(vector, args.n)
     _dump(serialization.point_to_json(point), out)

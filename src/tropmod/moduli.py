@@ -13,6 +13,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import add, itemgetter, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._value import Value, _set
@@ -260,10 +261,12 @@ def _split_direction(split: Split) -> Tuple[int, ...]:
 
 # A quartet's three coordinates under a split that pairs its smallest label
 # with the label at position 1, 2 or 3, indexed by that position less one
-# (the coordinate that vanishes, as keyed by ``_quartet_totals``): the rays of
-# M_{0,4}.  The first nonzero entry is the coordinate that isolates the split
-# (see ``divisors._isolating_coordinates``).
+# (the coordinate that vanishes): the rays of M_{0,4}.  The first nonzero
+# entry is the coordinate that isolates the split (see
+# ``divisors._isolating_coordinates``).
 _RAYS = ((0, 1, 1), (1, 0, -1), (-1, -1, 0))
+# the nonzero entries of each ray, as (offset, sign)
+_RAY_ENTRIES = tuple(tuple((i, x) for i, x in enumerate(ray) if x) for ray in _RAYS)
 
 
 def _quartet_ray(side: int, quartet: int) -> Tuple[int, int, int]:
@@ -283,13 +286,25 @@ def _quartet_ray(side: int, quartet: int) -> Tuple[int, int, int]:
 def _split_support(split: Split) -> Tuple[Tuple[int, int], ...]:
     """The nonzero entries of the direction of a split, as sorted (index, sign).
 
-    Only quartets with two leaves on each side contribute, two entries each:
-    2 * C(a,2) * C(b,2) entries for sides of sizes a and b.
+    Walks the C(a,2) * C(b,2) quartets ab|cd that straddle a split with
+    sides of sizes a and b, two entries each: the ray of the pairing that
+    puts a with b.
     """
     n = _require_standard_labels(split.labels)
-    keys = _quartet_totals(n, [(split, 1)])
-    rays = ((key - key % 3, _RAYS[key % 3]) for key in keys)
-    return tuple(sorted((base + i, x) for base, ray in rays for i, x in enumerate(ray) if x))
+    bases = _quartet_bases(n)
+    far = [(c, d, (1 << c) | (1 << d))
+           for c, d in itertools.combinations(sorted(split.complement), 2)]
+    out = []
+    append = out.append
+    for a, b in itertools.combinations(sorted(split.side), 2):
+        near = (1 << a) | (1 << b)
+        for c, d, mask in far:
+            base = bases[near | mask]
+            # position of the smallest label's partner, less one
+            (i, x), (j, y) = _RAY_ENTRIES[(c < b) + (d < b) if a < c else (a < d) + (b < d)]
+            append((base + i, x))
+            append((base + j, y))
+    return tuple(sorted(out))
 
 
 def direction_vector(t: CombinatorialType, s: Split) -> Tuple[int, ...]:
@@ -322,42 +337,58 @@ def _quartet_bases(n: int) -> Dict[int, int]:
     return {mask: 3 * q for q, (_, mask) in enumerate(_quartets(n))}
 
 
-def _quartet_totals(n: int, weighted: Iterable[Tuple[Split, int]]) -> Dict[int, int]:
-    """Inner-path totals of the quartets cut two and two by weighted splits.
+@lru_cache(maxsize=None)
+def _pair_columns(n: int) -> Tuple[Sequence[int], ...]:
+    """Six columns over the quartets a < b < c < d in coordinate order: the
+    positions of d(a,b), d(c,d), d(a,c), d(b,d), d(a,d) and d(b,c) in a
+    leaf-to-leaf distance table stored row by row, n + 1 entries a row.
 
-    Walks the C(a,2) * C(b,2) quartets ab|cd that straddle each split and
-    adds its weight to the quartet's total, keyed by the coordinate that
-    vanishes on ab|cd (base + 0, 1 or 2 for the smallest label paired with
-    the label at position 1, 2 or 3).  In a tree every split that cuts a
-    quartet cuts it the same way, so each quartet has at most one key.
+    Kept as arrays of 4-byte entries, where a list of ints would take about
+    36 bytes an entry at n = 40.
     """
-    bases = _quartet_bases(n)
-    totals: Dict[int, int] = {}
-    get = totals.get
+    from array import array  # loaded here: commands that never embed skip it
+
+    width = n + 1
+
+    def column(i: int, j: int) -> Sequence[int]:
+        quartets = itertools.combinations(range(1, width), 4)
+        return array("I", [p * width + q for p, q in map(itemgetter(i, j), quartets)])
+
+    return tuple(column(i, j) for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)))
+
+
+def _double_ratios(n: int, weighted: Iterable[Tuple[Split, int]]) -> List[int]:
+    """The coordinates of the tree with these integer split weights, in
+    coordinate order, read off its tree metric by the four-point rule.
+
+    The leaf-to-leaf distance d(i, j) is the total weight of the splits
+    that part i and j (leaf edges cancel in every coordinate, so they are
+    taken as zero).  For a quartet a < b < c < d with pair sums
+    S_ab|cd = d(a,b) + d(c,d), S_ac|bd and S_ad|bc, its three coordinates
+    ((a,b),(c,d)), ((a,c),(b,d)) and ((a,d),(b,c)) are
+    (S_ad|bc - S_ac|bd)/2, (S_ad|bc - S_ab|cd)/2 and (S_ac|bd - S_ab|cd)/2:
+    a split adds 0 or twice its weight to each difference, so each halves
+    exactly.
+    """
+    width = n + 1
+    distance = [0] * (width * width)
     for split, weight in weighted:
-        far = [(c, d, (1 << c) | (1 << d))
-               for c, d in itertools.combinations(sorted(split.complement), 2)]
-        for a, b in itertools.combinations(sorted(split.side), 2):
-            near = (1 << a) | (1 << b)
-            for c, d, mask in far:
-                base = bases[near | mask]
-                # position of the smallest label's partner, less one
-                key = base + (c < b) + (d < b) if a < c else base + (a < d) + (b < d)
-                totals[key] = get(key, 0) + weight
-    return totals
-
-
-def _spread(entries: list, totals: Mapping[int, int], value) -> None:
-    """Write each quartet's ray at the coordinates of the pairing its key
-    names, scaled by ``value(total)`` = (zero, +t, -t); ``value`` is called
-    once per distinct total."""
-    rays: Dict[int, tuple] = {}
-    for key, total in totals.items():
-        if total not in rays:
-            scale = value(total).__getitem__  # by the ray's entry: 0, 1 or -1
-            rays[total] = tuple(tuple(map(scale, ray)) for ray in _RAYS)
-        shift = key % 3
-        entries[key - shift : key - shift + 3] = rays[total][shift]
+        for i in split.side:
+            for j in split.complement:
+                distance[i * width + j if i < j else j * width + i] += weight
+    get = distance.__getitem__
+    ab, cd, ac, bd, ad, bc = _pair_columns(n)
+    s_ac = list(map(add, map(get, ac), map(get, bd)))
+    s_ab = map(add, map(get, ab), map(get, cd))
+    s_ad = map(add, map(get, ad), map(get, bc))
+    half = (1).__rrshift__  # x >> 1, exact on even x
+    first = list(map(half, map(sub, s_ad, s_ac)))
+    third = list(map(half, map(sub, s_ac, s_ab)))
+    coordinates = [0] * (3 * len(ab))
+    coordinates[0::3] = first
+    coordinates[1::3] = map(add, first, third)  # (S_ad|bc - S_ab|cd)/2
+    coordinates[2::3] = third
+    return coordinates
 
 
 _ZERO = Fraction(0)
@@ -366,29 +397,31 @@ _ZERO = Fraction(0)
 def embed(x: ModuliPoint) -> EmbeddingVector:
     """The double-ratio embedding of a moduli point into R^N.
 
-    Accumulated quartet-wise: each split adds its length to the quartets it
-    cuts two and two (``_quartet_totals``), in integers over the common
-    denominator of the finite lengths, and each distinct total becomes one
-    Fraction and its negation.  A quartet cut by an infinite edge gets
-    +-inf; all splits cutting a quartet give it the same signs, so
+    Each coordinate is read off the tree metric by the four-point rule
+    (``_double_ratios``): the finite lengths, in integers over their common
+    denominator, give the leaf-to-leaf distances, and each distinct total
+    becomes one Fraction.  The infinite splits, each of weight 1, give the
+    coordinates that are +-inf: those on which they are nonzero, with that
+    sign.  All splits cutting a quartet give it the same signs, so
     infinities never cancel.
     """
     n = _require_standard_labels(x.labels)
     finite = [(s, v) for s, v in x.lengths if is_finite(v)]
     denominator = lcm(*(v.denominator for _, v in finite))
-    totals = _quartet_totals(
+    totals = _double_ratios(
         n, [(s, v.numerator * (denominator // v.denominator)) for s, v in finite]
     )
-
-    def value(total: int) -> Tuple[Fraction, Fraction, Fraction]:
-        v = Fraction(total, denominator)
-        return _ZERO, v, -v
-
-    entries: list = [_ZERO] * (3 * comb(n, 4))
-    _spread(entries, totals, value)
+    value = {0: _ZERO}
+    for t in set(totals):
+        if t not in value:
+            value[t] = v = Fraction(t, denominator)
+            value[-t] = -v
+    entries = list(map(value.__getitem__, totals))
     if len(finite) < len(x.lengths):
-        infinite = _quartet_totals(n, [(s, 1) for s, v in x.lengths if not is_finite(v)])
-        _spread(entries, infinite, lambda _: (_ZERO, POS_INF, NEG_INF))
+        infinite = _double_ratios(n, [(s, 1) for s, v in x.lengths if not is_finite(v)])
+        for i, sign in enumerate(infinite):
+            if sign:
+                entries[i] = POS_INF if sign > 0 else NEG_INF
     return EmbeddingVector._trusted(n, tuple(entries))
 
 
@@ -454,14 +487,17 @@ def _certified(
     splits: Mapping[Split, int], scaled: Sequence[int], denominator: int, n: int
 ) -> Optional[ModuliPoint]:
     """The point with these splits and positive lengths over ``denominator``
-    when the splits make a type and its re-embedding, in integers, equals
-    ``scaled``; None otherwise."""
+    when the splits make a type and its re-embedding equals ``scaled``; None
+    otherwise.
+
+    The re-embedding is exact and in integers: the split lengths give the
+    leaf-to-leaf distances of the candidate tree, and the four-point rule
+    reads each coordinate off them (``_double_ratios``)."""
     try:
         ctype = CombinatorialType(_leaf_set(n), splits)
     except IncompatibleSplit:
         return None
-    image = [0] * len(scaled)
-    _spread(image, _quartet_totals(n, splits.items()), lambda t: (0, t, -t))
+    image = _double_ratios(n, splits.items())
     if image != scaled:
         return None
     return ModuliPoint(

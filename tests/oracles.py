@@ -15,7 +15,8 @@ realized tree, against which the closed-form minor is checked.  A split
 direction is walked coordinate by coordinate, against which the scattered
 direction is checked.  A face's isolating quartets are found by scanning
 every pair of its sides, against which the quartets read off its vertices
-are checked.
+are checked.  The embedding is walked quartet by quartet, against which the
+coordinates read off the tree metric by the four-point rule are checked.
 """
 
 from __future__ import annotations
@@ -25,20 +26,21 @@ import itertools
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from tropmod.divisors import BalancingReport, _determinant, _isolating_coordinates
 from tropmod.errors import DimensionMismatch, IncompatibleSplit, NotInImage, TropmodError
 from tropmod.maps import BoundaryDecomposition
 from tropmod.moduli import (
+    _RAYS,
     ModuliPoint,
     RatioIndex,
     _quartet_bases,
     _sigma,
     canonical_coordinates,
 )
-from tropmod.rationals import ExtendedRational, is_finite
+from tropmod.rationals import NEG_INF, POS_INF, ExtendedRational, is_finite
 from tropmod.trees import CombinatorialType, Split, to_tree
 
 
@@ -373,6 +375,45 @@ def dense_embed(x: ModuliPoint) -> Tuple[ExtendedRational, ...]:
             s = _sigma(split, r)
             if s:
                 entries[idx] = entries[idx] + (length if s > 0 else -length)
+    return tuple(entries)
+
+
+def walked_coordinates(n: int, weighted) -> List[int]:
+    """The coordinates of the tree with these integer split weights, by
+    walking quartets: each split adds its weight to the inner path of the
+    C(a,2) * C(b,2) quartets ab|cd it cuts two and two, and each quartet's
+    three coordinates are then the ray of M_{0,4} for its pairing, scaled by
+    its total."""
+    bases = _quartet_bases(n)
+    totals: Dict[int, int] = {}  # by base + the position of a's partner, less one
+    for split, weight in weighted:
+        far = list(itertools.combinations(sorted(split.complement), 2))
+        for a, b in itertools.combinations(sorted(split.side), 2):
+            for c, d in far:
+                base = bases[sum(1 << x for x in (a, b, c, d))]
+                key = base + (c < b) + (d < b) if a < c else base + (a < d) + (b < d)
+                totals[key] = totals.get(key, 0) + weight
+    out = [0] * (3 * comb(n, 4))
+    for key, total in totals.items():
+        base = key - key % 3
+        out[base : base + 3] = (total * x for x in _RAYS[key % 3])
+    return out
+
+
+def walked_embed(x: ModuliPoint) -> Tuple[ExtendedRational, ...]:
+    """The embedding by ``walked_coordinates``: the finite lengths over their
+    common denominator, then +-inf wherever the infinite splits, each of
+    weight 1, are nonzero."""
+    finite = [(s, v) for s, v in x.lengths if is_finite(v)]
+    denominator = lcm(*(v.denominator for _, v in finite))
+    scaled = [(s, v.numerator * (denominator // v.denominator)) for s, v in finite]
+    entries: List[ExtendedRational] = [
+        Fraction(t, denominator) for t in walked_coordinates(x.n, scaled)
+    ]
+    infinite = [(s, 1) for s, v in x.lengths if not is_finite(v)]
+    for i, sign in enumerate(walked_coordinates(x.n, infinite)):
+        if sign:
+            entries[i] = POS_INF if sign > 0 else NEG_INF
     return tuple(entries)
 
 

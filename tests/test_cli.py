@@ -952,6 +952,18 @@ def test_check_json_carries_witnesses(tmp_path):
     assert [rep["witness"] for rep in json.loads(out)["reports"]] == [None]
 
 
+@pytest.mark.parametrize("n, vector", [("3", ["0", "0", "0"]), ("-2", None)], ids=["n3", "n-2"])
+def test_reconstruct_below_four_labels_is_refused_before_the_file_is_read(
+    tmp_path, capsys, n, vector
+):
+    path = tmp_path / "vector.json"  # not written for n = -2: the file is never read
+    if vector is not None:
+        path.write_text(json.dumps(vector))
+    code, out = run(["reconstruct", "--vector", str(path), "--n", n])
+    assert code == EXIT_USAGE and out == ""
+    assert capsys.readouterr().err == "error: reconstruction needs n >= 4\n"
+
+
 def test_reconstruct_shows_a_long_entry_off_the_image_short(tmp_path, capsys):
     # a 4,200-digit entry makes quartet 1234 (m, 0, 0), which is off the image
     vector = ["0"] * 15

@@ -172,6 +172,29 @@ def test_embed_matches_path_oracle_at_larger_n(rng):
             )
 
 
+def _walk_oracle_points(rng, n):
+    """Trivalent, contracted, boundary, all-infinite and origin points on 1..n."""
+    points = [ModuliPoint.of(n, {})]
+    for _ in range(3):
+        trivalent = random_tree_point(rng, n)
+        boundary = {s: v if i % 2 else POS_INF for i, (s, v) in enumerate(trivalent.lengths)}
+        points += [
+            trivalent,
+            random_tree_point(rng, n, dim=rng.randint(1, max(1, n - 4))),
+            ModuliPoint(trivalent.ctype, tuple(boundary.items())),
+            random_tree_point(rng, n, dim=rng.randint(1, n - 3), infinite_chance=1.0),
+        ]
+    return points
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_four_point_coordinates_match_the_walk_oracle(rng, n):
+    for x in _walk_oracle_points(rng, n):
+        weighted = [(s, v.numerator * 7 if is_finite(v) else 1) for s, v in x.lengths]
+        assert moduli._double_ratios(n, weighted) == oracles.walked_coordinates(n, weighted)
+        assert embed(x).entries == oracles.walked_embed(x)
+
+
 def test_reconstruct_examples():
     back = reconstruct((0, 5, 5), 4)
     assert back == ray_point(4, (3, 4), 5)

@@ -68,7 +68,8 @@ def _render(value, pad: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2)``, started on a line with
     newline-and-indentation ``pad``.
 
-    A list or tuple of plain ints is joined in C by ``_join_ints``.  What
+    A list or tuple of plain ints is joined in C by ``_join_ints``, and one
+    of plain strs likewise, each quoted by ``_string``.  What
     depends on one split alone, its side (``Split.key``) and its direction,
     comes as the split's own ``_Ints`` tuple, plain ints by construction: a
     report or a type table repeats it thousands of times, so it is rendered
@@ -94,9 +95,12 @@ def _render(value, pad: str = "\n") -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
+        kinds = set(map(type, value))
+        if kinds == {int}:
             return _join_ints(value, pad)
         inner = pad + "  "
+        if kinds == {str}:
+            return "[" + inner + ("," + inner).join(map(_string, value)) + pad + "]"
         items = [_render(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is dict and value and set(map(type, value)) == {str}:
@@ -337,8 +341,8 @@ def _cmd_embed(args, out) -> int:
         # every distinct entry is formatted before the first line is written,
         # so one past the int-to-string limit leaves stdout empty
         text = {id(e): serialization.format_extended(e) for e in vector.entries}
-        for r, value in zip(vector.coordinates, vector.entries):
-            out.write(f"{r.first}{r.second}: {text[id(value)]}\n")
+        for (p, q), value in zip(moduli._coordinate_pairs(vector.n), vector.entries):
+            out.write(f"{p}{q}: {text[id(value)]}\n")
     else:
         _dump(serialization.vector_to_json(vector), out)
     return EXIT_OK

@@ -89,9 +89,8 @@ from ._value import Value, _set
 from .errors import DimensionMismatch, NotCodimensionOne, NotPure, _shown
 from .moduli import (
     _RAYS,
-    _quartet_bases,
+    _quartet_base,
     _quartet_ray,
-    _quartets,
     _require_standard_labels,
     _split_direction,
     _split_support,
@@ -200,9 +199,10 @@ def moduli_fan(n: int) -> WeightedFan:
 
 def _isolating_coordinates(
     face: CombinatorialType, vertices: Optional[tuple] = None
-) -> List[Tuple[int, int]]:
-    """(index, sign) per face split: its direction is sign there, every
-    other face split's 0.  ``vertices``, when given, are ``_vertices(face)``.
+) -> List[Tuple[int, int, int]]:
+    """(index, sign, quartet) per face split: its direction is sign there,
+    every other face split's 0, and the quartet (a label bitmask) holds the
+    index.  ``vertices``, when given, are ``_vertices(face)``.
 
     The split of vertex v is the only edge on the inner path of a quartet
     ab|cd, so no other face split cuts it two and two: a the least leaf of
@@ -213,7 +213,7 @@ def _isolating_coordinates(
     nonzero entry of that ray (``_RAYS``).
     """
     masks, _, parents = vertices or _vertices(face)
-    bases = _quartet_bases(len(face.labels))
+    n = len(face.labels)
     anchor = masks[0] & -masks[0]
     held = {}  # each vertex's child holding its least leaf
     by_mask = {}
@@ -228,7 +228,7 @@ def _isolating_coordinates(
         quartet = a | (rest & -rest) | anchor | d
         rank = (quartet & (d - 1)).bit_count() - 1  # of d among a, b and d
         first = 0 if rank else 1
-        by_mask[m] = (bases[quartet] + first, _RAYS[rank][first])
+        by_mask[m] = (_quartet_base(n, quartet) + first, _RAYS[rank][first], quartet)
     return [by_mask[s.mask] for s in face.splits]
 
 
@@ -249,7 +249,7 @@ def span_witness(
         raise DimensionMismatch(f"expected {size} coordinates for n = {face.n}")
     if any(isinstance(x, bool) or not isinstance(x, int) for x in vector):
         raise TypeError("integer vector expected")
-    coefficients = tuple(vector[i] * sign for i, sign in _isolating_coordinates(face))
+    coefficients = tuple(vector[i] * sign for i, sign, _ in _isolating_coordinates(face))
     residual = list(vector)
     for s, coef in zip(face.splits, coefficients):
         for i, x in _split_support(s):
@@ -343,7 +343,7 @@ def _balance_at(
     field, half = (1 << width) - 1, 1 << (width - 1)
     witness = tuple(
         sign * (((biased >> (width * i)) & field) - half)
-        for i, sign in _isolating_coordinates(face)
+        for i, sign, _ in _isolating_coordinates(face)
     )
     return witness if total == _recombine(splits, witness, width) else None
 
@@ -411,9 +411,10 @@ def _local_witness(
     return tuple([coefficient if s.mask in on_vertex else 0 for s in splits])
 
 
-def _minor_determinant(rows: Sequence[Split], columns: Sequence[int]) -> int:
+def _minor_determinant(rows: Sequence[Split], columns: Sequence[int], quartets: tuple) -> int:
     """The determinant of the directions of ``rows`` on ``columns``, the
-    face splits on their isolating columns, then two extras on two more.
+    face splits on their isolating columns, then two extras on two more;
+    ``quartets`` holds each column's quartet as a label bitmask.
 
     A direction is nonzero on a quartet only when its side holds two of the
     quartet's labels.  When the last two columns are of one quartet and
@@ -423,9 +424,8 @@ def _minor_determinant(rows: Sequence[Split], columns: Sequence[int]) -> int:
     columns, each entry read off a ray.  Otherwise Bareiss decides on dense
     rows.
     """
-    quartets = _quartets(len(rows[0].labels))
-    cutting = [quartets[c // 3][1] for c in columns[:-1]]
-    if columns[-1] // 3 == columns[-2] // 3:
+    cutting = quartets[:-1]
+    if quartets[-1] == quartets[-2]:
         product = 1
         for i, s in enumerate(rows[:-2]):
             m, own = s.mask, cutting[i]
@@ -476,10 +476,12 @@ def _vertex_report(
         witness = tuple([coefficient if s.mask in on_vertex else 0 for s in splits])
     verdict = minor = None
     if vertices is not None:
-        base = _quartet_bases(n)[sum(m & -m for m in branches)]
-        columns = tuple(i for i, _ in _isolating_coordinates(tau, vertices)) + (base, base + 1)
+        least = sum(m & -m for m in branches)  # the quartet of the last two columns
+        base = _quartet_base(n, least)
+        isolating = _isolating_coordinates(tau, vertices)
+        columns, _, quartets = zip(*isolating, (base, 0, least), (base + 1, 0, least))
         # the first two adjacent directions: the extras are in key order
-        if abs(_minor_determinant((*splits, *extras[:2]), columns)) == 1:
+        if abs(_minor_determinant((*splits, *extras[:2]), columns, quartets)) == 1:
             minor = columns
         verdict = witness is not None and minor is not None
     # positional: keywords cost a measurable share of a moduli-fan face

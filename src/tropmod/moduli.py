@@ -80,21 +80,45 @@ class RatioIndex(Value):
         return f"RatioIndex({self.first},{self.second})"
 
 
+def _coordinate_pairs(n: int) -> Iterator[Tuple[Tuple[int, int], Tuple[int, int]]]:
+    """The two pairs of each coordinate, in coordinate order: for each
+    quartet a < b < c < d lexicographically, ((a,b),(c,d)), ((a,c),(b,d))
+    and ((a,d),(b,c))."""
+    for a, b, c, d in itertools.combinations(range(1, n + 1), 4):
+        yield (a, b), (c, d)
+        yield (a, c), (b, d)
+        yield (a, d), (b, c)
+
+
+@lru_cache(maxsize=None)
+def _rank_terms(n: int) -> List[Tuple[int, ...]]:
+    """3 * (C(n-x,4), C(n-x,3), C(n-x,2), n-x) for x = 0..n: see ``_quartet_base``."""
+    return [tuple(3 * comb(n - x, k) for k in (4, 3, 2, 1)) for x in range(n + 1)]
+
+
+@lru_cache(maxsize=None)
+def _quartet_base(n: int, quartet: int) -> int:
+    """The position of the first coordinate of the quartet a < b < c < d of
+    1..n with this label bitmask: three times its lexicographic rank,
+    C(n,4) - 1 - C(n-a,4) - C(n-b,3) - C(n-c,2) - (n-d), as the terms count
+    the quartets after it.  Cached per (n, mask): a face stream asks for the
+    same few again and again.  ``__wrapped__`` is the arithmetic alone."""
+    terms = _rank_terms(n)
+    d = quartet.bit_length() - 1
+    c = (quartet ^ 1 << d).bit_length() - 1
+    b = (quartet ^ 1 << d ^ 1 << c).bit_length() - 1
+    a = (quartet & -quartet).bit_length() - 1
+    return terms[0][0] - 3 - terms[a][0] - terms[b][1] - terms[c][2] - terms[d][3]
+
+
 @lru_cache(maxsize=None)
 def canonical_coordinates(n: int) -> Tuple[RatioIndex, ...]:
-    """The coordinate order of the embedding: 4-subsets lexicographically,
-    then the three pairings of each; length 3 * C(n, 4)."""
+    """The coordinate order of the embedding, one ``RatioIndex`` per pair
+    of ``_coordinate_pairs``: 4-subsets lexicographically, then the three
+    pairings of each; length 3 * C(n, 4)."""
     if not isinstance(n, int) or n < 4:
         raise ValueError("canonical coordinates need n >= 4")
-    out = []
-    for (a, b, c, d), _ in _quartets(n):
-        out += (RatioIndex((a, b), (c, d)), RatioIndex((a, c), (b, d)), RatioIndex((a, d), (b, c)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _coordinate_positions(n: int) -> Dict[RatioIndex, int]:
-    return {r: i for i, r in enumerate(canonical_coordinates(n))}
+    return tuple(itertools.starmap(RatioIndex, _coordinate_pairs(n)))
 
 
 def _sigma(split: Split, r: RatioIndex) -> int:
@@ -218,7 +242,11 @@ class EmbeddingVector(Value):
         return all(is_finite(v) for v in self.entries)
 
     def entry(self, r: RatioIndex) -> ExtendedRational:
-        return self.entries[_coordinate_positions(self.n)[r]]
+        (a, b), (c, d) = r.first, r.second  # a the least label, b its partner
+        if a < 1 or max(b, d) > self.n:
+            raise KeyError(r)
+        base = _quartet_base(self.n, 1 << a | 1 << b | 1 << c | 1 << d)
+        return self.entries[base + (c < b) + (d < b)]  # b's position, less one
 
     def __iter__(self):
         return iter(self.entries)
@@ -259,11 +287,11 @@ def _split_direction(split: Split) -> Tuple[int, ...]:
     return _Ints(entries)
 
 
-# A quartet's three coordinates under a split that pairs its smallest label
-# with the label at position 1, 2 or 3, indexed by that position less one
-# (the coordinate that vanishes): the rays of M_{0,4}.  The first nonzero
-# entry is the coordinate that isolates the split (see
-# ``divisors._isolating_coordinates``).
+# A quartet's three coordinates (``_quartet_base`` plus 0, 1, 2) under a
+# split that pairs its smallest label with the label at position 1, 2 or 3,
+# indexed by that position less one (the coordinate that vanishes): the rays
+# of M_{0,4}.  The first nonzero entry is the coordinate that isolates the
+# split (see ``divisors._isolating_coordinates``).
 _RAYS = ((0, 1, 1), (1, 0, -1), (-1, -1, 0))
 # the nonzero entries of each ray, as (offset, sign)
 _RAY_ENTRIES = tuple(tuple((i, x) for i, x in enumerate(ray) if x) for ray in _RAYS)
@@ -288,10 +316,10 @@ def _split_support(split: Split) -> Tuple[Tuple[int, int], ...]:
 
     Walks the C(a,2) * C(b,2) quartets ab|cd that straddle a split with
     sides of sizes a and b, two entries each: the ray of the pairing that
-    puts a with b.
+    puts a with b, after the quartet's base (uncached: each is met once).
     """
     n = _require_standard_labels(split.labels)
-    bases = _quartet_bases(n)
+    base_of = _quartet_base.__wrapped__
     far = [(c, d, (1 << c) | (1 << d))
            for c, d in itertools.combinations(sorted(split.complement), 2)]
     out = []
@@ -299,7 +327,7 @@ def _split_support(split: Split) -> Tuple[Tuple[int, int], ...]:
     for a, b in itertools.combinations(sorted(split.side), 2):
         near = (1 << a) | (1 << b)
         for c, d, mask in far:
-            base = bases[near | mask]
+            base = base_of(n, near | mask)
             # position of the smallest label's partner, less one
             (i, x), (j, y) = _RAY_ENTRIES[(c < b) + (d < b) if a < c else (a < d) + (b < d)]
             append((base + i, x))
@@ -319,22 +347,6 @@ def direction_vector(t: CombinatorialType, s: Split) -> Tuple[int, ...]:
     if s not in t.splits and not all(s.compatible_with(u) for u in t.splits):
         raise IncompatibleSplit(f"{s!r} is incompatible with {t!r}")
     return _split_direction(s)
-
-
-@lru_cache(maxsize=None)
-def _quartets(n: int) -> Tuple[Tuple[Tuple[int, int, int, int], int], ...]:
-    """Each sorted quartet with its label bitmask (sum of 1 << label), in
-    coordinate order."""
-    return tuple(
-        (quad, sum(1 << x for x in quad))
-        for quad in itertools.combinations(range(1, n + 1), 4)
-    )
-
-
-@lru_cache(maxsize=None)
-def _quartet_bases(n: int) -> Dict[int, int]:
-    """Position of the first of each quartet's three coordinates, by bitmask."""
-    return {mask: 3 * q for q, (_, mask) in enumerate(_quartets(n))}
 
 
 @lru_cache(maxsize=None)
@@ -456,14 +468,15 @@ def _candidate_splits(scaled: Sequence[int], n: int) -> Dict[Split, int]:
     the image this reads some set of bipartitions, not always a type, and
     ``_certified`` rejects it.
     """
-    bases = _quartet_bases(n)
     g = [[0] * (n + 1) for _ in range(n + 1)]
-    for j in range(4, n + 1):  # g(2, 3) = 0
-        g[2][j] = g[j][2] = scaled[bases[0b1110 | 1 << j]]
+    # {1,2,i,j}, 3 <= i < j, are the first quartets in coordinate order, by (i, j)
+    for j in range(4, n + 1):  # {1,2,3,j}; g(2, 3) = 0
+        g[2][j] = g[j][2] = scaled[3 * j - 12]
+    second = iter(scaled[1 : 3 * comb(n - 2, 2) : 3])
     for i in range(3, n + 1):
         gi, row = g[2][i], g[i]
         for j in range(i + 1, n + 1):
-            row[j] = g[j][i] = gi + scaled[bases[0b110 | 1 << i | 1 << j] + 1]
+            row[j] = g[j][i] = gi + next(second)
     labels = _leaf_set(n)
     found: Dict[Split, int] = {}
     for i in range(2, n + 1):
@@ -508,7 +521,7 @@ def _certified(
 def _refusal(scaled: Sequence[int], denominator: int, n: int) -> NotInImage:
     """Why a vector off the image is refused: its first quartet whose
     coordinates are not of the form (0, m, +-m), else its re-embedding."""
-    for q, (quad, _) in enumerate(_quartets(n)):
+    for q, quad in enumerate(itertools.combinations(range(1, n + 1), 4)):
         triple = scaled[3 * q : 3 * q + 3]
         low, mid, high = sorted(map(abs, triple))
         if low or mid != high:

@@ -289,8 +289,8 @@ def to_tree(t: CombinatorialType) -> TreeRealization:
 
 
 def valence_profile(t: CombinatorialType) -> Tuple[int, ...]:
-    """Sorted multiset of internal-vertex valences."""
-    return tuple(sorted(to_tree(t).valences()))
+    """Sorted multiset of internal-vertex valences, read off ``_vertices``."""
+    return tuple(sorted(_vertices(t)[1]))
 
 
 def contract(t: CombinatorialType, s: Split) -> CombinatorialType:

@@ -17,6 +17,8 @@ direction is checked.  A face's isolating quartets are found by scanning
 every pair of its sides, against which the quartets read off its vertices
 are checked.  The embedding is walked quartet by quartet, against which the
 coordinates read off the tree metric by the four-point rule are checked.
+The quartets are enumerated in one table, against which their closed-form
+rank is checked.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from tropmod.moduli import (
     _RAYS,
     ModuliPoint,
     RatioIndex,
-    _quartet_bases,
     _sigma,
     canonical_coordinates,
 )
@@ -306,14 +307,33 @@ def graph_decompose_boundary(x: ModuliPoint) -> BoundaryDecomposition:
 
 
 @lru_cache(maxsize=None)
+def quartets(n: int) -> Tuple[Tuple[Tuple[int, int, int, int], int], ...]:
+    """Each sorted quartet with its label bitmask (sum of 1 << label), in
+    coordinate order: the enumerated table that ``moduli._quartet_base``
+    ranks in closed form."""
+    return tuple(
+        (quad, sum(1 << x for x in quad))
+        for quad in itertools.combinations(range(1, n + 1), 4)
+    )
+
+
+@lru_cache(maxsize=None)
+def quartet_bases(n: int) -> Dict[int, int]:
+    """Position of the first of each quartet's three coordinates, by bitmask,
+    read off the enumerated ``quartets`` table."""
+    return {mask: 3 * q for q, (_, mask) in enumerate(quartets(n))}
+
+
+@lru_cache(maxsize=None)
 def walked_split_direction(split: Split) -> Tuple[int, ...]:
     """The direction of a split, one canonical coordinate at a time."""
     return tuple(_sigma(split, r) for r in canonical_coordinates(split.n))
 
 
-def scanned_isolating_coordinates(face: CombinatorialType) -> List[Tuple[int, int]]:
-    """(index, sign) per face split, found by scanning every pair of face
-    sides: the quartet ab|cd whose inner path is the split's edge alone.
+def scanned_isolating_coordinates(face: CombinatorialType) -> List[Tuple[int, int, int]]:
+    """(index, sign, quartet mask) per face split, found by scanning every
+    pair of face sides: the quartet ab|cd whose inner path is the split's
+    edge alone.
 
     At the end inside the side: its smallest leaf a, and a leaf b outside
     the largest smaller side holding a.  At the other end: the anchor c
@@ -353,15 +373,17 @@ def scanned_isolating_coordinates(face: CombinatorialType) -> List[Tuple[int, in
 
 
 @lru_cache(maxsize=None)
-def sigma_quartet_coordinate(n: int, a: int, b: int, c: int, d: int) -> Tuple[int, int]:
+def sigma_quartet_coordinate(n: int, a: int, b: int, c: int, d: int) -> Tuple[int, int, int]:
     """The first of the quartet's three canonical coordinates on which the
-    split ab|cd is nonzero, with that entry, each taken by ``_sigma``."""
+    split ab|cd is nonzero, with that entry, each taken by ``_sigma``, and
+    the quartet's label bitmask."""
     quartet = Split(frozenset((a, b, c, d)), frozenset((a, b)))
-    base = _quartet_bases(n)[sum(1 << x for x in (a, b, c, d))]
+    mask = sum(1 << x for x in (a, b, c, d))
+    base = quartet_bases(n)[mask]
     for offset, r in enumerate(canonical_coordinates(n)[base : base + 3]):
         sign = _sigma(quartet, r)
         if sign:
-            return base + offset, sign
+            return base + offset, sign, mask
     raise AssertionError("a split cutting a quartet two and two is nonzero on it")
 
 
@@ -384,7 +406,7 @@ def walked_coordinates(n: int, weighted) -> List[int]:
     C(a,2) * C(b,2) quartets ab|cd it cuts two and two, and each quartet's
     three coordinates are then the ray of M_{0,4} for its pairing, scaled by
     its total."""
-    bases = _quartet_bases(n)
+    bases = quartet_bases(n)
     totals: Dict[int, int] = {}  # by base + the position of a's partner, less one
     for split, weight in weighted:
         far = list(itertools.combinations(sorted(split.complement), 2))
@@ -546,7 +568,7 @@ def dense_balance_at(
             total[i] += weight * x
     residual = list(total)
     coefficients = []
-    for s, (index, sign) in zip(splits, coordinates):
+    for s, (index, sign, _) in zip(splits, coordinates):
         coef = total[index] * sign
         coefficients.append(coef)
         for i, x in enumerate(walked_split_direction(s)):
@@ -579,8 +601,8 @@ def bareiss_smooth_report(
     extras = sorted((Split(tau.labels, side) for side in sides), key=lambda s: s.key)
     splits = sorted(tau.splits, key=lambda s: s.key)
     coordinates = _isolating_coordinates(tau)
-    base = _quartet_bases(n)[sum(1 << min(branch) for branch in branches)]
-    columns = tuple(i for i, _ in coordinates) + (base, base + 1)
+    base = quartet_bases(n)[sum(1 << min(branch) for branch in branches)]
+    columns = tuple(i for i, _, _ in coordinates) + (base, base + 1)
     rows = [walked_split_direction(s) for s in splits + extras[:2]]
     unimodular = abs(_determinant([[row[k] for k in columns] for row in rows])) == 1
     adjacent = [(CombinatorialType(tau.labels, (*tau.splits, s)), 1, s) for s in extras]

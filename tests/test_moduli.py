@@ -49,6 +49,43 @@ def test_canonical_coordinates():
         canonical_coordinates(3)
 
 
+def test_quartet_base_is_the_position_in_combinations_order():
+    for n in range(4, 13):
+        for rank, quad in enumerate(itertools.combinations(range(1, n + 1), 4)):
+            mask = sum(1 << x for x in quad)
+            assert moduli._quartet_base(n, mask) == 3 * rank
+            assert moduli._quartet_base.__wrapped__(n, mask) == 3 * rank
+        assert oracles.quartet_bases(n) == {
+            mask: moduli._quartet_base(n, mask) for _, mask in oracles.quartets(n)
+        }
+    n = 40
+    quartets = list(itertools.combinations(range(1, n + 1), 4))
+    assert len(quartets) == comb(n, 4)
+    rng = random.Random(40)
+    for rank in [0, 1, len(quartets) - 1, *rng.sample(range(len(quartets)), 500)]:
+        mask = sum(1 << x for x in quartets[rank])
+        assert moduli._quartet_base.__wrapped__(n, mask) == 3 * rank
+
+
+def test_coordinate_pairs_are_the_canonical_coordinates():
+    for n in range(4, 10):
+        pairs = list(moduli._coordinate_pairs(n))
+        assert pairs == [(r.first, r.second) for r in canonical_coordinates(n)]
+
+
+def test_entry_is_the_entry_at_the_coordinate():
+    rng = random.Random(7)
+    for n in range(4, 8):
+        coordinates = canonical_coordinates(n)
+        vec = EmbeddingVector(n, [str(rng.randint(-9, 9)) for _ in coordinates])
+        for r in coordinates:
+            assert vec.entry(r) == vec.entries[coordinates.index(r)]
+        for r in (RatioIndex((1, 2), (3, n + 1)), RatioIndex((1, n + 1), (2, 3)),
+                  RatioIndex((0, 1), (2, 3))):
+            with pytest.raises(KeyError):
+                vec.entry(r)
+
+
 def ray_point(n, side, length):
     return ModuliPoint.of(n, {tuple(side): length})
 

@@ -387,6 +387,13 @@ def test_to_tree_examples():
     assert valence_profile(CombinatorialType.of(5)) == (5,)
 
 
+def test_valence_profile_is_the_realized_trees():
+    for n in range(3, 8):
+        for dim in range(n - 2):
+            for t in enumerate_types(n, dim):
+                assert valence_profile(t) == tuple(sorted(to_tree(t).valences()))
+
+
 def test_tree_realizes_its_splits():
     # cutting the edge of each split separates the leaves exactly as stored;
     # vertex 0 is the root, vertex i the child end of the i-th split by key

@@ -27,7 +27,6 @@ from tropmod.divisors import (
 from tropmod.errors import DimensionMismatch
 from tropmod.moduli import (
     _quartet_ray,
-    _quartets,
     _split_direction,
     _split_support,
     direction_vector,
@@ -48,6 +47,11 @@ import oracles
 from oracles import rebuilt
 
 FAN_FILE = Path(__file__).with_name("fan_n6_weight2.json")
+
+
+def column_quartets(n, columns):
+    """The label bitmask of each column's quartet, from the enumerated table."""
+    return tuple(oracles.quartets(n)[c // 3][1] for c in columns)
 
 
 def face_directions(face):
@@ -97,7 +101,7 @@ def test_isolating_coordinates_on_every_type():
     for n in range(4, 8):
         for dim in range(n - 2):
             for t in enumerate_types(n, dim):
-                for s, (index, sign) in zip(t.splits, _isolating_coordinates(t)):
+                for s, (index, sign, _) in zip(t.splits, _isolating_coordinates(t)):
                     assert sign in (1, -1)
                     for u in t.splits:
                         assert _split_direction(u)[index] == (sign if u == s else 0)
@@ -412,27 +416,30 @@ def test_forged_minor_row_is_not_unimodular(monkeypatch):
             rep = check_smooth_local(n, tau)
             rows = (*tau.splits, *rep.extra_splits[:2])
             bareiss.clear()
-            assert abs(_minor_determinant(rows, rep.minor)) == 1 and not bareiss
+            quartets = column_quartets(n, rep.minor)
+            assert abs(_minor_determinant(rows, rep.minor, quartets)) == 1 and not bareiss
             # face split 0 repeats face split 1: it cuts column 1's quartet,
             # off the block diagonal, and the minor is singular, not the
             # product of the diagonal entries times the 2x2 block
-            assert _minor_determinant((rows[1], *rows[1:]), rep.minor) == 0 and bareiss
+            assert _minor_determinant((rows[1], *rows[1:]), rep.minor, quartets) == 0 and bareiss
             # a wrong quartet planted in one face column: either the mask
             # test fails and Bareiss decides on the dense minor, or the
             # closed form holds; the determinant is the dense minor's alike
             columns = list(rep.minor)
             columns[rng.randrange(len(tau.splits))] = rng.randrange(size)
             dense = [[_split_direction(s)[c] for c in columns] for s in rows]
-            assert _minor_determinant(rows, columns) == _determinant(dense)
+            assert _minor_determinant(rows, columns, column_quartets(n, columns)) == _determinant(
+                dense
+            )
             # two face columns swapped: each face split cuts the other's
             # quartet, so Bareiss decides, and the sign flips
             columns = list(rep.minor)
             columns[0], columns[1] = columns[1], columns[0]
             bareiss.clear()
             dense = [[_split_direction(s)[c] for c in columns] for s in rows]
-            assert _minor_determinant(rows, columns) == _determinant(dense) == -_minor_determinant(
-                rows, rep.minor
-            )
+            assert _minor_determinant(
+                rows, columns, column_quartets(n, columns)
+            ) == _determinant(dense) == -_minor_determinant(rows, rep.minor, quartets)
             assert len(bareiss) == 1
             # the last column moved to another quartet: the 2x2 block is no
             # longer one quartet's, so Bareiss decides
@@ -440,7 +447,11 @@ def test_forged_minor_row_is_not_unimodular(monkeypatch):
             columns[-1] = (columns[-1] + 3 * rng.randrange(1, size // 3)) % size
             bareiss.clear()
             dense = [[_split_direction(s)[c] for c in columns] for s in rows]
-            assert _minor_determinant(rows, columns) == _determinant(dense) and bareiss
+            assert (
+                _minor_determinant(rows, columns, column_quartets(n, columns))
+                == _determinant(dense)
+                and bareiss
+            )
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -452,7 +463,7 @@ def test_minor_mask_test_agrees_with_the_dense_zero_pattern(monkeypatch, n):
     for tau in enumerate_types(n, n - 4):
         rep = check_smooth_local(n, tau)
         rows = (*tau.splits, *rep.extra_splits[:2])
-        quartets = [_quartets(n)[c // 3][1] for c in rep.minor]
+        quartets = column_quartets(n, rep.minor)
         dense = [[_split_direction(s)[c] for c in rep.minor] for s in rows]
         # each face split cuts its own column's quartet two and two, and no
         # other, and its row is nonzero on its own column alone
@@ -463,7 +474,7 @@ def test_minor_mask_test_agrees_with_the_dense_zero_pattern(monkeypatch, n):
         # every entry of the minor read off a ray is the dense one
         columns = list(zip(quartets, rep.minor))
         assert [[_quartet_ray(s.mask, q)[c % 3] for q, c in columns] for s in rows] == dense
-        assert _minor_determinant(rows, rep.minor) == _determinant(dense)
+        assert _minor_determinant(rows, rep.minor, quartets) == _determinant(dense)
 
 
 def test_smooth_at_n40_builds_no_dense_row(monkeypatch):
